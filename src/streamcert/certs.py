@@ -22,6 +22,9 @@ Decoders are total over arbitrary byte strings: every structural defect
 size off the formula) raises MalformedCertificate, which verifiers turn into
 a reject at init.
 
+Each scheme's tag byte and decoder live in one table, ``CODECS``; the
+tag/name lookups are derived from it.
+
 File format: 1 tag byte, u64 big-endian semantic_bits, then the payload.
 """
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 from .meter import ceil_log2, id_bits
 
@@ -42,23 +46,6 @@ class CertificateBlob:
     scheme: str
     payload: bytes
     semantic_bits: int
-
-
-SCHEME_TAGS: dict[str, int] = {
-    "mm_atleast_list": 1,
-    "mm_atleast_coloring": 2,
-    "mm_atmost": 3,
-    "deg_atmost": 4,
-    "deg_atleast": 5,
-    "diam_atleast": 6,
-    "coloring_atmost": 7,
-    "is_atleast": 8,
-    "clique_atleast": 9,
-    "vc_atmost": 10,
-    "mm_equal": 11,
-    "deg_equal": 12,
-}
-TAG_SCHEMES = {tag: name for name, tag in SCHEME_TAGS.items()}
 
 
 # -- primitive readers --------------------------------------------------------
@@ -301,20 +288,29 @@ def decode_equality(payload: bytes, n: int, k: int):
     return tuple(inner), inner[0].semantic_bits + inner[1].semantic_bits
 
 
-_DECODERS = {
-    "mm_atleast_list": decode_mm_list,
-    "mm_atleast_coloring": decode_mm_coloring,
-    "mm_atmost": decode_tutte_berge,
-    "deg_atmost": decode_peel_order,
-    "deg_atleast": decode_core_subset,
-    "diam_atleast": decode_distance_labels,
-    "coloring_atmost": decode_coloring,
-    "is_atleast": decode_node_set,
-    "clique_atleast": decode_node_set,
-    "vc_atmost": decode_node_set,
-    "mm_equal": decode_equality,
-    "deg_equal": decode_equality,
+#: the wire format's one per-scheme listing: scheme -> (tag byte, decoder)
+CODECS: dict[str, tuple[int, Callable]] = {
+    "mm_atleast_list": (1, decode_mm_list),
+    "mm_atleast_coloring": (2, decode_mm_coloring),
+    "mm_atmost": (3, decode_tutte_berge),
+    "deg_atmost": (4, decode_peel_order),
+    "deg_atleast": (5, decode_core_subset),
+    "diam_atleast": (6, decode_distance_labels),
+    "coloring_atmost": (7, decode_coloring),
+    "is_atleast": (8, decode_node_set),
+    "clique_atleast": (9, decode_node_set),
+    "vc_atmost": (10, decode_node_set),
+    "mm_equal": (11, decode_equality),
+    "deg_equal": (12, decode_equality),
 }
+SCHEME_TAGS: dict[str, int] = {name: tag for name, (tag, _) in CODECS.items()}
+TAG_SCHEMES: dict[int, str] = {tag: name for name, tag in SCHEME_TAGS.items()}
+
+#: the file format names every tag byte, so that reading and writing a
+#: certificate file round-trip any byte string
+_FILE_SCHEMES = {tag: TAG_SCHEMES.get(tag, f"unknown:{tag}") for tag in range(256)}
+_FILE_TAGS = {name: tag for tag, name in _FILE_SCHEMES.items()}
+_INVALID = "invalid"  # a file too short to hold the header
 
 
 def decode_blob(blob: CertificateBlob, scheme: str, n: int, k: int):
@@ -329,7 +325,8 @@ def decode_blob(blob: CertificateBlob, scheme: str, n: int, k: int):
         )
     if blob.semantic_bits > 8 * len(blob.payload):
         raise MalformedCertificate("declared bits exceed payload capacity")
-    obj, expected_bits = _DECODERS[scheme](blob.payload, n, k)
+    _, decode = CODECS[scheme]
+    obj, expected_bits = decode(blob.payload, n, k)
     if blob.semantic_bits != expected_bits:
         raise MalformedCertificate(
             f"declared {blob.semantic_bits} bits, codec formula gives {expected_bits}"
@@ -340,14 +337,17 @@ def decode_blob(blob: CertificateBlob, scheme: str, n: int, k: int):
 # -- certificate files --------------------------------------------------------
 
 def serialize_certificate(blob: CertificateBlob) -> bytes:
-    tag = SCHEME_TAGS[blob.scheme]
+    if blob.scheme == _INVALID:
+        return blob.payload
+    tag = _FILE_TAGS[blob.scheme]
     return bytes([tag]) + struct.pack(">Q", blob.semantic_bits) + blob.payload
 
 
 def deserialize_certificate(data: bytes) -> CertificateBlob:
-    """Total parser: any byte string yields a blob (possibly one that cannot verify)."""
+    """Total parser: any byte string yields a blob (possibly one that cannot
+    verify), and ``serialize_certificate`` gives the same bytes back."""
     if len(data) < 9:
-        return CertificateBlob("invalid", data, 0)
-    scheme = TAG_SCHEMES.get(data[0], f"unknown:{data[0]}")
+        return CertificateBlob(_INVALID, data, 0)
+    scheme = _FILE_SCHEMES[data[0]]
     bits = int.from_bytes(data[1:9], "big")
     return CertificateBlob(scheme, data[9:], bits)

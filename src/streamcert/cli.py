@@ -64,7 +64,10 @@ def _load_graph(
     """Load a graph file, or a builtin name like K4 / C5 / P6 / S5 / M8 / E3."""
     m = re.fullmatch(r"([KCPSME])(\d+)", spec)
     if m and not Path(spec).exists():
-        g = _BUILTIN[m.group(1)](int(m.group(2)))
+        try:
+            g = _BUILTIN[m.group(1)](int(m.group(2)))
+        except ValueError as exc:
+            raise CliError(f"bad builtin graph {spec!r}: {exc}") from None
         if k_flag is None:
             if builtin_default_k is None:
                 raise CliError("builtin graphs need an explicit --k")
@@ -165,7 +168,7 @@ def _cmd_gadget(args) -> int:
         report = gadgets.check_gadget_equivalence(
             family, args.check, count=args.count, seed=args.seed
         )
-    except (gadgets.BadSizes, gadgets.BadLength, gadgets.OracleTooLarge) as exc:
+    except (gadgets.BadSizes, gadgets.BadLength, oracles.TooLarge) as exc:
         raise CliError(str(exc)) from None
     for line in report.lines():
         print(line)
@@ -182,7 +185,7 @@ def _cmd_fuzz(args) -> int:
     g, k = _load_graph(args.graph, args.k)
     try:
         entry = harness._attach("cli-instance", g)
-    except (harness.OracleTooLarge, oracles.TooLarge) as exc:
+    except oracles.TooLarge as exc:
         raise CliError(str(exc)) from None
     info = SCHEMES[args.scheme]
     if info.legal(entry.value(info.parameter), k):
@@ -209,7 +212,12 @@ def _cmd_fuzz(args) -> int:
 def _cmd_scale(args) -> int:
     if args.scheme not in SCHEMES:
         raise CliError(f"unknown scheme {args.scheme!r}")
-    sizes = [int(tok) for tok in args.sizes.split(",")]
+    try:
+        sizes = [int(tok) for tok in args.sizes.split(",")]
+    except ValueError:
+        raise CliError(
+            f"--sizes must be comma-separated integers, got {args.sizes!r}"
+        ) from None
     report = harness.run_space_scaling(args.scheme, sizes)
     for line in report.lines():
         print(line)

@@ -20,6 +20,8 @@ from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, validate_graph
 from .oracles import (
+    NP_ORACLE_MAX_N,
+    TooLarge,
     k_coloring,
     oracle_degeneracy,
     oracle_diameter,
@@ -35,10 +37,6 @@ class BadSizes(ValueError):
 
 
 class BadLength(ValueError):
-    pass
-
-
-class OracleTooLarge(ValueError):
     pass
 
 
@@ -88,6 +86,9 @@ class GadgetFamily:
     #: instance (graph, threshold) is legal exactly when two_party(...) is
     #: legal_when, used by split-order replay tests.
     applicable: tuple[tuple[str, int, bool], ...] = field(default=())
+    #: node-count ceiling for evaluating ``predicate`` with the exact oracles;
+    #: None when the predicate is polynomial and unbounded
+    oracle_node_limit: int | None = None
 
 
 def _render_set(x) -> str:
@@ -438,6 +439,7 @@ def bitgadget_vc_family(width: int) -> GadgetFamily:
         render=_render_bits,
         input_space=4**length,
         applicable=(("vc_atmost", cover_bound, False),),
+        oracle_node_limit=NP_ORACLE_MAX_N,
     )
 
 
@@ -514,6 +516,7 @@ def perm_coloring_family(r: int) -> GadgetFamily:
         render=_render_perm,
         input_space=math.factorial(r) ** 2,
         applicable=(("coloring_atmost", r, True),),
+        oracle_node_limit=NP_ORACLE_MAX_N,
     )
 
 
@@ -524,17 +527,6 @@ FAMILY_BUILDERS: dict[str, Callable[..., GadgetFamily]] = {
     "holzer_diameter2": holzer_diameter2_family,
     "bitgadget_vc": bitgadget_vc_family,
     "perm_coloring": perm_coloring_family,
-}
-
-#: node-count ceiling per family for oracle-backed predicate evaluation;
-#: None = the predicate is polynomial and unbounded
-ORACLE_NODE_LIMITS: dict[str, int | None] = {
-    "disj_matching": None,
-    "disj_degeneracy": None,
-    "disj_diameter8": None,
-    "holzer_diameter2": None,
-    "bitgadget_vc": 24,
-    "perm_coloring": 24,
 }
 
 
@@ -581,9 +573,10 @@ def check_gadget_equivalence(
     """Sweep (x, y) inputs and assert predicate(G_{x,y}) == f(x, y) pointwise."""
     if instance_space == "exhaustive":
         if family.input_space > EXHAUSTIVE_SWEEP_LIMIT:
-            raise OracleTooLarge(
+            raise TooLarge(
+                family.input_space, EXHAUSTIVE_SWEEP_LIMIT,
                 f"{family.name}: {family.input_space} instances exceed the "
-                f"exhaustive gate {EXHAUSTIVE_SWEEP_LIMIT}"
+                f"exhaustive gate {EXHAUSTIVE_SWEEP_LIMIT}",
             )
         inputs = family.enumerate_inputs()
     elif instance_space == "sample":
@@ -591,14 +584,14 @@ def check_gadget_equivalence(
     else:
         raise ValueError(f"unknown instance space {instance_space!r}")
 
-    base_name = family.name.split("[")[0]
-    limit = ORACLE_NODE_LIMITS.get(base_name)
+    limit = family.oracle_node_limit
     records = []
     for x, y in inputs:
         instance = family.build(x, y)
         if limit is not None and instance.graph.n > limit:
-            raise OracleTooLarge(
-                f"{family.name}: {instance.graph.n} nodes exceed oracle cutoff {limit}"
+            raise TooLarge(
+                instance.graph.n, limit,
+                f"{family.name}: {instance.graph.n} nodes exceed oracle cutoff {limit}",
             )
         records.append(
             EquivalenceRecord(

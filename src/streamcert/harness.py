@@ -43,7 +43,7 @@ from .graph import (
     validate_graph,
 )
 from .meter import ceil_log2, id_bits
-from .oracles import NP_ORACLE_MAX_N, TooLarge, parameter_value
+from .oracles import NP_ORACLE_MAX_N, TooLarge, oracle_vc_is_clique, parameter_value
 from .provers import NotCertifiable
 from .schemes import SCHEMES, SchemeInfo, illegal_thresholds, legal_thresholds
 from .stream import ORDER_BATTERY, SOUNDNESS_ORDERS, make_stream
@@ -71,16 +71,14 @@ class Corpus:
         return len(self.entries)
 
 
-class OracleTooLarge(ValueError):
-    pass
-
-
 def _attach(name: str, g: Graph) -> CorpusEntry:
     validate_graph(g)
     if g.n > NP_ORACLE_MAX_N:
-        raise OracleTooLarge(f"{name}: n={g.n} beyond exact-oracle cutoff")
-    values = {p: parameter_value(g, p) for p in
-              ("matching", "degeneracy", "diameter", "chromatic", "vc", "is", "clique")}
+        raise TooLarge(g.n, NP_ORACLE_MAX_N, f"{name}: n={g.n} beyond exact-oracle cutoff")
+    values = {p: parameter_value(g, p)
+              for p in ("matching", "degeneracy", "diameter", "chromatic")}
+    # one exponential search gives all three; parameter_value would run it once each
+    values["vc"], values["is"], values["clique"] = oracle_vc_is_clique(g)
     return CorpusEntry(name, g, values)
 
 
@@ -259,7 +257,7 @@ def run_completeness(
                         f"{entry.name} k={k} order={order}: "
                         f"honest certificate rejected ({verdict.reason})"
                     )
-                if report.peak_state_bits > info.space_bound(entry.graph.n, k):
+                if report.peak_state_bits > space_bound(scheme, entry.graph.n, k):
                     failures.append(
                         f"{entry.name} k={k} order={order}: space bound exceeded"
                     )

@@ -21,8 +21,11 @@ INFINITE = math.inf
 
 
 class TooLarge(ValueError):
-    def __init__(self, n: int, limit: int):
-        super().__init__(f"exact oracle limited to n <= {limit}, got n = {n}")
+    """An input beyond the size cutoff of an exact (exponential) computation;
+    ``message`` replaces the default text when the caller can name the input."""
+
+    def __init__(self, n: int, limit: int, message: str | None = None):
+        super().__init__(message or f"exact oracle limited to n <= {limit}, got n = {n}")
 
 
 # -- maximum matching (augmenting paths with blossom contraction) -------------

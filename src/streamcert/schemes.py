@@ -1,4 +1,6 @@
-"""Registry tying each scheme id to its parameter, direction, prover, and verifier."""
+"""Claim semantics of each scheme: the graph parameter it talks about, the
+direction of its bound, and its prover. The verifier and its space bound live
+in ``verifiers.SCHEME_VERIFIERS``; the wire codec in ``certs.CODECS``."""
 
 from __future__ import annotations
 
@@ -9,7 +11,6 @@ from typing import Callable
 from . import provers
 from .certs import CertificateBlob
 from .graph import Graph
-from .verifiers import SCHEME_VERIFIERS, StreamingVerifier, space_bound
 
 
 @dataclass(frozen=True)
@@ -19,19 +20,12 @@ class SchemeInfo:
     direction: str   # "ge" (value >= k), "le" (value <= k), "eq" (value == k)
     prover: Callable[[Graph, int], CertificateBlob]
 
-    @property
-    def verifier(self) -> type[StreamingVerifier]:
-        return SCHEME_VERIFIERS[self.name]
-
     def legal(self, value: int | float, k: int) -> bool:
         if self.direction == "ge":
             return value >= k
         if self.direction == "le":
             return value <= k
         return value == k
-
-    def space_bound(self, n: int, k: int) -> int:
-        return space_bound(self.name, n, k)
 
 
 SCHEMES: dict[str, SchemeInfo] = {

@@ -9,15 +9,23 @@ caches over that read-only memory, not verifier state.
 
 Every verifier registers a fixed scratch allowance (8 registers of
 ceil(log2(n+2)) bits, for loop indices and edge endpoints) plus its declared
-state components. ``space_bound`` gives the closed-form ceiling each scheme's
-peak must stay under.
+state components. Each verifier class is the record of its scheme's checking
+side: the ``space_bound(n, k)`` classmethod, next to the components the class
+registers, gives the closed-form ceiling its peak must stay under.
+
+A new scheme touches four places, one per layer:
+  1. ``certs.CODECS``: its tag byte and decoder (plus an ``encode_*``);
+  2. ``SCHEME_VERIFIERS`` here: its verifier class, with ``space_bound``
+     overridden when the scheme registers more than the shared allowance;
+  3. ``schemes.SCHEMES``: its parameter, direction and prover;
+  4. ``harness._scaling_instance``: its closed-form scaling family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certs import CertificateBlob, MalformedCertificate, decode_blob
+from .certs import CertificateBlob, MalformedCertificate, decode_blob, encode_equality
 from .meter import SpaceMeter, SpaceReport, ceil_log2
 from .stream import EdgeStream
 
@@ -105,6 +113,13 @@ class StreamingVerifier:
     def peak_state_bits(self) -> int:
         return self.meter.peak_bits
 
+    @classmethod
+    def space_bound(cls, n: int, k: int) -> int:
+        """Closed-form ceiling on the peak: the shared allowance of 64
+        registers of ceil(log2(n+2)) bits, which covers the scratch and any
+        O(log n) counters."""
+        return 64 * ceil_log2(n + 2)
+
 
 class MMListVerifier(StreamingVerifier):
     """Accept iff the certificate is a matching of size exactly k and exactly
@@ -159,6 +174,10 @@ class MMColoringVerifier(StreamingVerifier):
             return Verdict("reject", R_FEW_MONO)
         return ACCEPT
 
+    @classmethod
+    def space_bound(cls, n: int, k: int) -> int:
+        return n + super().space_bound(n, k)  # flags
+
 
 class MMAtMostVerifier(StreamingVerifier):
     """Spanning forest of the graph minus U via union-find; accept iff
@@ -207,6 +226,12 @@ class MMAtMostVerifier(StreamingVerifier):
             return ACCEPT
         return Verdict("reject", R_TUTTE_BERGE)
 
+    @classmethod
+    def space_bound(cls, n: int, k: int) -> int:
+        forest = 2 * max(n - 1, 0) * ceil_log2(n + 1)
+        parents = n * ceil_log2(n + 1)
+        return forest + parents + super().space_bound(n, k)
+
 
 class DegAtMostVerifier(StreamingVerifier):
     """Per-vertex counters saturating at k+1; each edge increments the
@@ -239,6 +264,10 @@ class DegAtMostVerifier(StreamingVerifier):
             return Verdict("reject", R_COUNTER_OVER)
         return ACCEPT
 
+    @classmethod
+    def space_bound(cls, n: int, k: int) -> int:
+        return n * ceil_log2(k + 2) + super().space_bound(n, k)  # counters
+
 
 class DegAtLeastVerifier(StreamingVerifier):
     """Counters (saturating at k) for the certified subset; both endpoints of
@@ -266,6 +295,10 @@ class DegAtLeastVerifier(StreamingVerifier):
         if any(c < self.k for c in self._count.values()):
             return Verdict("reject", R_COUNTER_SHORT)
         return ACCEPT
+
+    @classmethod
+    def space_bound(cls, n: int, k: int) -> int:
+        return n * ceil_log2(k + 2) + super().space_bound(n, k)  # counters
 
 
 class DiamAtLeastVerifier(StreamingVerifier):
@@ -364,13 +397,14 @@ class EqualityVerifier(StreamingVerifier):
     """Lemma-style combinator: run the <=k and >=k verifiers on one pass and
     accept iff both accept. Peak space is the sum of the two runs."""
 
-    sub_schemes: tuple[str, str] = ("", "")
+    #: the (<=k, >=k) verifier classes run side by side
+    sub_verifiers: tuple[type[StreamingVerifier], type[StreamingVerifier]]
 
     def _setup(self, decoded) -> None:
         le_blob, ge_blob = decoded
-        le_scheme, ge_scheme = self.sub_schemes
-        self._le = SCHEME_VERIFIERS[le_scheme](self.n, self.k, le_blob)
-        self._ge = SCHEME_VERIFIERS[ge_scheme](self.n, self.k, ge_blob)
+        le_cls, ge_cls = self.sub_verifiers
+        self._le = le_cls(self.n, self.k, le_blob)
+        self._ge = ge_cls(self.n, self.k, ge_blob)
 
     def _on_edge(self, u: int, v: int) -> None:
         self._le.on_edge(u, v)
@@ -389,15 +423,19 @@ class EqualityVerifier(StreamingVerifier):
             return self.meter.peak_bits
         return self._le.peak_state_bits() + self._ge.peak_state_bits()
 
+    @classmethod
+    def space_bound(cls, n: int, k: int) -> int:
+        return sum(sub.space_bound(n, k) for sub in cls.sub_verifiers)
+
 
 class MMEqualVerifier(EqualityVerifier):
     scheme = "mm_equal"
-    sub_schemes = ("mm_atmost", "mm_atleast_list")
+    sub_verifiers = (MMAtMostVerifier, MMListVerifier)
 
 
 class DegEqualVerifier(EqualityVerifier):
     scheme = "deg_equal"
-    sub_schemes = ("deg_atmost", "deg_atleast")
+    sub_verifiers = (DegAtMostVerifier, DegAtLeastVerifier)
 
 
 SCHEME_VERIFIERS: dict[str, type[StreamingVerifier]] = {
@@ -419,32 +457,9 @@ SCHEME_VERIFIERS: dict[str, type[StreamingVerifier]] = {
 }
 
 
-# -- closed-form space ceilings (criterion: measured peak never exceeds these) --
-
 def space_bound(scheme: str, n: int, k: int) -> int:
-    allowance = 64 * ceil_log2(n + 2)
-    if scheme in (
-        "mm_atleast_list",
-        "diam_atleast",
-        "coloring_atmost",
-        "is_atleast",
-        "clique_atleast",
-        "vc_atmost",
-    ):
-        return allowance
-    if scheme == "mm_atleast_coloring":
-        return n + allowance
-    if scheme in ("deg_atmost", "deg_atleast"):
-        return n * ceil_log2(k + 2) + allowance
-    if scheme == "mm_atmost":
-        forest = 2 * max(n - 1, 0) * ceil_log2(n + 1)
-        parents = n * ceil_log2(n + 1)
-        return forest + parents + allowance
-    if scheme == "mm_equal":
-        return space_bound("mm_atmost", n, k) + space_bound("mm_atleast_list", n, k)
-    if scheme == "deg_equal":
-        return space_bound("deg_atmost", n, k) + space_bound("deg_atleast", n, k)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    """Closed-form ceiling the scheme's measured peak never exceeds."""
+    return SCHEME_VERIFIERS[scheme].space_bound(n, k)
 
 
 # -- run drivers ------------------------------------------------------------------
@@ -460,29 +475,16 @@ def run_verifier(
     return verdict, SpaceReport(verifier.peak_state_bits(), cert.semantic_bits)
 
 
-def _spec_entry(scheme: str):
-    def run(n: int, k: int, cert: CertificateBlob, stream: EdgeStream):
-        if stream.n != n or stream.k != k:
-            raise ValueError(
-                f"stream header (n={stream.n}, k={stream.k}) does not echo "
-                f"the requested (n={n}, k={k})"
-            )
-        return run_verifier(scheme, stream, cert)
-
-    run.__name__ = f"verify_{scheme}"
-    return run
-
-
-verify_mm_atleast_list = _spec_entry("mm_atleast_list")
-verify_mm_atleast_coloring = _spec_entry("mm_atleast_coloring")
-verify_mm_atmost = _spec_entry("mm_atmost")
-verify_deg_atmost = _spec_entry("deg_atmost")
-verify_deg_atleast = _spec_entry("deg_atleast")
-verify_diam_atleast = _spec_entry("diam_atleast")
-verify_coloring_atmost = _spec_entry("coloring_atmost")
-verify_is_atleast = _spec_entry("is_atleast")
-verify_clique_atleast = _spec_entry("clique_atleast")
-verify_vc_atmost = _spec_entry("vc_atmost")
+def verify(
+    scheme: str, n: int, k: int, cert: CertificateBlob, stream: EdgeStream
+) -> tuple[Verdict, SpaceReport]:
+    """Spec entry point: the stream header must echo the requested (n, k)."""
+    if stream.n != n or stream.k != k:
+        raise ValueError(
+            f"stream header (n={stream.n}, k={stream.k}) does not echo "
+            f"the requested (n={n}, k={k})"
+        )
+    return run_verifier(scheme, stream, cert)
 
 
 def verify_equality(
@@ -494,15 +496,9 @@ def verify_equality(
     stream: EdgeStream,
 ) -> tuple[Verdict, SpaceReport]:
     """Run a <=k and a >=k verifier over one pass; accept iff both accept."""
-    from .certs import encode_equality
-
-    pairs = {
-        ("mm_atmost", "mm_atleast_list"): "mm_equal",
-        ("deg_atmost", "deg_atleast"): "deg_equal",
-    }
-    combined = pairs.get((scheme_le, scheme_ge))
-    if combined is None:
-        raise ValueError(f"no equality combinator for ({scheme_le}, {scheme_ge})")
-    if stream.n != n or stream.k != k:
-        raise ValueError("stream header does not echo the requested (n, k)")
-    return run_verifier(combined, stream, encode_equality(combined, *certs))
+    for cls in SCHEME_VERIFIERS.values():
+        if issubclass(cls, EqualityVerifier) and (scheme_le, scheme_ge) == tuple(
+            sub.scheme for sub in cls.sub_verifiers
+        ):
+            return verify(cls.scheme, n, k, encode_equality(cls.scheme, *certs), stream)
+    raise ValueError(f"no equality combinator for ({scheme_le}, {scheme_ge})")

@@ -204,3 +204,34 @@ def test_roundtrip_properties(data):
     pi = dict(enumerate(perm, start=1))
     blob = encode_peel_order(pi, n)
     assert decode_blob(blob, "deg_atmost", n, k)[1:] == perm
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=48))
+def test_file_roundtrip_is_total(data):
+    # unknown tags and headerless files included: a BREACH line can print any blob
+    assert serialize_certificate(deserialize_certificate(data)) == data
+
+
+#: sha256 of every honest certificate over PINNED_CORPUS, recorded before the
+#: scheme tables were merged; a mismatch means some certificate's bytes changed
+PINNED_CORPUS = ("paths:2..7", "cycles:3..7", "cliques:2..6", "stars:3..7",
+                 "trees:4..10:6", "gnp:6..10:0.4:6", "gadgets")
+PINNED_SHA256 = "e6a95e8f33a1d10bec611eb6968ef6529e77666c9257736a9deb6f953421c519"
+
+
+def test_honest_certificate_bytes_pinned():
+    import hashlib
+
+    from streamcert.harness import build_corpus
+    from streamcert.schemes import SCHEMES, legal_thresholds
+
+    corpus = build_corpus(PINNED_CORPUS, 11)
+    digest = hashlib.sha256()
+    for name, info in SCHEMES.items():
+        for entry in corpus.entries:
+            value = entry.value(info.parameter)
+            for k in legal_thresholds(info, value, entry.graph.n):
+                raw = serialize_certificate(info.prover(entry.graph, k)).hex()
+                digest.update(f"{name} {entry.name} k={k} {raw}\n".encode())
+    assert digest.hexdigest() == PINNED_SHA256

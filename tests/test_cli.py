@@ -157,3 +157,16 @@ def test_reject_exit_code_with_transplanted_cert(tmp_path):
         "verify", "--scheme", "mm_atleast_list", "--graph", str(sf), "--cert", cert,
     ])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scale", "--scheme", "mm_atmost", "--sizes", "x"],
+        ["oracle", "matching", "--graph", "C2"],
+    ],
+)
+def test_bad_input_exits_with_parse_error(argv, capsys):
+    # exit 1 means "reject"; bad input must not surface as a traceback with it
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")

@@ -10,7 +10,6 @@ import pytest
 from streamcert.gadgets import (
     BadLength,
     BadSizes,
-    OracleTooLarge,
     bitgadget_vc_family,
     check_gadget_equivalence,
     disj_degeneracy_family,
@@ -27,6 +26,7 @@ from streamcert.gadgets import (
 )
 from streamcert.graph import validate_graph
 from streamcert.oracles import (
+    TooLarge,
     minimum_vertex_cover,
     oracle_degeneracy,
     oracle_diameter,
@@ -161,7 +161,7 @@ def test_sampled_equivalence():
 
 
 def test_exhaustive_gate():
-    with pytest.raises(OracleTooLarge):
+    with pytest.raises(TooLarge):
         check_gadget_equivalence(holzer_diameter2_family(5), "exhaustive")
 
 

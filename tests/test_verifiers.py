@@ -35,8 +35,8 @@ from streamcert.stream import make_stream
 from streamcert.verifiers import (
     run_verifier,
     space_bound,
+    verify,
     verify_equality,
-    verify_mm_atleast_list,
 )
 
 TRIANGLE = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
@@ -367,8 +367,8 @@ def test_spec_entry_point_checks_echo():
     g = path_graph(4)
     cert = prove_mm_atleast_list(g, 2)
     with pytest.raises(ValueError):
-        verify_mm_atleast_list(4, 1, cert, make_stream(g, 2, "given"))
-    verdict, _ = verify_mm_atleast_list(4, 2, cert, make_stream(g, 2, "given"))
+        verify("mm_atleast_list", 4, 1, cert, make_stream(g, 2, "given"))
+    verdict, _ = verify("mm_atleast_list", 4, 2, cert, make_stream(g, 2, "given"))
     assert verdict.accepted
 
 
