@@ -20,7 +20,9 @@ formula exactly, with L = ceil(log2(n+1)):
 Decoders are total over arbitrary byte strings: every structural defect
 (truncation, trailing bytes, out-of-range fields, nonzero padding, declared
 size off the formula) raises MalformedCertificate, which verifiers turn into
-a reject at init.
+a reject at init. A run of fixed-width u32 fields is length-checked against
+its field count before any field is read, then read in one step and
+range-checked as a whole, so a forged count costs O(1), not a read per field.
 
 Each scheme's tag byte and decoder live in one table, ``CODECS``; the
 tag/name lookups are derived from it.
@@ -31,6 +33,8 @@ File format: 1 tag byte, u64 big-endian semantic_bits, then the payload.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +54,10 @@ class CertificateBlob:
 
 # -- primitive readers --------------------------------------------------------
 
+#: array typecode of an unsigned 32-bit machine integer
+_U32 = next(code for code in "IL" if array(code).itemsize == 4)
+
+
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
@@ -66,6 +74,20 @@ class _Reader:
 
     def raw(self, nbytes: int) -> bytes:
         return self._take(nbytes)
+
+    def u32s(self, count: int) -> array:
+        """The ``count`` u32 fields that must make up the rest of the payload,
+        read in one step once the length is known to match."""
+        end = self.off + 4 * count
+        if end > len(self.data):
+            raise MalformedCertificate("truncated payload")
+        if end < len(self.data):
+            raise MalformedCertificate("trailing bytes in payload")
+        fields = array(_U32, self.data[self.off :])
+        if sys.byteorder == "little":
+            fields.byteswap()
+        self.off = end
+        return fields
 
     def _take(self, nbytes: int) -> bytes:
         if self.off + nbytes > len(self.data):
@@ -101,10 +123,12 @@ def _unpack_bitvector(data: bytes, n: int) -> frozenset[int]:
     return frozenset(members)
 
 
-def _check_node(v: int, n: int) -> int:
-    if not 1 <= v <= n:
-        raise MalformedCertificate(f"node id {v} out of 1..{n}")
-    return v
+def _check_range(fields: array, lo: int, hi: int, what: str) -> None:
+    if fields:
+        low, high = min(fields), max(fields)
+        if low < lo or high > hi:
+            bad = low if low < lo else high
+            raise MalformedCertificate(f"{what} {bad} out of {lo}..{hi}")
 
 
 # -- per-scheme encode/decode -------------------------------------------------
@@ -121,11 +145,10 @@ def encode_mm_list(edges, n: int) -> CertificateBlob:
 def decode_mm_list(payload: bytes, n: int, k: int):
     r = _Reader(payload)
     count = r.u32()
-    edges = tuple(
-        (_check_node(r.u32(), n), _check_node(r.u32(), n)) for _ in range(count)
-    )
-    r.done()
-    return edges, (1 + 2 * count) * id_bits(n)
+    ids = r.u32s(2 * count)
+    _check_range(ids, 1, n, "node id")
+    pairs = iter(ids)
+    return tuple(zip(pairs, pairs)), (1 + 2 * count) * id_bits(n)
 
 
 def encode_mm_coloring(colors: dict[int, int], domain: int, n: int) -> CertificateBlob:
@@ -142,14 +165,9 @@ def decode_mm_coloring(payload: bytes, n: int, k: int):
     domain = r.u32()
     if domain < 1:
         raise MalformedCertificate("color domain must be >= 1")
-    colors = [0]  # 1-indexed
-    for _ in range(n):
-        c = r.u32()
-        if not 1 <= c <= domain:
-            raise MalformedCertificate(f"color {c} out of 1..{domain}")
-        colors.append(c)
-    r.done()
-    return (domain, colors), n * ceil_log2(domain)
+    colors = r.u32s(n)
+    _check_range(colors, 1, domain, "color")
+    return (domain, [0, *colors]), n * ceil_log2(domain)  # 1-indexed
 
 
 def encode_tutte_berge(u_set, n: int) -> CertificateBlob:
@@ -166,12 +184,9 @@ def encode_peel_order(pi: dict[int, int], n: int) -> CertificateBlob:
 
 
 def decode_peel_order(payload: bytes, n: int, k: int):
-    r = _Reader(payload)
-    pi = [0]
-    for _ in range(n):
-        pi.append(_check_node(r.u32(), n))
-    r.done()
-    return pi, n * ceil_log2(max(n, 1))
+    pi = _Reader(payload).u32s(n)
+    _check_range(pi, 1, n, "order value")
+    return [0, *pi], n * ceil_log2(max(n, 1))
 
 
 _CORE_LIST, _CORE_BITS = 0, 1
@@ -199,13 +214,10 @@ def decode_core_subset(payload: bytes, n: int, k: int):
     form = r.u8()
     if form == _CORE_LIST:
         count = r.u32()
-        members = []
-        for _ in range(count):
-            v = _check_node(r.u32(), n)
-            if members and v <= members[-1]:
-                raise MalformedCertificate("subset ids must be strictly ascending")
-            members.append(v)
-        r.done()
+        members = r.u32s(count)
+        _check_range(members, 1, n, "node id")
+        if members.tolist() != sorted(set(members)):
+            raise MalformedCertificate("subset ids must be strictly ascending")
         return frozenset(members), core_subset_list_bits(count, n)
     if form == _CORE_BITS:
         members = _unpack_bitvector(r.raw((n + 7) // 8), n)
@@ -220,15 +232,9 @@ def encode_distance_labels(labels: dict[int, int], n: int, k: int) -> Certificat
 
 
 def decode_distance_labels(payload: bytes, n: int, k: int):
-    r = _Reader(payload)
-    labels = [0]
-    for _ in range(n):
-        d = r.u32()
-        if d > k + 1:
-            raise MalformedCertificate(f"label {d} above cap {k + 1}")
-        labels.append(d)
-    r.done()
-    return labels, n * ceil_log2(k + 2)
+    labels = _Reader(payload).u32s(n)
+    _check_range(labels, 0, k + 1, "label")
+    return [0, *labels], n * ceil_log2(k + 2)
 
 
 def encode_coloring(colors: dict[int, int], n: int, k: int) -> CertificateBlob:
@@ -238,12 +244,8 @@ def encode_coloring(colors: dict[int, int], n: int, k: int) -> CertificateBlob:
 
 def decode_coloring(payload: bytes, n: int, k: int):
     # color range is the verifier's check (distinct reject reason)
-    r = _Reader(payload)
-    colors = [0]
-    for _ in range(n):
-        colors.append(r.u32())
-    r.done()
-    return colors, n * ceil_log2(max(k, 1))
+    colors = _Reader(payload).u32s(n)
+    return [0, *colors], n * ceil_log2(max(k, 1))
 
 
 def encode_node_set(scheme: str, members, n: int) -> CertificateBlob:
@@ -257,9 +259,9 @@ def encode_node_set(scheme: str, members, n: int) -> CertificateBlob:
 def decode_node_set(payload: bytes, n: int, k: int):
     r = _Reader(payload)
     count = r.u32()
-    members = tuple(_check_node(r.u32(), n) for _ in range(count))
-    r.done()
-    return members, (1 + count) * id_bits(n)
+    members = r.u32s(count)
+    _check_range(members, 1, n, "node id")
+    return tuple(members), (1 + count) * id_bits(n)
 
 
 def encode_equality(scheme: str, le_blob: CertificateBlob, ge_blob: CertificateBlob) -> CertificateBlob:

@@ -218,6 +218,9 @@ def _cmd_scale(args) -> int:
         raise CliError(
             f"--sizes must be comma-separated integers, got {args.sizes!r}"
         ) from None
+    low = harness.SCALING_MIN_N[args.scheme]
+    if min(sizes) < low:
+        raise CliError(f"--sizes for {args.scheme} must be >= {low}, got {min(sizes)}")
     report = harness.run_space_scaling(args.scheme, sizes)
     for line in report.lines():
         print(line)

@@ -354,15 +354,19 @@ def fuzz_instance(
     fuzz: FuzzPolicy,
     orders: Sequence[str] = SOUNDNESS_ORDERS,
 ) -> tuple[list[TrialRecord], list[str]]:
-    """Fuzz one illegal (graph, k) instance; returns (records, breaches)."""
+    """Fuzz one illegal (graph, k) instance; returns (records, breaches).
+
+    Each order's stream is built once and replayed to every certificate."""
     info = SCHEMES[scheme]
     records: list[TrialRecord] = []
     breaches: list[str] = []
-    for cert_id, cert in _fuzz_certificates(info, entry, k, fuzz):
-        for order in orders:
-            verdict, report = run_verifier(
-                scheme, make_stream(entry.graph, k, order), cert
-            )
+    certs = _fuzz_certificates(info, entry, k, fuzz)
+    if not certs:
+        return records, breaches
+    streams = [(order, make_stream(entry.graph, k, order)) for order in orders]
+    for cert_id, cert in certs:
+        for order, stream in streams:
+            verdict, report = run_verifier(scheme, stream, cert)
             records.append(
                 TrialRecord(
                     scheme, entry.name, k, order, cert_id,
@@ -442,13 +446,36 @@ class ScalingReport:
         return out
 
 
+#: smallest n at which each scheme's scaling family is a valid graph with a
+#: legal claim: a cycle needs 3 nodes, the independent set {2, 3} and the
+#: triangle {1, 2, 3} need 3, and the equality families' star needs an edge
+SCALING_MIN_N: dict[str, int] = {
+    "mm_atleast_list": 1,
+    "mm_atleast_coloring": 1,
+    "mm_atmost": 1,
+    "deg_atmost": 1,
+    "deg_atleast": 3,
+    "diam_atleast": 1,
+    "coloring_atmost": 1,
+    "is_atleast": 3,
+    "clique_atleast": 3,
+    "vc_atmost": 1,
+    "mm_equal": 2,
+    "deg_equal": 2,
+}
+
+
 def _scaling_instance(scheme: str, n: int) -> tuple[Graph, int, CertificateBlob, int]:
     """A legal instance at size n with a closed-form honest certificate.
 
     Returns (graph, k, certificate, expected certificate bits). Certificates
     are built directly (the exponential provers are capped at small n); each
     is the same object the honest prover would emit for these families.
+    Raises ValueError below the family's ``SCALING_MIN_N``.
     """
+    low = SCALING_MIN_N.get(scheme)
+    if low is not None and n < low:
+        raise ValueError(f"{scheme} scaling family needs n >= {low}, got {n}")
     L = id_bits(n)
     if scheme == "mm_atleast_list":
         g, k = matching_graph(n), min(4, n // 2)

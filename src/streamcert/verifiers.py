@@ -1,11 +1,15 @@
 """Space-metered one-pass streaming verifiers, one per scheme.
 
 Shared run contract: the constructor validates certificate decodability and
-may set a sticky reject; ``on_edge`` consumes one stream item (and is a no-op
-once rejected, draining the rest of the stream); ``finalize`` returns the
-Verdict. The certificate is random-access read-only memory and is never
-charged to the meter; decoded views of it held by the Python object are
-caches over that read-only memory, not verifier state.
+may set a sticky reject; ``feed`` consumes stream items and stops at the
+first reject, so ``run_verifier`` streams nothing to a verifier that
+rejected at init; ``on_edge`` consumes one stream item and stays a no-op
+once rejected, for callers that push items one at a time; ``finalize``
+returns the Verdict, the same one on every call. Rejection is sticky, so the
+items a rejected verifier skips cannot change its verdict. The certificate
+is random-access read-only memory and is never charged to the meter;
+decoded views of it held by the Python object are caches over that
+read-only memory, not verifier state.
 
 Every verifier registers a fixed scratch allowance (8 registers of
 ceil(log2(n+2)) bits, for loop indices and edge endpoints) plus its declared
@@ -18,7 +22,8 @@ A new scheme touches four places, one per layer:
   2. ``SCHEME_VERIFIERS`` here: its verifier class, with ``space_bound``
      overridden when the scheme registers more than the shared allowance;
   3. ``schemes.SCHEMES``: its parameter, direction and prover;
-  4. ``harness._scaling_instance``: its closed-form scaling family.
+  4. ``harness._scaling_instance``: its closed-form scaling family, and
+     ``harness.SCALING_MIN_N``: the family's smallest legal n.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ class StreamingVerifier:
         self.meter = SpaceMeter()
         self.meter.register("scratch", scratch_bits(n))
         self._reject_reason: str | None = None
+        self._verdict: Verdict | None = None
         try:
             decoded = decode_blob(cert, self.scheme, n, k)
         except MalformedCertificate:
@@ -105,10 +111,23 @@ class StreamingVerifier:
         if self._reject_reason is None:
             self._on_edge(u, v)
 
-    def finalize(self) -> Verdict:
+    def feed(self, edges) -> None:
+        """Consume stream items in order, up to the first reject."""
         if self._reject_reason is not None:
-            return Verdict("reject", self._reject_reason)
-        return self._finalize()
+            return
+        on_edge = self._on_edge
+        for u, v in edges:
+            on_edge(u, v)
+            if self._reject_reason is not None:
+                return
+
+    def finalize(self) -> Verdict:
+        if self._verdict is None:
+            if self._reject_reason is not None:
+                self._verdict = Verdict("reject", self._reject_reason)
+            else:
+                self._verdict = self._finalize()
+        return self._verdict
 
     def peak_state_bits(self) -> int:
         return self.meter.peak_bits
@@ -181,7 +200,11 @@ class MMColoringVerifier(StreamingVerifier):
 
 class MMAtMostVerifier(StreamingVerifier):
     """Spanning forest of the graph minus U via union-find; accept iff
-    2k >= |U| - odd(V \\ U) + n at the end of the stream."""
+    2k >= |U| - odd(V \\ U) + n at the end of the stream.
+
+    The forest only grows while the stream lasts, so its width is charged
+    once, at the top of ``_finalize``, at its final size: the peak is the same
+    as when charged edge by edge, and it is read after ``finalize``."""
 
     scheme = "mm_atmost"
 
@@ -210,9 +233,9 @@ class MMAtMostVerifier(StreamingVerifier):
         if ru != rv:
             self._parent[ru] = rv
             self._forest_size += 1
-            self.meter.resize("forest_edges", 2 * self._forest_size * self._id_width)
 
     def _finalize(self) -> Verdict:
+        self.meter.resize("forest_edges", 2 * self._forest_size * self._id_width)
         # the stored forest is no longer needed once components are settled;
         # its freed budget covers the size-counting array
         self.meter.resize("forest_edges", 0)
@@ -468,9 +491,7 @@ def run_verifier(
     scheme: str, stream: EdgeStream, cert: CertificateBlob
 ) -> tuple[Verdict, SpaceReport]:
     verifier = SCHEME_VERIFIERS[scheme](stream.n, stream.k, cert)
-    on_edge = verifier.on_edge
-    for u, v in stream.edges:
-        on_edge(u, v)
+    verifier.feed(stream.edges)
     verdict = verifier.finalize()
     return verdict, SpaceReport(verifier.peak_state_bits(), cert.semantic_bits)
 

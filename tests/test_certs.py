@@ -235,3 +235,98 @@ def test_honest_certificate_bytes_pinned():
                 raw = serialize_certificate(info.prover(entry.graph, k)).hex()
                 digest.update(f"{name} {entry.name} k={k} {raw}\n".encode())
     assert digest.hexdigest() == PINNED_SHA256
+
+
+# -- decoder outcomes pinned -------------------------------------------------------
+
+#: sha256 of every codec's outcome (malformed, or the decoded value and its
+#: bit count) on the payloads of ``_pinned_payloads``, recorded with the
+#: field-by-field decoders; a mismatch means a decoder accepts a different set
+#: of payloads or decodes one to a different value
+PINNED_DECODE_SHA256 = "8176618b5e8194f93d7774223c02c9463738b6cca556c4d729ee60bef6a3033e"
+
+
+def _canonical(value) -> str:
+    """A repr that fixes the decoded types and does not depend on set order."""
+    if isinstance(value, (frozenset, set)):
+        return f"{type(value).__name__}{sorted(value)!r}"
+    if isinstance(value, (tuple, list)):
+        inner = ",".join(_canonical(x) for x in value)
+        return f"{type(value).__name__}[{inner}]"
+    return f"{type(value).__name__}:{value!r}"
+
+
+def _pinned_payloads():
+    """(scheme, n, k, payload) over a seeded mix: honest certificates and their
+    bit flips, truncations, +-4-byte lengths, u32 fields set to boundary
+    values or 0xFFFFFFFF, swapped or doubled neighbouring fields, and random
+    bytes."""
+    import random
+
+    from streamcert.harness import build_corpus
+    from streamcert.schemes import SCHEMES, legal_thresholds
+
+    rng = random.Random(20260)
+    corpus = build_corpus(("paths:2..6", "cycles:3..6", "stars:3..5", "gnp:6..9:0.4:4"), 5)
+    for name, info in SCHEMES.items():
+        for entry in corpus.entries:
+            n = entry.graph.n
+            for k in legal_thresholds(info, entry.value(info.parameter), n):
+                honest = info.prover(entry.graph, k).payload
+                yield name, n, k, honest
+                for _ in range(10):
+                    flipped = bytearray(honest)
+                    if flipped:
+                        pos = rng.randrange(8 * len(flipped))
+                        flipped[pos // 8] ^= 0x80 >> (pos % 8)
+                    yield name, n, k, bytes(flipped)
+                for cut in {0, 1, len(honest) // 2, max(len(honest) - 1, 0)}:
+                    yield name, n, k, honest[:cut]
+                yield name, n, k, honest + rng.randbytes(4)
+                yield name, n, k, honest[:-4]
+                for off in (0, 1):
+                    yield name, n, k, honest[:off] + b"\xff\xff\xff\xff" + honest[off + 4:]
+                for value in (0, 1, k, k + 1, k + 2, n, n + 1, 0xFFFFFFFF):
+                    if len(honest) >= 4:
+                        off = rng.randrange(len(honest) - 3)
+                        field = value.to_bytes(4, "big")
+                        yield name, n, k, honest[:off] + field + honest[off + 4:]
+                if len(honest) >= 8:  # two adjacent fields swapped, or one doubled
+                    head = len(honest) % 4  # the subset form byte, if any
+                    off = head + 4 * rng.randrange((len(honest) - head) // 4 - 1)
+                    a, b = honest[off:off + 4], honest[off + 4:off + 8]
+                    yield name, n, k, honest[:off] + b + a + honest[off + 8:]
+                    yield name, n, k, honest[:off] + a + a + honest[off + 8:]
+                yield name, n, k, rng.randbytes(len(honest))
+                for _ in range(4):
+                    yield name, n, k, rng.randbytes(rng.randrange(2 * len(honest) + 16))
+        # small fields, half of them sorted, in the three layouts: a count and
+        # its ids, one field per node, a color domain and one field per node
+        for _ in range(60):
+            n, k, count = rng.randrange(1, 10), rng.randrange(0, 5), rng.randrange(0, 5)
+            width = 2 * count if name == "mm_atleast_list" else count
+            for header, size in (([count], width), ([], n), ([rng.randrange(0, 4)], n)):
+                fields = [rng.randrange(0, n + 2) for _ in range(size)]
+                if rng.random() < 0.5:
+                    fields.sort()
+                body = b"".join(x.to_bytes(4, "big") for x in header + fields)
+                yield name, n, k, (b"\x00" if name == "deg_atleast" else b"") + body
+
+
+def test_decoder_outcomes_pinned():
+    import hashlib
+
+    from streamcert.certs import CODECS
+
+    digest = hashlib.sha256()
+    count = 0
+    for name, n, k, payload in _pinned_payloads():
+        _, decode = CODECS[name]
+        try:
+            outcome = _canonical(decode(payload, n, k))
+        except MalformedCertificate:
+            outcome = "malformed"
+        digest.update(f"{name} n={n} k={k} {payload.hex()} {outcome}\n".encode())
+        count += 1
+    assert count > 10_000
+    assert digest.hexdigest() == PINNED_DECODE_SHA256

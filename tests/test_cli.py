@@ -163,6 +163,10 @@ def test_reject_exit_code_with_transplanted_cert(tmp_path):
     "argv",
     [
         ["scale", "--scheme", "mm_atmost", "--sizes", "x"],
+        ["scale", "--scheme", "mm_atmost", "--sizes=-3"],
+        ["scale", "--scheme", "mm_atmost", "--sizes", "0"],
+        ["scale", "--scheme", "clique_atleast", "--sizes", "2"],
+        ["scale", "--scheme", "is_atleast", "--sizes", "64,2"],
         ["oracle", "matching", "--graph", "C2"],
     ],
 )

@@ -101,6 +101,27 @@ def test_scaling_all_schemes_small_sizes():
             assert row.peak_bits <= row.bound_bits
 
 
+def test_scaling_families_are_legal_from_their_minimum_n():
+    from streamcert.certs import decode_blob
+    from streamcert.graph import validate_graph
+    from streamcert.harness import SCALING_MIN_N, _scaling_instance
+    from streamcert.oracles import parameter_value
+    from streamcert.schemes import SCHEMES
+
+    assert set(SCALING_MIN_N) == set(SCHEMES)
+    for scheme, low in SCALING_MIN_N.items():
+        info = SCHEMES[scheme]
+        for n in range(low, low + 4):
+            g, k, cert, _ = _scaling_instance(scheme, n)
+            validate_graph(g)
+            decode_blob(cert, scheme, n, k)  # node ids in 1..n
+            assert info.legal(parameter_value(g, info.parameter), k), (scheme, n)
+        report = run_space_scaling(scheme, [low])
+        assert report.ok, (scheme, report.lines())
+        with pytest.raises(ValueError):
+            _scaling_instance(scheme, low - 1)
+
+
 def test_scaling_slope_is_sublinear_for_log_space_schemes():
     report = run_space_scaling("diam_atleast", [256, 1024, 4096, 16384])
     assert report.loglog_slope < 0.5  # peak bits grow like log n, not n
@@ -117,3 +138,28 @@ def test_soundness_reports_byte_identical(corpus):
     a = run_soundness("diam_atleast", corpus, policy, ("given", "rev"))
     b = run_soundness("diam_atleast", corpus, policy, ("given", "rev"))
     assert "\n".join(a.lines()) == "\n".join(b.lines())
+
+
+#: sha256 of the soundness report lines, reject reasons included, of every
+#: base scheme in every fuzz mode on PINNED_CORPUS, recorded when every
+#: stream item was fed to every verifier; a mismatch means some trial's
+#: decision, reason, peak or certificate size changed
+PINNED_CORPUS = ("paths:3..6", "cycles:3..6", "stars:3..5", "gnp:6..9:0.35:5")
+PINNED_SOUNDNESS_SHA256 = "a91d9bc850f85041d4d1f21adb77c4550bdcfe592778718df0bcfacae894069d"
+
+
+def test_soundness_report_lines_pinned():
+    import hashlib
+
+    corpus = build_corpus(PINNED_CORPUS, seed=17)
+    digest = hashlib.sha256()
+    trials = 0
+    for scheme in BASE_SCHEMES:
+        for mode, budget in (("random_bytes", 40), ("bit_flip", 40), ("structured_wrong", 2)):
+            report = run_soundness(scheme, corpus, FuzzPolicy(mode, budget, seed=5))
+            assert report.ok, (scheme, mode, report.failures[:2])
+            for line in report.lines():
+                digest.update(line.encode() + b"\n")
+            trials += len(report.records)
+    assert trials > 10_000
+    assert digest.hexdigest() == PINNED_SOUNDNESS_SHA256

@@ -33,6 +33,7 @@ from streamcert.provers import (
 )
 from streamcert.stream import make_stream
 from streamcert.verifiers import (
+    SCHEME_VERIFIERS,
     run_verifier,
     space_bound,
     verify,
@@ -361,6 +362,37 @@ def test_sticky_rejection_drains_stream():
     verifier.on_edge(3, 4)
     verdict = verifier.finalize()
     assert verdict.reason == "monochromatic-edge"
+
+
+def test_feed_streams_nothing_after_a_reject():
+    def edges_then_fail(*edges):
+        yield from edges
+        raise AssertionError("stream item read after a reject")
+
+    verifier = SCHEME_VERIFIERS["coloring_atmost"](4, 2, CertificateBlob("coloring_atmost", b"", 1))
+    verifier.feed(edges_then_fail())
+    assert verifier.finalize().reason == "malformed-certificate"
+    cert = encode_coloring({1: 1, 2: 1, 3: 2, 4: 2}, 4, 2)
+    verifier = SCHEME_VERIFIERS["coloring_atmost"](4, 2, cert)
+    verifier.feed(edges_then_fail((2, 3), (1, 2)))
+    assert verifier.finalize().reason == "monochromatic-edge"
+
+
+@pytest.mark.parametrize("scheme", list(SCHEME_VERIFIERS))
+def test_finalize_is_idempotent(scheme):
+    from streamcert.harness import _scaling_instance
+
+    g, k, cert, _ = _scaling_instance(scheme, 16)
+    decisions = set()
+    for threshold in (k, k + 1):
+        verifier = SCHEME_VERIFIERS[scheme](g.n, threshold, cert)
+        verifier.feed(g.edges)
+        first = verifier.finalize()
+        peak = verifier.peak_state_bits()
+        assert verifier.finalize() == first
+        assert verifier.peak_state_bits() == peak
+        decisions.add(first.decision)
+    assert "accept" in decisions
 
 
 def test_spec_entry_point_checks_echo():
