@@ -53,15 +53,31 @@ _BUILTIN = {
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_PARSE_ERROR):
-        super().__init__(message)
-        self.code = code
+    """Bad input on the command line; ``main`` prints it and exits 3."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the code for "not certifiable"
+    def error(self, message: str):
+        raise CliError(message)
+
+
+#: input errors that ``main`` reports as ``error: ...`` with exit 3
+_INPUT_ERRORS = (
+    CliError,
+    oracles.TooLarge,
+    OrderSpecError,
+    gadgets.BadSizes,
+    gadgets.BadLength,
+)
 
 
 def _load_graph(
     spec: str, k_flag: int | None, builtin_default_k: int | None = None
 ) -> tuple[Graph, int]:
     """Load a graph file, or a builtin name like K4 / C5 / P6 / S5 / M8 / E3."""
+    if k_flag is not None and k_flag < 0:
+        raise CliError(f"--k must be >= 0, got {k_flag}")
     m = re.fullmatch(r"([KCPSME])(\d+)", spec)
     if m and not Path(spec).exists():
         try:
@@ -97,8 +113,6 @@ def _cmd_prove(args) -> int:
     except NotCertifiable as exc:
         print(f"not-certifiable: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIABLE
-    except oracles.TooLarge as exc:
-        raise CliError(str(exc)) from None
     Path(args.out).write_bytes(serialize_certificate(cert))
     print(f"scheme={args.scheme} semantic_bits={cert.semantic_bits}")
     return EXIT_ACCEPT
@@ -112,11 +126,7 @@ def _cmd_verify(args) -> int:
         cert = deserialize_certificate(Path(args.cert).read_bytes())
     except OSError as exc:
         raise CliError(f"cannot read certificate: {exc}") from None
-    try:
-        stream = make_stream(g, k, args.order)
-    except OrderSpecError as exc:
-        raise CliError(str(exc)) from None
-    verdict, report = run_verifier(args.scheme, stream, cert)
+    verdict, report = run_verifier(args.scheme, make_stream(g, k, args.order), cert)
     print(
         f"verdict={verdict.decision} reason={verdict.reason} "
         f"peak_state_bits={report.peak_state_bits} "
@@ -130,46 +140,37 @@ def _cmd_oracle(args) -> int:
     g, _ = _load_graph(args.graph, args.k, builtin_default_k=0)
     validate_graph(g)
     params = oracles.PARAMETERS if args.parameter == "all" else (args.parameter,)
-    try:
-        if args.parameter == "tutte_berge":
-            value, witness = oracles.oracle_tutte_berge(g)
-            print(f"tutte_berge={value} witness={sorted(witness)}")
-            return EXIT_ACCEPT
-        for p in params:
-            print(f"{p}={oracles.parameter_value(g, p)}")
-    except oracles.TooLarge as exc:
-        raise CliError(str(exc)) from None
+    if args.parameter == "tutte_berge":
+        value, witness = oracles.oracle_tutte_berge(g)
+        print(f"tutte_berge={value} witness={sorted(witness)}")
+        return EXIT_ACCEPT
+    for p in params:
+        print(f"{p}={oracles.parameter_value(g, p)}")
     return EXIT_ACCEPT
 
 
-_GADGET_ALIASES = {
-    "disj_matching": ("disj_matching", "n"),
-    "disj_degeneracy": ("disj_degeneracy", "n"),
-    "disj_diameter8": ("disj_diameter8", "n"),
-    "diam8": ("disj_diameter8", "n"),
-    "holzer_diameter2": ("holzer_diameter2", "p"),
-    "holzer": ("holzer_diameter2", "p"),
-    "bitgadget_vc": ("bitgadget_vc", "n"),
-    "bitvc": ("bitgadget_vc", "n"),
-    "perm_coloring": ("perm_coloring", "r"),
-    "perm": ("perm_coloring", "r"),
+#: every accepted gadget name, canonical or short, to its canonical name
+_GADGET_NAMES = {
+    name: canonical
+    for canonical, row in gadgets.FAMILY_BUILDERS.items()
+    for name in (canonical, *row.aliases)
 }
 
 
 def _cmd_gadget(args) -> int:
-    if args.name not in _GADGET_ALIASES:
+    if args.name not in _GADGET_NAMES:
         raise CliError(f"unknown gadget {args.name!r}")
-    canonical, param_name = _GADGET_ALIASES[args.name]
-    param = getattr(args, param_name)
+    canonical = _GADGET_NAMES[args.name]
+    row = gadgets.FAMILY_BUILDERS[canonical]
+    param = getattr(args, row.size_flag)
     if param is None:
-        raise CliError(f"gadget {canonical} needs --{param_name}")
-    try:
-        family = gadgets.FAMILY_BUILDERS[canonical](param)
-        report = gadgets.check_gadget_equivalence(
-            family, args.check, count=args.count, seed=args.seed
-        )
-    except (gadgets.BadSizes, gadgets.BadLength, oracles.TooLarge) as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(f"gadget {canonical} needs --{row.size_flag}")
+    if args.check == "sample" and args.count < 1:
+        raise CliError(f"--count must be >= 1, got {args.count}")
+    family = row.build(param)
+    report = gadgets.check_gadget_equivalence(
+        family, args.check, count=args.count, seed=args.seed
+    )
     for line in report.lines():
         print(line)
     print(
@@ -182,11 +183,10 @@ def _cmd_gadget(args) -> int:
 def _cmd_fuzz(args) -> int:
     if args.scheme not in SCHEMES:
         raise CliError(f"unknown scheme {args.scheme!r}")
+    if args.trials < 1:
+        raise CliError(f"--trials must be >= 1, got {args.trials}")
     g, k = _load_graph(args.graph, args.k)
-    try:
-        entry = harness._attach("cli-instance", g)
-    except oracles.TooLarge as exc:
-        raise CliError(str(exc)) from None
+    entry = harness._attach("cli-instance", g)
     info = SCHEMES[args.scheme]
     if info.legal(entry.value(info.parameter), k):
         raise CliError(
@@ -218,6 +218,8 @@ def _cmd_scale(args) -> int:
         raise CliError(
             f"--sizes must be comma-separated integers, got {args.sizes!r}"
         ) from None
+    if len(set(sizes)) < len(sizes):
+        raise CliError(f"--sizes must not repeat a size, got {args.sizes!r}")
     low = harness.SCALING_MIN_N[args.scheme]
     if min(sizes) < low:
         raise CliError(f"--sizes for {args.scheme} must be >= {low}, got {min(sizes)}")
@@ -228,7 +230,7 @@ def _cmd_scale(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="streamcert",
         description="Prove and verify graph-parameter bounds over edge streams.",
     )
@@ -257,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gadget", help="sweep a lower-bound gadget family")
     p.add_argument("name")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
+    for flag in sorted({row.size_flag for row in gadgets.FAMILY_BUILDERS.values()}):
+        p.add_argument(f"--{flag}", type=int, default=None)
     p.add_argument("--check", choices=("exhaustive", "sample"), default="exhaustive")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -287,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
-    except CliError as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_PARSE_ERROR
 
 
 if __name__ == "__main__":

@@ -8,6 +8,12 @@ exact oracles, evaluates the two-party function directly, and reports any
 disagreement. The stored edge order is fixed-then-Alice-then-Bob so the
 stream order "split:<split_point>" reproduces the one-side-then-the-other
 order the reductions rely on.
+
+Both sides of a family draw their private input from one ``InputDomain``
+(half-size subsets, all subsets, bit vectors or permutations), which fixes the
+exhaustive sweep order, the seeded sampler and the rendering of inputs in
+report lines. ``FAMILY_BUILDERS`` is the registry of families: the CLI takes
+its gadget names and size flags from it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, NamedTuple
 
 from .graph import Graph, validate_graph
 from .oracles import (
@@ -38,6 +44,11 @@ class BadSizes(ValueError):
 
 class BadLength(ValueError):
     pass
+
+
+def _require_size(family: str, symbol: str, value: int, low: int) -> None:
+    if value < low:
+        raise BadSizes(f"{family} needs {symbol} >= {low}, got {value}")
 
 
 def _norm_edges(edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -73,15 +84,83 @@ def _assemble(
 
 
 @dataclass(frozen=True)
+class InputDomain:
+    """The private inputs of one side: ``size`` of them, listed by
+    ``all_inputs()`` in sweep order, drawn one at a time by ``draw(rng)`` and
+    printed in report lines by ``render``."""
+
+    size: int
+    all_inputs: Callable[[], Iterable[object]]
+    draw: Callable[[random.Random], object]
+    render: Callable[[object], str]
+
+
+def _render_set(x) -> str:
+    return ",".join(map(str, sorted(x))) if x else "-"
+
+
+def half_subsets(universe: int) -> InputDomain:
+    """The universe/2-element subsets of 1..universe, in lexicographic order."""
+    half = universe // 2
+    pool = list(range(1, universe + 1))
+    return InputDomain(
+        math.comb(universe, half),
+        lambda: map(frozenset, itertools.combinations(pool, half)),
+        lambda rng: frozenset(rng.sample(pool, half)),
+        _render_set,
+    )
+
+
+def all_subsets(universe: int) -> InputDomain:
+    """Every subset of 1..universe, by size, then lexicographically."""
+    pool = range(1, universe + 1)
+    return InputDomain(
+        2**universe,
+        lambda: (
+            frozenset(c)
+            for size in range(universe + 1)
+            for c in itertools.combinations(pool, size)
+        ),
+        lambda rng: frozenset(v for v in pool if rng.random() < 0.5),
+        _render_set,
+    )
+
+
+def bit_vectors(length: int) -> InputDomain:
+    """Every 0/1 tuple of the given length, in lexicographic order."""
+    return InputDomain(
+        2**length,
+        lambda: itertools.product((0, 1), repeat=length),
+        lambda rng: tuple(rng.randrange(2) for _ in range(length)),
+        lambda x: "".join(map(str, x)),
+    )
+
+
+def permutations(r: int) -> InputDomain:
+    """Every permutation of 1..r as a tuple, in lexicographic order."""
+    base = list(range(1, r + 1))
+
+    def draw(rng: random.Random) -> tuple[int, ...]:
+        perm = base[:]
+        rng.shuffle(perm)
+        return tuple(perm)
+
+    return InputDomain(
+        math.factorial(r),
+        lambda: itertools.permutations(base),
+        draw,
+        lambda x: ",".join(map(str, x)),
+    )
+
+
+@dataclass(frozen=True)
 class GadgetFamily:
     name: str
     build: Callable[[object, object], GadgetInstance]
     two_party: Callable[[object, object], bool]
     predicate: Callable[[Graph], bool]
-    enumerate_inputs: Callable[[], Iterator[tuple[object, object]]]
-    sample_inputs: Callable[[int, int], Iterator[tuple[object, object]]]
-    render: Callable[[object], str]
-    input_space: int
+    #: where both Alice's and Bob's inputs come from
+    domain: InputDomain
     #: (scheme, threshold, legal_when) triples: the streaming schemes whose
     #: instance (graph, threshold) is legal exactly when two_party(...) is
     #: legal_when, used by split-order replay tests.
@@ -90,17 +169,14 @@ class GadgetFamily:
     #: None when the predicate is polynomial and unbounded
     oracle_node_limit: int | None = None
 
+    @property
+    def render(self) -> Callable[[object], str]:
+        return self.domain.render
 
-def _render_set(x) -> str:
-    return ",".join(map(str, sorted(x))) if x else "-"
-
-
-def _render_bits(x) -> str:
-    return "".join(map(str, x))
-
-
-def _render_perm(x) -> str:
-    return ",".join(map(str, x))
+    @property
+    def input_space(self) -> int:
+        """Number of (x, y) pairs."""
+        return self.domain.size**2
 
 
 def _sets_disjoint(x, y) -> bool:
@@ -109,23 +185,6 @@ def _sets_disjoint(x, y) -> bool:
 
 def _bits_disjoint(x, y) -> bool:
     return not any(a and b for a, b in zip(x, y))
-
-
-def _sample_subsets(universe: int, count: int, seed: int):
-    rng = random.Random(seed)
-    for _ in range(count):
-        x = frozenset(v for v in range(1, universe + 1) if rng.random() < 0.5)
-        y = frozenset(v for v in range(1, universe + 1) if rng.random() < 0.5)
-        yield x, y
-
-
-def _sample_bits(length: int, count: int, seed: int):
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield (
-            tuple(rng.randrange(2) for _ in range(length)),
-            tuple(rng.randrange(2) for _ in range(length)),
-        )
 
 
 # -- perfect matching from set disjointness ------------------------------------
@@ -150,30 +209,13 @@ def gadget_disj_matching(x, y, universe: int) -> GadgetInstance:
 
 
 def disj_matching_family(universe: int) -> GadgetFamily:
-    half = universe // 2
-
-    def enumerate_inputs():
-        subsets = [
-            frozenset(c) for c in itertools.combinations(range(1, universe + 1), half)
-        ]
-        return ((x, y) for x in subsets for y in subsets)
-
-    def sample_inputs(count, seed):
-        rng = random.Random(seed)
-        pool = list(range(1, universe + 1))
-        for _ in range(count):
-            yield frozenset(rng.sample(pool, half)), frozenset(rng.sample(pool, half))
-
-    side = math.comb(universe, half)
+    _require_size("disj_matching", "N", universe, 2)
     return GadgetFamily(
         name=f"disj_matching[N={universe}]",
         build=lambda x, y: gadget_disj_matching(x, y, universe),
         two_party=_sets_disjoint,
         predicate=lambda g: oracle_max_matching(g) == universe,
-        enumerate_inputs=enumerate_inputs,
-        sample_inputs=sample_inputs,
-        render=_render_set,
-        input_space=side * side,
+        domain=half_subsets(universe),
         applicable=(
             ("mm_atleast_list", universe, True),
             ("mm_atleast_coloring", universe, True),
@@ -200,23 +242,13 @@ def gadget_disj_degeneracy(x, y, universe: int) -> GadgetInstance:
 
 
 def disj_degeneracy_family(universe: int) -> GadgetFamily:
-    def enumerate_inputs():
-        subsets = [
-            frozenset(c)
-            for size in range(universe + 1)
-            for c in itertools.combinations(range(1, universe + 1), size)
-        ]
-        return ((x, y) for x in subsets for y in subsets)
-
+    _require_size("disj_degeneracy", "N", universe, 1)
     return GadgetFamily(
         name=f"disj_degeneracy[N={universe}]",
         build=lambda x, y: gadget_disj_degeneracy(x, y, universe),
         two_party=_sets_disjoint,
         predicate=lambda g: oracle_degeneracy(g) <= 1,
-        enumerate_inputs=enumerate_inputs,
-        sample_inputs=lambda count, seed: _sample_subsets(universe, count, seed),
-        render=_render_set,
-        input_space=4**universe,
+        domain=all_subsets(universe),
         applicable=(("deg_atmost", 1, True), ("deg_atleast", 2, False)),
     )
 
@@ -263,23 +295,13 @@ def gadget_disj_diameter8(x, y, universe: int) -> GadgetInstance:
 
 
 def disj_diameter8_family(universe: int) -> GadgetFamily:
-    def enumerate_inputs():
-        subsets = [
-            frozenset(c)
-            for size in range(universe + 1)
-            for c in itertools.combinations(range(1, universe + 1), size)
-        ]
-        return ((x, y) for x in subsets for y in subsets)
-
+    _require_size("disj_diameter8", "N", universe, 1)
     return GadgetFamily(
         name=f"disj_diameter8[N={universe}]",
         build=lambda x, y: gadget_disj_diameter8(x, y, universe),
         two_party=_sets_disjoint,
         predicate=lambda g: oracle_diameter(g) >= 8,
-        enumerate_inputs=enumerate_inputs,
-        sample_inputs=lambda count, seed: _sample_subsets(universe, count, seed),
-        render=_render_set,
-        input_space=4**universe,
+        domain=all_subsets(universe),
         applicable=(("diam_atleast", 8, True),),
     )
 
@@ -319,21 +341,13 @@ def gadget_holzer_diameter2(x, y, p: int) -> GadgetInstance:
 
 
 def holzer_diameter2_family(p: int) -> GadgetFamily:
-    length = p * (p - 1) // 2
-
-    def enumerate_inputs():
-        space = list(itertools.product((0, 1), repeat=length))
-        return ((x, y) for x in space for y in space)
-
+    _require_size("holzer_diameter2", "p", p, 2)
     return GadgetFamily(
         name=f"holzer_diameter2[p={p}]",
         build=lambda x, y: gadget_holzer_diameter2(x, y, p),
         two_party=_bits_disjoint,
         predicate=lambda g: oracle_diameter(g) == 2,
-        enumerate_inputs=enumerate_inputs,
-        sample_inputs=lambda count, seed: _sample_bits(length, count, seed),
-        render=_render_bits,
-        input_space=4**length,
+        domain=bit_vectors(p * (p - 1) // 2),
         applicable=(("diam_atleast", 3, False),),
     )
 
@@ -421,23 +435,15 @@ def gadget_bitgadget_vc(x, y, width: int) -> GadgetInstance:
 
 
 def bitgadget_vc_family(width: int) -> GadgetFamily:
+    _require_size("bitgadget_vc", "N", width, 2)
     logw = width.bit_length() - 1
     cover_bound = 4 * (width - 1) + 4 * logw
-    length = width * width
-
-    def enumerate_inputs():
-        space = list(itertools.product((0, 1), repeat=length))
-        return ((x, y) for x in space for y in space)
-
     return GadgetFamily(
         name=f"bitgadget_vc[N={width}]",
         build=lambda x, y: gadget_bitgadget_vc(x, y, width),
         two_party=_bits_disjoint,
         predicate=lambda g: vertex_cover_at_most(g, cover_bound) is None,
-        enumerate_inputs=enumerate_inputs,
-        sample_inputs=lambda count, seed: _sample_bits(length, count, seed),
-        render=_render_bits,
-        input_space=4**length,
+        domain=bit_vectors(width * width),
         applicable=(("vc_atmost", cover_bound, False),),
         oracle_node_limit=NP_ORACLE_MAX_N,
     )
@@ -493,40 +499,33 @@ def gadget_perm_coloring(sigma, tau, r: int) -> GadgetInstance:
 
 
 def perm_coloring_family(r: int) -> GadgetFamily:
-    def enumerate_inputs():
-        perms = list(itertools.permutations(range(1, r + 1)))
-        return ((s, t) for s in perms for t in perms)
-
-    def sample_inputs(count, seed):
-        rng = random.Random(seed)
-        base = list(range(1, r + 1))
-        for _ in range(count):
-            s, t = base[:], base[:]
-            rng.shuffle(s)
-            rng.shuffle(t)
-            yield tuple(s), tuple(t)
-
+    _require_size("perm_coloring", "r", r, 3)
     return GadgetFamily(
         name=f"perm_coloring[r={r}]",
         build=lambda s, t: gadget_perm_coloring(s, t, r),
         two_party=lambda s, t: tuple(s) == tuple(t),
         predicate=lambda g: k_coloring(g, r) is not None,
-        enumerate_inputs=enumerate_inputs,
-        sample_inputs=sample_inputs,
-        render=_render_perm,
-        input_space=math.factorial(r) ** 2,
+        domain=permutations(r),
         applicable=(("coloring_atmost", r, True),),
         oracle_node_limit=NP_ORACLE_MAX_N,
     )
 
 
-FAMILY_BUILDERS: dict[str, Callable[..., GadgetFamily]] = {
-    "disj_matching": disj_matching_family,
-    "disj_degeneracy": disj_degeneracy_family,
-    "disj_diameter8": disj_diameter8_family,
-    "holzer_diameter2": holzer_diameter2_family,
-    "bitgadget_vc": bitgadget_vc_family,
-    "perm_coloring": perm_coloring_family,
+class FamilyBuilder(NamedTuple):
+    build: Callable[[int], GadgetFamily]
+    #: the CLI flag that sets the family's size (``--n``, ``--p`` or ``--r``)
+    size_flag: str
+    #: short CLI names accepted besides the canonical one
+    aliases: tuple[str, ...] = ()
+
+
+FAMILY_BUILDERS: dict[str, FamilyBuilder] = {
+    "disj_matching": FamilyBuilder(disj_matching_family, "n"),
+    "disj_degeneracy": FamilyBuilder(disj_degeneracy_family, "n"),
+    "disj_diameter8": FamilyBuilder(disj_diameter8_family, "n", ("diam8",)),
+    "holzer_diameter2": FamilyBuilder(holzer_diameter2_family, "p", ("holzer",)),
+    "bitgadget_vc": FamilyBuilder(bitgadget_vc_family, "n", ("bitvc",)),
+    "perm_coloring": FamilyBuilder(perm_coloring_family, "r", ("perm",)),
 }
 
 
@@ -578,9 +577,13 @@ def check_gadget_equivalence(
                 f"{family.name}: {family.input_space} instances exceed the "
                 f"exhaustive gate {EXHAUSTIVE_SWEEP_LIMIT}",
             )
-        inputs = family.enumerate_inputs()
+        side = list(family.domain.all_inputs())
+        inputs = ((x, y) for x in side for y in side)
     elif instance_space == "sample":
-        inputs = family.sample_inputs(count, seed)
+        rng = random.Random(seed)
+        draw = family.domain.draw
+        # x is drawn before its y: the seeded sequence fixes both
+        inputs = ((draw(rng), draw(rng)) for _ in range(count))
     else:
         raise ValueError(f"unknown instance space {instance_space!r}")
 

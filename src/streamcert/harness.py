@@ -90,35 +90,29 @@ def _parse_span(token: str) -> range:
     return range(v, v + 1)
 
 
+#: (short name, family, input pairs): for each gadget family, one pair on
+#: which its two-party function holds and one on which it fails, in corpus order
+_GADGET_PICKS = (
+    ("matching", gadgets.disj_matching_family(4),
+     [({1, 2}, {3, 4}), ({1, 2}, {2, 3})]),
+    ("degeneracy", gadgets.disj_degeneracy_family(4),
+     [({1, 2}, {3, 4}), ({1, 3}, {3, 4})]),
+    ("holzer", gadgets.holzer_diameter2_family(3),
+     [((0, 0, 0), (0, 0, 0)), ((1, 0, 0), (1, 0, 0))]),
+    ("diam8", gadgets.disj_diameter8_family(3), [({1}, {2}), ({1}, {1})]),
+    ("bitvc", gadgets.bitgadget_vc_family(2),
+     [((1, 1, 1, 1), (1, 1, 1, 1)), ((1, 1, 0, 0), (0, 0, 1, 1))]),
+    ("perm", gadgets.perm_coloring_family(3),
+     [((1, 2, 3), (1, 2, 3)), ((1, 2, 3), (2, 1, 3))]),
+)
+
+
 def _standard_gadget_entries() -> list[tuple[str, Graph]]:
-    picks: list[tuple[str, Graph]] = []
-    fam = gadgets.disj_matching_family(4)
-    for x, y in [(frozenset({1, 2}), frozenset({3, 4})), (frozenset({1, 2}), frozenset({2, 3}))]:
-        inst = fam.build(x, y)
-        picks.append((f"gadget-matching-{fam.render(x)}-{fam.render(y)}", inst.graph))
-    dg = gadgets.disj_degeneracy_family(4)
-    for x, y in [(frozenset({1, 2}), frozenset({3, 4})), (frozenset({1, 3}), frozenset({3, 4}))]:
-        inst = dg.build(x, y)
-        picks.append((f"gadget-degeneracy-{dg.render(x)}-{dg.render(y)}", inst.graph))
-    hz = gadgets.holzer_diameter2_family(3)
-    zeros = (0, 0, 0)
-    ones_first = (1, 0, 0)
-    for x, y in [(zeros, zeros), (ones_first, ones_first)]:
-        inst = hz.build(x, y)
-        picks.append((f"gadget-holzer-{hz.render(x)}-{hz.render(y)}", inst.graph))
-    d8 = gadgets.disj_diameter8_family(3)
-    for x, y in [(frozenset({1}), frozenset({2})), (frozenset({1}), frozenset({1}))]:
-        inst = d8.build(x, y)
-        picks.append((f"gadget-diam8-{d8.render(x)}-{d8.render(y)}", inst.graph))
-    bg = gadgets.bitgadget_vc_family(2)
-    for x, y in [((1, 1, 1, 1), (1, 1, 1, 1)), ((1, 1, 0, 0), (0, 0, 1, 1))]:
-        inst = bg.build(x, y)
-        picks.append((f"gadget-bitvc-{bg.render(x)}-{bg.render(y)}", inst.graph))
-    pc = gadgets.perm_coloring_family(3)
-    for s, t in [((1, 2, 3), (1, 2, 3)), ((1, 2, 3), (2, 1, 3))]:
-        inst = pc.build(s, t)
-        picks.append((f"gadget-perm-{pc.render(s)}-{pc.render(t)}", inst.graph))
-    return picks
+    return [
+        (f"gadget-{short}-{fam.render(x)}-{fam.render(y)}", fam.build(x, y).graph)
+        for short, fam, pairs in _GADGET_PICKS
+        for x, y in pairs
+    ]
 
 
 def build_corpus(spec: Sequence[str], seed: int) -> Corpus:

@@ -168,9 +168,47 @@ def test_reject_exit_code_with_transplanted_cert(tmp_path):
         ["scale", "--scheme", "clique_atleast", "--sizes", "2"],
         ["scale", "--scheme", "is_atleast", "--sizes", "64,2"],
         ["oracle", "matching", "--graph", "C2"],
+        ["verify", "--scheme", "mm_atmost", "--graph", "K4", "--k", "-1",
+         "--cert", "CERT"],
+        ["fuzz", "--scheme", "mm_atmost", "--graph", "K4", "--k", "1",
+         "--trials", "-5", "--mode", "bit_flip"],
+        ["scale", "--scheme", "mm_atmost", "--sizes", "64,64"],
+        ["verify", "--k", "abc"],
+        ["frobnicate"],
+        ["gadget", "holzer", "--p", "0"],
+        ["gadget", "disj_matching", "--n", "-2"],
+        ["gadget", "disj_degeneracy", "--n", "-1"],
+        ["gadget", "disj_degeneracy", "--n", "2", "--check", "sample",
+         "--count", "-3"],
     ],
 )
-def test_bad_input_exits_with_parse_error(argv, capsys):
-    # exit 1 means "reject"; bad input must not surface as a traceback with it
+def test_bad_input_exits_with_parse_error(argv, tmp_path, capsys):
+    # exit 1 means "reject" and exit 2 "not certifiable"; bad input must
+    # surface as neither, nor as a traceback
+    cert = tmp_path / "empty.cert"
+    cert.write_bytes(b"")
+    argv = [str(cert) if arg == "CERT" else arg for arg in argv]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "name,canonical,size",
+    [
+        ("disj_matching", "disj_matching", ["--n", "4"]),
+        ("disj_degeneracy", "disj_degeneracy", ["--n", "3"]),
+        ("disj_diameter8", "disj_diameter8", ["--n", "2"]),
+        ("diam8", "disj_diameter8", ["--n", "2"]),
+        ("holzer_diameter2", "holzer_diameter2", ["--p", "3"]),
+        ("holzer", "holzer_diameter2", ["--p", "3"]),
+        ("bitgadget_vc", "bitgadget_vc", ["--n", "2"]),
+        ("bitvc", "bitgadget_vc", ["--n", "2"]),
+        ("perm_coloring", "perm_coloring", ["--r", "3"]),
+        ("perm", "perm_coloring", ["--r", "3"]),
+    ],
+)
+def test_every_gadget_name_runs(name, canonical, size, capsys):
+    rc = main(["gadget", name, *size, "--check", "sample", "--count", "3"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert f"summary gadget={canonical}[" in out and "instances=3 " in out

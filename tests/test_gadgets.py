@@ -3,6 +3,7 @@ and split-stream (one side fully before the other) verdict invariance."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -96,6 +97,26 @@ def test_perm_coloring_examples():
         gadget_perm_coloring((1, 2), (2, 1), 2)
 
 
+@pytest.mark.parametrize(
+    "builder,size",
+    [
+        (disj_matching_family, 0),
+        (disj_matching_family, -2),
+        (disj_degeneracy_family, 0),
+        (disj_degeneracy_family, -1),
+        (disj_diameter8_family, 0),
+        (holzer_diameter2_family, 1),
+        (holzer_diameter2_family, 0),
+        (bitgadget_vc_family, 1),
+        (perm_coloring_family, 2),
+        (perm_coloring_family, -1),
+    ],
+)
+def test_family_refuses_sizes_below_its_minimum(builder, size):
+    with pytest.raises(BadSizes):
+        builder(size)
+
+
 # -- structural invariants --------------------------------------------------------------
 
 FAMILIES = [
@@ -170,6 +191,47 @@ def test_report_lines_are_stable():
     a = check_gadget_equivalence(fam, "exhaustive").lines()
     b = check_gadget_equivalence(fam, "exhaustive").lines()
     assert a == b and all(line.startswith("gadget=") for line in a)
+
+
+def test_gadget_report_lines_pinned():
+    """sha256 over exhaustive and seeded-sample report lines of every family
+    and their input-space sizes: sweep order, sampler draws, render strings
+    and family names must not drift."""
+    lines = []
+    for family in [
+        disj_matching_family(2), disj_matching_family(4),
+        disj_degeneracy_family(1), disj_degeneracy_family(4),
+        disj_diameter8_family(1), disj_diameter8_family(3),
+        holzer_diameter2_family(2), holzer_diameter2_family(3),
+        bitgadget_vc_family(2), perm_coloring_family(3),
+    ]:
+        lines += check_gadget_equivalence(family, "exhaustive").lines()
+    for seed in (0, 1, 7):
+        for family in [
+            disj_matching_family(8), disj_degeneracy_family(5),
+            disj_diameter8_family(3), holzer_diameter2_family(5),
+            bitgadget_vc_family(2), perm_coloring_family(4),
+        ]:
+            lines += check_gadget_equivalence(
+                family, "sample", count=20, seed=seed
+            ).lines()
+    sizes = [
+        (disj_matching_family, (2, 4, 6, 8)),
+        (disj_degeneracy_family, range(1, 7)),
+        (disj_diameter8_family, range(1, 7)),
+        (holzer_diameter2_family, range(2, 7)),
+        (bitgadget_vc_family, (2, 4, 8)),
+        (perm_coloring_family, range(3, 7)),
+    ]
+    for builder, span in sizes:
+        for size in span:
+            family = builder(size)
+            lines.append(f"{family.name} input_space={family.input_space}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(lines) == 1116
+    assert digest == (
+        "904e4c3f90d9231ae59775e3c996e02a4a3979ca0e4ae4b07dfb48dc1d6f1d43"
+    )
 
 
 # -- split-stream replay ----------------------------------------------------------------------
