@@ -210,6 +210,8 @@ def gadget_disj_matching(x, y, universe: int) -> GadgetInstance:
 
 def disj_matching_family(universe: int) -> GadgetFamily:
     _require_size("disj_matching", "N", universe, 2)
+    if universe % 2:
+        raise BadSizes(f"disj_matching needs N even, got {universe}")
     return GadgetFamily(
         name=f"disj_matching[N={universe}]",
         build=lambda x, y: gadget_disj_matching(x, y, universe),
@@ -437,6 +439,8 @@ def gadget_bitgadget_vc(x, y, width: int) -> GadgetInstance:
 def bitgadget_vc_family(width: int) -> GadgetFamily:
     _require_size("bitgadget_vc", "N", width, 2)
     logw = width.bit_length() - 1
+    if 1 << logw != width:
+        raise BadSizes(f"bitgadget_vc needs N a power of two, got {width}")
     cover_bound = 4 * (width - 1) + 4 * logw
     return GadgetFamily(
         name=f"bitgadget_vc[N={width}]",

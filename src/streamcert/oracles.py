@@ -30,12 +30,98 @@ class TooLarge(ValueError):
 
 # -- maximum matching (augmenting paths with blossom contraction) -------------
 
+def edmonds_search(adj, mate: list[int], roots, excluded=frozenset()) -> list[bool] | None:
+    """Edmonds' alternating-forest search: BFS with blossom contraction.
+
+    ``mate`` is a matching over nodes 1..n as a mate list (0 = exposed);
+    ``adj[v]`` lists the neighbors of v in scan order; each of ``roots`` is an
+    exposed node and roots one tree; nodes in ``excluded`` count as deleted.
+
+    If a tree reaches an exposed node outside the forest, ``mate`` is flipped
+    along that augmenting path and None is returned. Otherwise the forest is
+    grown until no edge leaves an outer node, and the outer marks are
+    returned: outer[v] iff an even-length alternating path joins v to a root
+    (Edmonds, *Paths, Trees, and Flowers*, 1965). An edge between the outer
+    nodes of two trees closes an augmenting path that this search does not
+    flip; it raises ValueError, since a caller that roots a tree at every
+    exposed node has passed a matching that is not maximum.
+    """
+    n = len(mate) - 1
+    outer = [False] * (n + 1)
+    parent = [0] * (n + 1)
+    base = list(range(n + 1))
+    for root in roots:
+        outer[root] = True
+    queue = deque(roots)
+
+    def lca(a: int, b: int) -> int:
+        """Base of the blossom that edge ab closes; 0 if a, b are in two trees."""
+        seen = [False] * (n + 1)
+        while True:
+            a = base[a]
+            seen[a] = True
+            if mate[a] == 0:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            if mate[b] == 0:
+                return 0
+            b = parent[mate[b]]
+
+    def mark_blossom(x: int, anchor: int, child: int, blossom: list[bool]) -> None:
+        while base[x] != anchor:
+            blossom[base[x]] = True
+            blossom[base[mate[x]]] = True
+            parent[x] = child
+            child = mate[x]
+            x = parent[mate[x]]
+
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or mate[v] == to or to in excluded:
+                continue
+            if outer[to]:
+                anchor = lca(v, to)
+                if anchor == 0:
+                    raise ValueError("matching is not maximum: two alternating trees meet")
+                blossom = [False] * (n + 1)
+                mark_blossom(v, anchor, to, blossom)
+                mark_blossom(to, anchor, v, blossom)
+                for i in range(1, n + 1):
+                    if blossom[base[i]]:
+                        base[i] = anchor
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif parent[to] == 0:
+                parent[to] = v
+                if mate[to] == 0:
+                    # augment: flip matched edges along the found path
+                    x = to
+                    while x != 0:
+                        px = parent[x]
+                        nxt = mate[px]
+                        mate[x] = px
+                        mate[px] = x
+                        x = nxt
+                    return None
+                outer[mate[to]] = True
+                queue.append(mate[to])
+    return outer
+
+
 def maximum_matching(g: Graph) -> dict[int, int]:
     """Maximum cardinality matching; returns the mate map (absent = exposed).
 
-    Greedy seed in lexicographic edge order, then repeated BFS augmenting-path
-    search with blossom contraction over sorted adjacency lists, so the output
-    is a deterministic function of the edge set (not of the stored order).
+    Greedy seed in lexicographic edge order, then one ``edmonds_search`` from
+    each node still exposed, in id order, over sorted adjacency lists, so the
+    output is a deterministic function of the edge set (not of the stored
+    order). A search from an exposed node that finds no augmenting path rules
+    that node out for good (Edmonds 1965), so the result is maximum.
     """
     n = g.n
     adj = {v: sorted(ns) for v, ns in g.adjacency().items()}
@@ -44,73 +130,9 @@ def maximum_matching(g: Graph) -> dict[int, int]:
         if mate[u] == 0 and mate[v] == 0:
             mate[u] = v
             mate[v] = u
-
-    def find_augmenting(root: int) -> bool:
-        used = [False] * (n + 1)
-        parent = [0] * (n + 1)
-        base = list(range(n + 1))
-        used[root] = True
-        queue = deque([root])
-
-        def lca(a: int, b: int) -> int:
-            seen = [False] * (n + 1)
-            x = a
-            while True:
-                x = base[x]
-                seen[x] = True
-                if mate[x] == 0:
-                    break
-                x = parent[mate[x]]
-            y = b
-            while True:
-                y = base[y]
-                if seen[y]:
-                    return y
-                y = parent[mate[y]]
-
-        def mark_blossom(x: int, anchor: int, child: int) -> None:
-            while base[x] != anchor:
-                blossom[base[x]] = True
-                blossom[base[mate[x]]] = True
-                parent[x] = child
-                child = mate[x]
-                x = parent[mate[x]]
-
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or mate[v] == to:
-                    continue
-                if to == root or (mate[to] != 0 and parent[mate[to]] != 0):
-                    anchor = lca(v, to)
-                    blossom = [False] * (n + 1)
-                    mark_blossom(v, anchor, to)
-                    mark_blossom(to, anchor, v)
-                    for i in range(1, n + 1):
-                        if blossom[base[i]]:
-                            base[i] = anchor
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif parent[to] == 0:
-                    parent[to] = v
-                    if mate[to] == 0:
-                        # augment: flip matched edges along the found path
-                        x = to
-                        while x != 0:
-                            px = parent[x]
-                            nxt = mate[px]
-                            mate[x] = px
-                            mate[px] = x
-                            x = nxt
-                        return True
-                    used[mate[to]] = True
-                    queue.append(mate[to])
-        return False
-
     for v in range(1, n + 1):
         if mate[v] == 0:
-            find_augmenting(v)
+            edmonds_search(adj, mate, (v,))
     return {v: mate[v] for v in range(1, n + 1) if mate[v] != 0}
 
 

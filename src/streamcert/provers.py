@@ -26,6 +26,7 @@ from .oracles import (
     TooLarge,
     bfs_distances,
     count_odd_components_excluding,
+    edmonds_search,
     k_coloring,
     k_core,
     maximum_clique,
@@ -44,13 +45,32 @@ class NotCertifiable(ValueError):
 
 # -- maximum matching ----------------------------------------------------------
 
+def _maximum_mate_list(g: Graph) -> tuple[list[int], int]:
+    """A maximum matching of g as a mate list over 1..n (0 = exposed), and
+    its size."""
+    matching = maximum_matching(g)
+    mate = [0] * (g.n + 1)
+    for v, w in matching.items():
+        mate[v] = w
+    return mate, len(matching) // 2
+
+
 def lex_min_maximum_matching(g: Graph) -> list[tuple[int, int]]:
     """The lexicographically smallest maximum matching (as a sorted edge list).
 
     Greedy over edges in lex order, keeping an edge iff the partial choice
-    still extends to a maximum matching of the whole graph.
+    still extends to a maximum matching of the whole graph. Throughout, M is a
+    maximum matching of G - used, and an edge uv with both ends free extends
+    iff nu(G - used - u - v) = |M| - 1. M without its edges at u and v has
+    that size when uv is in M or only one of u, v is matched. If u, v are
+    matched to u', v', it has |M| - 2 edges, and u', v' are exposed; every
+    other exposed node was exposed under M, and a path between two of them
+    would augment M, so uv extends iff a search from u' or from v' in
+    G - used - u - v augments. Either way, the matching left over is maximum
+    in G - used - u - v and serves as the next M.
     """
-    target = oracle_max_matching(g)
+    mate, target = _maximum_mate_list(g)
+    adj = g.adjacency()
     chosen: list[tuple[int, int]] = []
     used: set[int] = set()
     for u, v in sorted(g.edge_set):
@@ -58,13 +78,19 @@ def lex_min_maximum_matching(g: Graph) -> list[tuple[int, int]]:
             break
         if u in used or v in used:
             continue
-        blocked = used | {u, v}
-        rest = Graph.from_edges(
-            g.n, (e for e in g.edges if e[0] not in blocked and e[1] not in blocked)
-        )
-        if oracle_max_matching(rest) == target - len(chosen) - 1:
+        mu, mv = mate[u], mate[v]
+        mate[u] = mate[v] = mate[mu] = mate[mv] = 0  # mate[0] stays 0
+        used.update((u, v))
+        if (
+            mu == v
+            or not (mu and mv)
+            or edmonds_search(adj, mate, (mu,), used) is None
+            or edmonds_search(adj, mate, (mv,), used) is None
+        ):
             chosen.append((u, v))
-            used.update((u, v))
+        else:  # uv does not extend: restore M
+            used.difference_update((u, v))
+            mate[u], mate[mu], mate[v], mate[mv] = mu, u, mv, v
     return chosen
 
 
@@ -111,18 +137,18 @@ def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:
 def gallai_edmonds_witness(g: Graph) -> frozenset[int]:
     """A minimizer U of (|U| - odd(V\\U) + |V|) / 2.
 
-    U is the neighborhood (outside D) of D = the vertices missed by at least
-    one maximum matching; D is found via nu(G - v) == nu(G).
+    U is the neighborhood (outside D) of D, the nodes missed by at least one
+    maximum matching. D is the set of outer nodes of the Edmonds forest grown
+    from every exposed node of one maximum matching (Gallai-Edmonds structure
+    theorem; Lovasz & Plummer, *Matching Theory*, 1986); the forest search
+    raises if two of its trees meet, since the matching was then not maximum.
     """
-    nu = oracle_max_matching(g)
-    missable = set()
-    for v in range(1, g.n + 1):
-        rest = Graph.from_edges(g.n, (e for e in g.edges if v not in e))
-        if oracle_max_matching(rest) == nu:
-            missable.add(v)
+    mate, nu = _maximum_mate_list(g)
+    exposed = [v for v in range(1, g.n + 1) if mate[v] == 0]
     adj = g.adjacency()
+    outer = edmonds_search(adj, mate, exposed)
     witness = frozenset(
-        w for v in missable for w in adj[v] if w not in missable
+        w for v in range(1, g.n + 1) if outer[v] for w in adj[v] if not outer[w]
     )
     odd = count_odd_components_excluding(g, witness)
     assert 2 * nu == len(witness) - odd + g.n, "witness misses the matching bound"

@@ -180,6 +180,9 @@ def test_reject_exit_code_with_transplanted_cert(tmp_path):
         ["gadget", "disj_degeneracy", "--n", "-1"],
         ["gadget", "disj_degeneracy", "--n", "2", "--check", "sample",
          "--count", "-3"],
+        ["gadget", "bitgadget_vc", "--n", "3"],
+        ["gadget", "bitgadget_vc", "--n", "3", "--check", "sample"],
+        ["gadget", "disj_matching", "--n", "3"],
     ],
 )
 def test_bad_input_exits_with_parse_error(argv, tmp_path, capsys):

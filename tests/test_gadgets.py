@@ -110,6 +110,9 @@ def test_perm_coloring_examples():
         (bitgadget_vc_family, 1),
         (perm_coloring_family, 2),
         (perm_coloring_family, -1),
+        (disj_matching_family, 3),
+        (bitgadget_vc_family, 3),
+        (bitgadget_vc_family, 6),
     ],
 )
 def test_family_refuses_sizes_below_its_minimum(builder, size):

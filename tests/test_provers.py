@@ -26,6 +26,7 @@ from streamcert.oracles import (
 )
 from streamcert.provers import (
     NotCertifiable,
+    _maximum_mate_list,
     gallai_edmonds_witness,
     lex_min_maximum_matching,
     prove_coloring_atmost,
@@ -273,3 +274,139 @@ def test_provers_are_deterministic():
             first = info.prover(g, k)
             second = info.prover(g, k)
             assert first == second
+
+
+# -- matching provers pinned --------------------------------------------------------------
+
+PETERSEN = Graph.from_edges(
+    10,
+    [(i, i % 5 + 1) for i in range(1, 6)]
+    + [(i, i + 5) for i in range(1, 6)]
+    + [(5 + i, 5 + (i + 1) % 5 + 1) for i in range(1, 6)],
+)
+
+
+def _matching_pin_graphs():
+    """Seeded sparse G(n, 8/n) plus graphs that force blossom contractions."""
+    for n in range(20, 201, 20):
+        yield f"gnp{n}", gnp_random_graph(n, 8 / n, n)
+    for n in range(2, 10):
+        yield f"K{n}", complete_graph(n)
+    for n in (3, 5, 7, 9, 11, 15):
+        yield f"C{n}", cycle_graph(n)
+    yield "petersen", PETERSEN
+    for seed in range(6):
+        yield f"dense12s{seed}", gnp_random_graph(12, 0.7, seed)
+
+
+#: sha256 over the mate maps and the serialized matching certificates of
+#: ``_matching_pin_graphs``, recorded with the n+1-run Gallai-Edmonds search
+#: and the one-blossom-run-per-edge lex-min greedy
+PINNED_MATCHING_SHA256 = "279060dcaf6f557cc222eb1be33c7cde038d2a72862b4fcd25477c214c0959ea"
+
+
+def test_matching_provers_pinned():
+    import hashlib
+
+    from streamcert.certs import serialize_certificate
+    from streamcert.oracles import maximum_matching
+
+    digest = hashlib.sha256()
+
+    def add(name, label, blob):
+        digest.update(f"{name} {label} {serialize_certificate(blob).hex()}\n".encode())
+
+    for name, g in _matching_pin_graphs():
+        mate = maximum_matching(g)
+        digest.update(f"{name} mate {sorted(mate.items())}\n".encode())
+        nu = len(mate) // 2
+        add(name, "atmost", prove_mm_atmost(g, nu))
+        add(name, "list", prove_mm_atleast_list(g, nu))
+        add(name, "list-1", prove_mm_atleast_list(g, nu - 1))
+        add(name, "equal", prove_mm_equal(g, nu))
+        add(name, "coloring", prove_mm_atleast_coloring(g, nu))
+    assert digest.hexdigest() == PINNED_MATCHING_SHA256
+
+
+# -- matching provers against their definitions ------------------------------------------
+
+def _reference_lex_min(g):
+    """The greedy by definition: one maximum-matching oracle call per candidate."""
+    target = oracle_max_matching(g)
+    chosen, used = [], set()
+    for u, v in sorted(g.edge_set):
+        if len(chosen) == target:
+            break
+        if u in used or v in used:
+            continue
+        blocked = used | {u, v}
+        rest = Graph.from_edges(
+            g.n, (e for e in g.edges if e[0] not in blocked and e[1] not in blocked)
+        )
+        if oracle_max_matching(rest) == target - len(chosen) - 1:
+            chosen.append((u, v))
+            used.update((u, v))
+    return chosen
+
+
+def _reference_missable(g):
+    """D(G) by definition: v is missed by some maximum matching iff nu(G - v) = nu."""
+    nu = oracle_max_matching(g)
+    return {
+        v
+        for v in range(1, g.n + 1)
+        if oracle_max_matching(Graph.from_edges(g.n, (e for e in g.edges if v not in e))) == nu
+    }
+
+
+def _differential_graphs():
+    for seed in range(500):
+        n = 2 + seed % 39
+        p = (0.05, 0.1, 0.2, 0.35, 0.5, 0.7)[seed // 39 % 6]
+        yield gnp_random_graph(n, p, seed)
+    for seed in range(12):
+        yield gnp_random_graph(40, (0.06, 0.12, 0.3)[seed % 3], 1000 + seed)
+
+
+def test_matching_provers_agree_with_their_definitions():
+    from streamcert.oracles import edmonds_search
+
+    for g in _differential_graphs():
+        assert lex_min_maximum_matching(g) == _reference_lex_min(g), g
+        missable = _reference_missable(g)
+        mate = _maximum_mate_list(g)[0]
+        exposed = [v for v in range(1, g.n + 1) if mate[v] == 0]
+        adj = g.adjacency()
+        outer = edmonds_search(adj, mate, exposed)
+        assert {v for v in range(1, g.n + 1) if outer[v]} == missable, g
+        expected = frozenset(w for v in missable for w in adj[v] if w not in missable)
+        assert gallai_edmonds_witness(g) == expected, g
+
+
+def test_forest_search_raises_on_a_matching_that_is_not_maximum(monkeypatch):
+    from streamcert import oracles, provers
+
+    # path 1-2-3-4 with only the middle edge matched: 1-2-3-4 augments it
+    mate = [0, 0, 3, 2, 0]
+    with pytest.raises(ValueError):
+        oracles.edmonds_search(path_graph(4).adjacency(), mate, [1, 4])
+    checked = 0
+    for seed in range(40):
+        g = gnp_random_graph(6 + seed % 20, 0.3, seed)
+        mate = _maximum_mate_list(g)[0]
+        matched = [v for v in range(1, g.n + 1) if mate[v] > v]
+        if not matched:
+            continue
+        u = matched[seed % len(matched)]
+        w = mate[u]
+        mate[u] = mate[w] = 0  # the dropped edge uw now augments
+        exposed = [v for v in range(1, g.n + 1) if mate[v] == 0]
+        with pytest.raises(ValueError):
+            oracles.edmonds_search(g.adjacency(), mate, exposed)
+        checked += 1
+    assert checked >= 30
+
+    # the witness prover refuses a starting matching that is not maximum
+    monkeypatch.setattr(provers, "maximum_matching", lambda g: {2: 3, 3: 2})
+    with pytest.raises(ValueError):
+        gallai_edmonds_witness(path_graph(4))
