@@ -1,9 +1,12 @@
 """Certificate constructors, one per scheme.
 
-Provers are computationally unconstrained: they lean on the exact oracles and
-refuse (NotCertifiable) whenever the instance does not satisfy the claimed
-bound. All tie-breaks are by smallest node id / lexicographic edge order so
-certificates are byte-reproducible across runs.
+Provers are computationally unconstrained. Each builds its witness with the
+exact algorithms in ``oracles`` and refuses (NotCertifiable) from that witness
+alone when it falls short of the claimed bound: no prover asks a second
+oracle first. The equality provers only combine the two one-sided provers,
+since the <=k one refuses above k and the >=k one below k. All tie-breaks are
+by smallest node id / lexicographic edge order so certificates are
+byte-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from .oracles import (
     maximum_independent_set,
     maximum_matching,
     minimum_vertex_cover,
-    oracle_diameter,
-    oracle_max_matching,
     peel_order,
 )
 
@@ -95,24 +96,20 @@ def lex_min_maximum_matching(g: Graph) -> list[tuple[int, int]]:
 
 
 def prove_mm_atleast_list(g: Graph, k: int) -> CertificateBlob:
-    if oracle_max_matching(g) < k:
+    matching = lex_min_maximum_matching(g)
+    if len(matching) < k:
         raise NotCertifiable(f"maximum matching below {k}")
-    return encode_mm_list(lex_min_maximum_matching(g)[:k], g.n)
-
-
-def _matching_prefix(g: Graph, k: int) -> list[tuple[int, int]]:
-    """First k edges (lex order) of the deterministic maximum matching."""
-    mate = maximum_matching(g)
-    edges = sorted((u, v) for u, v in mate.items() if u < v)
-    if len(edges) < k:
-        raise NotCertifiable(f"maximum matching below {k}")
-    return edges[:k]
+    return encode_mm_list(matching[:k], g.n)
 
 
 def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:
     """Vertex coloring on at most max(1, 2*max_degree - 1) colors in which the
-    monochromatic edges are exactly a matching of size k."""
-    matched = _matching_prefix(g, k)
+    monochromatic edges are exactly a matching of size k: the first k edges
+    (lex order) of the deterministic maximum matching."""
+    mate, nu = _maximum_mate_list(g)
+    if nu < k:
+        raise NotCertifiable(f"maximum matching below {k}")
+    matched = [(v, mate[v]) for v in range(1, g.n + 1) if v < mate[v]][:k]
     delta = g.max_degree()
     if delta <= 1:
         # the whole graph is a matching; one color satisfies the verifier
@@ -134,8 +131,9 @@ def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:
     return encode_mm_coloring(colors, domain, g.n)
 
 
-def gallai_edmonds_witness(g: Graph) -> frozenset[int]:
-    """A minimizer U of (|U| - odd(V\\U) + |V|) / 2.
+def gallai_edmonds_witness(g: Graph) -> tuple[frozenset[int], int]:
+    """A minimizer U of (|U| - odd(V\\U) + |V|) / 2, and the maximum matching
+    size nu that it attains.
 
     U is the neighborhood (outside D) of D, the nodes missed by at least one
     maximum matching. D is the set of outer nodes of the Edmonds forest grown
@@ -152,13 +150,14 @@ def gallai_edmonds_witness(g: Graph) -> frozenset[int]:
     )
     odd = count_odd_components_excluding(g, witness)
     assert 2 * nu == len(witness) - odd + g.n, "witness misses the matching bound"
-    return witness
+    return witness, nu
 
 
 def prove_mm_atmost(g: Graph, k: int) -> CertificateBlob:
-    if oracle_max_matching(g) > k:
+    witness, nu = gallai_edmonds_witness(g)
+    if nu > k:
         raise NotCertifiable(f"maximum matching above {k}")
-    return encode_tutte_berge(gallai_edmonds_witness(g), g.n)
+    return encode_tutte_berge(witness, g.n)
 
 
 # -- degeneracy ------------------------------------------------------------------
@@ -181,17 +180,18 @@ def prove_deg_atleast(g: Graph, k: int) -> CertificateBlob:
 # -- diameter --------------------------------------------------------------------
 
 def prove_diam_atleast(g: Graph, k: int) -> CertificateBlob:
-    if oracle_diameter(g) < k:
-        raise NotCertifiable(f"diameter below {k}")
+    """Distance labels from the first source (in id order) whose BFS misses a
+    node or reaches depth k; such a source exists iff the diameter is at
+    least k and the graph has a node to label 0."""
     adj = g.adjacency()
-    source = None
-    for u in range(1, g.n + 1):
-        dist = bfs_distances(adj, u)
-        if len(dist) < g.n or max(dist.values(), default=0) >= k:
-            source = u
+    for source in range(1, g.n + 1):
+        dist = bfs_distances(adj, source)
+        if len(dist) < g.n or max(dist.values()) >= k:
             break
-    assert source is not None
-    dist = bfs_distances(adj, source)
+    else:
+        raise NotCertifiable(
+            f"diameter below {k}" if g.n else "no node to label 0 in an empty graph"
+        )
     labels = {
         v: min(dist.get(v, k + 1), k + 1) for v in range(1, g.n + 1)
     }
@@ -211,50 +211,38 @@ def prove_coloring_atmost(g: Graph, k: int) -> CertificateBlob:
 
 # -- vertex sets (IS / clique / VC) ------------------------------------------------
 
-def prove_set_cert(g: Graph, k: int, which: str) -> CertificateBlob:
+def prove_is_atleast(g: Graph, k: int) -> CertificateBlob:
     if g.n > NP_ORACLE_MAX_N:
         raise TooLarge(g.n, NP_ORACLE_MAX_N)
-    if which == "is":
-        witness = maximum_independent_set(g)
-        if len(witness) < k:
-            raise NotCertifiable(f"independence number below {k}")
-        return encode_node_set("is_atleast", sorted(witness)[:k], g.n)
-    if which == "clique":
-        witness = maximum_clique(g)
-        if len(witness) < k:
-            raise NotCertifiable(f"clique number below {k}")
-        return encode_node_set("clique_atleast", sorted(witness)[:k], g.n)
-    if which == "vc":
-        cover = minimum_vertex_cover(g)
-        if len(cover) > k:
-            raise NotCertifiable(f"vertex cover above {k}")
-        return encode_node_set("vc_atmost", cover, g.n)
-    raise ValueError(f"unknown set certificate kind {which!r}")
-
-
-def prove_is_atleast(g: Graph, k: int) -> CertificateBlob:
-    return prove_set_cert(g, k, "is")
+    witness = maximum_independent_set(g)
+    if len(witness) < k:
+        raise NotCertifiable(f"independence number below {k}")
+    return encode_node_set("is_atleast", sorted(witness)[:k], g.n)
 
 
 def prove_clique_atleast(g: Graph, k: int) -> CertificateBlob:
-    return prove_set_cert(g, k, "clique")
+    if g.n > NP_ORACLE_MAX_N:
+        raise TooLarge(g.n, NP_ORACLE_MAX_N)
+    witness = maximum_clique(g)
+    if len(witness) < k:
+        raise NotCertifiable(f"clique number below {k}")
+    return encode_node_set("clique_atleast", sorted(witness)[:k], g.n)
 
 
 def prove_vc_atmost(g: Graph, k: int) -> CertificateBlob:
-    return prove_set_cert(g, k, "vc")
+    if g.n > NP_ORACLE_MAX_N:
+        raise TooLarge(g.n, NP_ORACLE_MAX_N)
+    cover = minimum_vertex_cover(g)
+    if len(cover) > k:
+        raise NotCertifiable(f"vertex cover above {k}")
+    return encode_node_set("vc_atmost", cover, g.n)
 
 
 # -- equality combinator -------------------------------------------------------------
 
 def prove_mm_equal(g: Graph, k: int) -> CertificateBlob:
-    if oracle_max_matching(g) != k:
-        raise NotCertifiable(f"maximum matching is not exactly {k}")
     return encode_equality("mm_equal", prove_mm_atmost(g, k), prove_mm_atleast_list(g, k))
 
 
 def prove_deg_equal(g: Graph, k: int) -> CertificateBlob:
-    from .oracles import oracle_degeneracy
-
-    if oracle_degeneracy(g) != k:
-        raise NotCertifiable(f"degeneracy is not exactly {k}")
     return encode_equality("deg_equal", prove_deg_atmost(g, k), prove_deg_atleast(g, k))

@@ -1,15 +1,25 @@
 """Space-metered one-pass streaming verifiers, one per scheme.
 
 Shared run contract: the constructor validates certificate decodability and
-may set a sticky reject; ``feed`` consumes stream items and stops at the
-first reject, so ``run_verifier`` streams nothing to a verifier that
-rejected at init; ``on_edge`` consumes one stream item and stays a no-op
-once rejected, for callers that push items one at a time; ``finalize``
-returns the Verdict, the same one on every call. Rejection is sticky, so the
-items a rejected verifier skips cannot change its verdict. The certificate
+may set a sticky reject; ``feed``, the only way to push stream items,
+consumes them in order and stops at the first reject, so ``run_verifier``
+streams nothing to a verifier that rejected at init; ``finalize`` returns
+the Verdict, the same one on every call. Rejection is sticky, so the items a
+rejected verifier skips cannot change its verdict. The certificate
 is random-access read-only memory and is never charged to the meter;
 decoded views of it held by the Python object are caches over that
 read-only memory, not verifier state.
+
+Stream promise: the items are the edges of a simple graph on 1..n, each
+exactly once, with no self-loops. The verifiers do not check it, and a
+repeated edge cannot be told apart from a new one in O(log n) space. A
+crossed-certificate search (every graph on n <= 4 streamed with one edge
+repeated, against the honest certificates of the graphs legal at k and every
+node subset) finds a false claim that passes in these schemes and in no
+other: ``mm_atleast_list`` and ``clique_atleast`` (an edge counted twice),
+``deg_atleast`` (both counters stepped twice), and ``mm_equal`` and
+``deg_equal`` through those halves. In the others a repeat changes nothing
+or only moves toward a reject.
 
 Every verifier registers a fixed scratch allowance (8 registers of
 ceil(log2(n+2)) bits, for loop indices and edge endpoints) plus its declared
@@ -106,10 +116,6 @@ class StreamingVerifier:
     def reject(self, reason: str) -> None:
         if self._reject_reason is None:
             self._reject_reason = reason
-
-    def on_edge(self, u: int, v: int) -> None:
-        if self._reject_reason is None:
-            self._on_edge(u, v)
 
     def feed(self, edges) -> None:
         """Consume stream items in order, up to the first reject."""
@@ -430,8 +436,12 @@ class EqualityVerifier(StreamingVerifier):
         self._ge = ge_cls(self.n, self.k, ge_blob)
 
     def _on_edge(self, u: int, v: int) -> None:
-        self._le.on_edge(u, v)
-        self._ge.on_edge(u, v)
+        # each half keeps its own sticky reject: step it only until then
+        le, ge = self._le, self._ge
+        if le._reject_reason is None:
+            le._on_edge(u, v)
+        if ge._reject_reason is None:
+            ge._on_edge(u, v)
 
     def _finalize(self) -> Verdict:
         le = self._le.finalize()

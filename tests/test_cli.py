@@ -196,6 +196,22 @@ def test_bad_input_exits_with_parse_error(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,code,stream",
+    [
+        # E0 has no node for the verifier's 0 label: no certificate exists
+        (["prove", "--scheme", "diam_atleast", "--graph", "E0", "--k", "0",
+          "--out", "OUT"], 2, "err"),
+        (["fuzz", "--scheme", "diam_atleast", "--graph", "E0", "--k", "1"], 0, "out"),
+    ],
+)
+def test_empty_graph_diameter_exits_cleanly(argv, code, stream, tmp_path, capsys):
+    argv = [str(tmp_path / "e0.cert") if arg == "OUT" else arg for arg in argv]
+    assert main(argv) == code
+    text = getattr(capsys.readouterr(), stream)
+    assert text.startswith("not-certifiable: " if code == 2 else "summary ")
+
+
+@pytest.mark.parametrize(
     "name,canonical,size",
     [
         ("disj_matching", "disj_matching", ["--n", "4"]),

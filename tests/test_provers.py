@@ -29,17 +29,22 @@ from streamcert.provers import (
     _maximum_mate_list,
     gallai_edmonds_witness,
     lex_min_maximum_matching,
+    prove_clique_atleast,
     prove_coloring_atmost,
     prove_deg_atleast,
     prove_deg_atmost,
     prove_deg_equal,
     prove_diam_atleast,
+    prove_is_atleast,
     prove_mm_atleast_coloring,
     prove_mm_atleast_list,
     prove_mm_atmost,
     prove_mm_equal,
-    prove_set_cert,
+    prove_vc_atmost,
 )
+from streamcert.schemes import SCHEMES
+from streamcert.stream import make_stream
+from streamcert.verifiers import run_verifier
 
 TRIANGLE = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
 
@@ -139,9 +144,10 @@ def test_mm_atmost_examples():
 def test_gallai_edmonds_satisfies_matching_equality():
     for seed in range(20):
         g = gnp_random_graph(11, 0.3, seed)
-        witness = gallai_edmonds_witness(g)
+        witness, nu = gallai_edmonds_witness(g)
+        assert nu == oracle_max_matching(g)
         odd = count_odd_components_excluding(g, witness)
-        assert 2 * oracle_max_matching(g) == len(witness) - odd + g.n
+        assert 2 * nu == len(witness) - odd + g.n
 
 
 # -- degeneracy -------------------------------------------------------------------------
@@ -225,18 +231,18 @@ def test_coloring_examples():
 # -- node sets ----------------------------------------------------------------------------
 
 def test_set_cert_examples():
-    cert = prove_set_cert(TRIANGLE, 3, "clique")
+    cert = prove_clique_atleast(TRIANGLE, 3)
     assert decode_blob(cert, "clique_atleast", 3, 3) == (1, 2, 3)
-    cert = prove_set_cert(path_graph(4), 2, "vc")
+    cert = prove_vc_atmost(path_graph(4), 2)
     cover = decode_blob(cert, "vc_atmost", 4, 2)
     assert len(cover) <= 2
     assert all(u in cover or v in cover for u, v in path_graph(4).edges)
     with pytest.raises(NotCertifiable):
-        prove_set_cert(TRIANGLE, 2, "is")
+        prove_is_atleast(TRIANGLE, 2)
 
 
 def test_set_cert_is_truncated_to_k():
-    cert = prove_set_cert(empty_graph(5), 3, "is")
+    cert = prove_is_atleast(empty_graph(5), 3)
     assert len(decode_blob(cert, "is_atleast", 5, 3)) == 3
 
 
@@ -255,11 +261,42 @@ def test_equality_provers():
         prove_deg_equal(TRIANGLE, 1)
 
 
+# -- legality sweep -----------------------------------------------------------------------
+
+def _legality_graphs():
+    """Seeded graphs with n <= 12, the one-node and one-edge graphs, and a
+    disconnected graph (a triangle, a path and an isolated node)."""
+    for seed in range(12):
+        yield gnp_random_graph(2 + seed % 11, (0.2, 0.4, 0.7)[seed % 3], seed)
+    yield empty_graph(1)
+    yield complete_graph(1)
+    yield complete_graph(2)
+    yield Graph.from_edges(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)])
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_provers_refuse_exactly_the_illegal_claims(scheme):
+    from streamcert.oracles import parameter_value
+
+    info = SCHEMES[scheme]
+    for g in _legality_graphs():
+        value = parameter_value(g, info.parameter)
+        top = g.n + 1 if math.isinf(value) else int(value) + 2
+        for k in range(top + 1):
+            if info.legal(value, k):
+                cert = info.prover(g, k)
+                verdict, _ = run_verifier(scheme, make_stream(g, k, "given"), cert)
+                assert verdict.accepted, (g, k, verdict)
+            else:
+                with pytest.raises(NotCertifiable):
+                    info.prover(g, k)
+
+
 # -- determinism --------------------------------------------------------------------------
 
 def test_provers_are_deterministic():
     g = gnp_random_graph(10, 0.4, 11)
-    from streamcert.schemes import SCHEMES, legal_thresholds
+    from streamcert.schemes import legal_thresholds
 
     for info in SCHEMES.values():
         value = {
@@ -380,7 +417,7 @@ def test_matching_provers_agree_with_their_definitions():
         outer = edmonds_search(adj, mate, exposed)
         assert {v for v in range(1, g.n + 1) if outer[v]} == missable, g
         expected = frozenset(w for v in missable for w in adj[v] if w not in missable)
-        assert gallai_edmonds_witness(g) == expected, g
+        assert gallai_edmonds_witness(g)[0] == expected, g
 
 
 def test_forest_search_raises_on_a_matching_that_is_not_maximum(monkeypatch):

@@ -357,11 +357,37 @@ def test_sticky_rejection_drains_stream():
 
     cert = encode_coloring({1: 1, 2: 1, 3: 2, 4: 2}, 4, 2)
     verifier = SCHEME_VERIFIERS["coloring_atmost"](4, 2, cert)
-    verifier.on_edge(1, 2)  # monochromatic: rejects
-    verifier.on_edge(2, 3)
-    verifier.on_edge(3, 4)
+    verifier.feed([(1, 2), (2, 3), (3, 4)])  # (1, 2) is monochromatic: rejects
     verdict = verifier.finalize()
     assert verdict.reason == "monochromatic-edge"
+
+
+def test_repeated_edge_fools_the_documented_schemes():
+    # outside the simple-graph promise: one repeated edge passes a false
+    # claim in the schemes the module docstring lists
+    from streamcert.certs import encode_equality
+    from streamcert.stream import EdgeStream
+
+    mm_list = encode_mm_list([(1, 2), (3, 4)], 4)  # one edge, nu = 1 < 2
+    core = encode_core_subset({1, 2}, 2)  # one edge, degeneracy 1 < 2
+    fooled = {
+        "mm_atleast_list": (EdgeStream(4, 2, ((1, 2), (1, 2))), mm_list),
+        "clique_atleast": (
+            EdgeStream(3, 3, ((1, 2), (2, 3), (1, 2))),  # the path 1-2-3
+            encode_node_set("clique_atleast", [1, 2, 3], 3),
+        ),
+        "deg_atleast": (EdgeStream(2, 2, ((1, 2), (1, 2))), core),
+        "mm_equal": (
+            EdgeStream(4, 2, ((1, 2), (1, 2))),
+            encode_equality("mm_equal", encode_tutte_berge(set(), 4), mm_list),
+        ),
+        "deg_equal": (
+            EdgeStream(2, 2, ((1, 2), (1, 2))),
+            encode_equality("deg_equal", encode_peel_order({1: 1, 2: 2}, 2), core),
+        ),
+    }
+    for scheme, (stream, cert) in fooled.items():
+        assert run_verifier(scheme, stream, cert)[0].accepted, scheme
 
 
 def test_feed_streams_nothing_after_a_reject():
