@@ -42,12 +42,12 @@ from .graph import (
     star_graph,
     validate_graph,
 )
-from .meter import ceil_log2, id_bits
+from .meter import SpaceReport, ceil_log2, id_bits
 from .oracles import NP_ORACLE_MAX_N, TooLarge, oracle_vc_is_clique, parameter_value
 from .provers import NotCertifiable
 from .schemes import SCHEMES, SchemeInfo, illegal_thresholds, legal_thresholds
 from .stream import ORDER_BATTERY, SOUNDNESS_ORDERS, make_stream
-from .verifiers import run_verifier, space_bound
+from .verifiers import SCHEME_VERIFIERS, run_verifier, space_bound
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -277,9 +277,35 @@ def _nearest_legal_cert(info: SchemeInfo, g: Graph, value: int | float) -> Certi
         return None
 
 
-def _one_edge_variant(info: SchemeInfo, g: Graph, k: int) -> Graph | None:
-    """A graph one edge away from g that is legal at k, if any (lex search)."""
-    if info.direction in ("ge", "eq"):
+#: whether adding an edge can only raise (True) or only lower (False) each
+#: parameter; removing an edge does the reverse. Adding an edge never lowers
+#: matching, degeneracy, chromatic number, clique number or vertex cover
+#: (each is monotone under subgraphs), and never raises the independence
+#: number (fewer sets stay independent) or the diameter (no distance grows).
+_ADDING_AN_EDGE_RAISES: dict[str, bool] = {
+    "matching": True,
+    "degeneracy": True,
+    "chromatic": True,
+    "clique": True,
+    "vc": True,
+    "is": False,
+    "diameter": False,
+}
+
+
+def _one_edge_variant(
+    info: SchemeInfo, g: Graph, k: int, value: int | float
+) -> Graph | None:
+    """A graph one edge away from g that is legal at k, if any (lex search).
+
+    ``value`` is g's own parameter value. A ge or eq scheme adds an edge and
+    a le scheme removes one; when that move can only carry the parameter
+    further from k, no candidate is legal and the search is skipped."""
+    adds = info.direction in ("ge", "eq")
+    raises = _ADDING_AN_EDGE_RAISES[info.parameter] == adds
+    if (value > k) if raises else (value < k):
+        return None
+    if adds:
         candidates = [
             Graph(g.n, g.edges + (e,))
             for e in sorted(
@@ -330,7 +356,7 @@ def _fuzz_certificates(
     elif policy.mode == "structured_wrong":
         if base is not None:
             certs.append(("transplant:k", base))
-        variant = _one_edge_variant(info, entry.graph, k)
+        variant = _one_edge_variant(info, entry.graph, k, value)
         if variant is not None:
             try:
                 certs.append(("transplant:graph", info.prover(variant, k)))
@@ -350,17 +376,32 @@ def fuzz_instance(
 ) -> tuple[list[TrialRecord], list[str]]:
     """Fuzz one illegal (graph, k) instance; returns (records, breaches).
 
-    Each order's stream is built once and replayed to every certificate."""
+    Each order's stream is built once and replayed to every certificate.
+    Each certificate's verifier is built once and streams the first order.
+    One that rejected at init has read no item (the run contract in
+    ``verifiers``), so its verdict and peak are the record of every order;
+    a survivor gets a fresh ``run_verifier`` for each later order."""
     info = SCHEMES[scheme]
     records: list[TrialRecord] = []
     breaches: list[str] = []
     certs = _fuzz_certificates(info, entry, k, fuzz)
-    if not certs:
+    if not certs or not orders:
         return records, breaches
     streams = [(order, make_stream(entry.graph, k, order)) for order in orders]
+    first = streams[0][1]
+    verifier_cls = SCHEME_VERIFIERS[scheme]
     for cert_id, cert in certs:
-        for order, stream in streams:
-            verdict, report = run_verifier(scheme, stream, cert)
+        verifier = verifier_cls(first.n, first.k, cert)
+        survived_init = not verifier.rejected
+        verifier.feed(first.edges)
+        outcome = (
+            verifier.finalize(),
+            SpaceReport(verifier.peak_state_bits(), cert.semantic_bits),
+        )
+        for i, (order, stream) in enumerate(streams):
+            if i and survived_init:
+                outcome = run_verifier(scheme, stream, cert)
+            verdict, report = outcome
             records.append(
                 TrialRecord(
                     scheme, entry.name, k, order, cert_id,

@@ -203,7 +203,7 @@ def prove_diam_atleast(g: Graph, k: int) -> CertificateBlob:
 def prove_coloring_atmost(g: Graph, k: int) -> CertificateBlob:
     if g.n > NP_ORACLE_MAX_N:
         raise TooLarge(g.n, NP_ORACLE_MAX_N)
-    coloring = k_coloring(g, k) if k >= 1 else None
+    coloring = k_coloring(g, k)
     if coloring is None:
         raise NotCertifiable(f"chromatic number above {k}")
     return encode_coloring(coloring, g.n, k)

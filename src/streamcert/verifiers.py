@@ -5,7 +5,9 @@ may set a sticky reject; ``feed``, the only way to push stream items,
 consumes them in order and stops at the first reject, so ``run_verifier``
 streams nothing to a verifier that rejected at init; ``finalize`` returns
 the Verdict, the same one on every call. Rejection is sticky, so the items a
-rejected verifier skips cannot change its verdict. The certificate
+rejected verifier skips cannot change its verdict. A verifier that rejects at
+init has read no item, so its verdict and peak depend on the certificate, n
+and k alone, never on the stream or its order. The certificate
 is random-access read-only memory and is never charged to the meter;
 decoded views of it held by the Python object are caches over that
 read-only memory, not verifier state.
@@ -112,6 +114,11 @@ class StreamingVerifier:
 
     def _finalize(self) -> Verdict:
         return ACCEPT
+
+    @property
+    def rejected(self) -> bool:
+        """Whether a reject is already set (sticky: it stays set)."""
+        return self._reject_reason is not None
 
     def reject(self, reason: str) -> None:
         if self._reject_reason is None:

@@ -231,3 +231,34 @@ def test_every_gadget_name_runs(name, canonical, size, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert f"summary gadget={canonical}[" in out and "instances=3 " in out
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "streamcert", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    ok = run("oracle", "all", "--graph", "P4")
+    assert ok.returncode == 0, ok.stderr
+    assert "matching=2" in ok.stdout
+    bad = run("oracle", "all", "--graph", "P4", "--no-such-flag")
+    assert bad.returncode == 3
+    assert bad.stderr.startswith("error: ")
+
+
+def test_coloring_of_the_empty_graph_with_no_colors(tmp_path):
+    cert = str(tmp_path / "e0.cert")
+    args = ["--scheme", "coloring_atmost", "--graph", "E0", "--k", "0"]
+    assert main(["prove", *args, "--out", cert]) == 0
+    assert main(["verify", *args, "--cert", cert]) == 0

@@ -14,7 +14,7 @@ from streamcert.harness import (
     _attach,
 )
 from streamcert.graph import complete_graph
-from streamcert.schemes import BASE_SCHEMES
+from streamcert.schemes import BASE_SCHEMES, SCHEMES
 
 CORPUS_SPEC = ["paths:2..7", "cycles:3..7", "stars:3..6", "gnp:6..9:0.3:8", "empty:4"]
 
@@ -106,7 +106,6 @@ def test_scaling_families_are_legal_from_their_minimum_n():
     from streamcert.graph import validate_graph
     from streamcert.harness import SCALING_MIN_N, _scaling_instance
     from streamcert.oracles import parameter_value
-    from streamcert.schemes import SCHEMES
 
     assert set(SCALING_MIN_N) == set(SCHEMES)
     for scheme, low in SCALING_MIN_N.items():
@@ -163,3 +162,122 @@ def test_soundness_report_lines_pinned():
             trials += len(report.records)
     assert trials > 10_000
     assert digest.hexdigest() == PINNED_SOUNDNESS_SHA256
+
+
+#: sha256 of the same campaign's lines for the two equality schemes, recorded
+#: before fuzzed certificates that reject at init were run once for all
+#: orders and before the hopeless one-edge searches were skipped
+PINNED_EQUALITY_SOUNDNESS_SHA256 = (
+    "619c8205072bd489de4aa5c092ca5588a9a7fb33c9f0bd8c24179c38810a57a7"
+)
+
+
+def test_equality_soundness_report_lines_pinned():
+    import hashlib
+
+    corpus = build_corpus(PINNED_CORPUS, seed=17)
+    digest = hashlib.sha256()
+    trials = 0
+    for scheme in ("mm_equal", "deg_equal"):
+        for mode, budget in (("random_bytes", 40), ("bit_flip", 40), ("structured_wrong", 2)):
+            report = run_soundness(scheme, corpus, FuzzPolicy(mode, budget, seed=5))
+            assert report.ok, (scheme, mode, report.failures[:2])
+            for line in report.lines():
+                digest.update(line.encode() + b"\n")
+            trials += len(report.records)
+    assert trials > 10_000
+    assert digest.hexdigest() == PINNED_EQUALITY_SOUNDNESS_SHA256
+
+
+def test_fuzz_instance_matches_a_fresh_run_per_certificate_and_order(monkeypatch):
+    """Each record equals the one a fresh ``run_verifier`` gives for its
+    (certificate, order), whether the certificate rejects at init or not,
+    and every certificate that survives init is streamed under every order."""
+    from streamcert import harness
+    from streamcert.harness import TrialRecord, _fuzz_certificates
+    from streamcert.schemes import illegal_thresholds
+    from streamcert.stream import SOUNDNESS_ORDERS, make_stream
+    from streamcert.verifiers import SCHEME_VERIFIERS, run_verifier
+
+    replayed = []
+
+    def traced_run_verifier(scheme, stream, cert):
+        replayed.append((cert, stream.edges))
+        return run_verifier(scheme, stream, cert)
+
+    monkeypatch.setattr(harness, "run_verifier", traced_run_verifier)
+    corpus = build_corpus(["paths:3..5", "cycles:4..5", "stars:4", "gnp:6..8:0.4:2"], seed=23)
+    survivors = one_half_rejected = 0
+    for scheme, info in SCHEMES.items():
+        for mode, budget in (("random_bytes", 12), ("bit_flip", 24), ("structured_wrong", 2)):
+            policy = FuzzPolicy(mode, budget, seed=9)
+            for entry in corpus.entries:
+                for k in illegal_thresholds(info, entry.value(info.parameter)):
+                    replayed.clear()
+                    records, breaches = fuzz_instance(scheme, entry, k, policy)
+                    assert not breaches
+                    streams = [make_stream(entry.graph, k, order) for order in SOUNDNESS_ORDERS]
+                    expected, expected_replays = [], []
+                    for cert_id, cert in _fuzz_certificates(info, entry, k, policy):
+                        verifier = SCHEME_VERIFIERS[scheme](entry.graph.n, k, cert)
+                        if not verifier.rejected:
+                            survivors += 1
+                            expected_replays += [(cert, s.edges) for s in streams[1:]]
+                            if info.direction == "eq":
+                                one_half_rejected += (
+                                    verifier._le.rejected != verifier._ge.rejected
+                                )
+                        for order, stream in zip(SOUNDNESS_ORDERS, streams):
+                            verdict, report = run_verifier(scheme, stream, cert)
+                            expected.append(TrialRecord(
+                                scheme, entry.name, k, order, cert_id,
+                                verdict.decision, verdict.reason,
+                                report.peak_state_bits, report.certificate_bits,
+                            ))
+                    assert records == expected, (scheme, mode, entry.name, k)
+                    assert replayed == expected_replays, (scheme, mode, entry.name, k)
+    assert survivors > 0
+    assert one_half_rejected > 0  # an equality certificate with one half dead at init
+
+
+def _brute_one_edge_variant(info, g, k):
+    """Lex search over every graph one edge away from g, with no shortcut."""
+    from streamcert.graph import Graph
+    from streamcert.oracles import parameter_value
+
+    if info.direction in ("ge", "eq"):
+        pairs = [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1)]
+        candidates = [Graph(g.n, g.edges + (e,)) for e in pairs if e not in g.edge_set]
+    else:
+        candidates = [
+            Graph(g.n, tuple(e for e in g.edges if e != drop)) for drop in sorted(g.edges)
+        ]
+    for candidate in candidates:
+        if info.legal(parameter_value(candidate, info.parameter), k):
+            return candidate
+    return None
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_one_edge_variant_skip_agrees_with_exhaustive_search(scheme):
+    from streamcert.harness import _one_edge_variant
+    from streamcert.oracles import parameter_value
+
+    info = SCHEMES[scheme]
+    corpus = build_corpus(
+        ["paths:2..5", "cycles:3..5", "cliques:3..4", "stars:4", "empty:3",
+         "gnp:5..8:0.4:4"],
+        seed=31,
+    )
+    checked = 0
+    for entry in corpus.entries:
+        g = entry.graph
+        assert g.n <= 8
+        value = parameter_value(g, info.parameter)
+        for k in range(g.n + 2):
+            if info.legal(value, k):
+                continue
+            got = _one_edge_variant(info, g, k, value)
+            assert got == _brute_one_edge_variant(info, g, k), (entry.name, k)
+            checked += 1
+    assert checked > 0

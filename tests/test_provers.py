@@ -264,10 +264,11 @@ def test_equality_provers():
 # -- legality sweep -----------------------------------------------------------------------
 
 def _legality_graphs():
-    """Seeded graphs with n <= 12, the one-node and one-edge graphs, and a
-    disconnected graph (a triangle, a path and an isolated node)."""
+    """Seeded graphs with n <= 12, the empty, one-node and one-edge graphs,
+    and a disconnected graph (a triangle, a path and an isolated node)."""
     for seed in range(12):
         yield gnp_random_graph(2 + seed % 11, (0.2, 0.4, 0.7)[seed % 3], seed)
+    yield empty_graph(0)
     yield empty_graph(1)
     yield complete_graph(1)
     yield complete_graph(2)
@@ -283,7 +284,12 @@ def test_provers_refuse_exactly_the_illegal_claims(scheme):
         value = parameter_value(g, info.parameter)
         top = g.n + 1 if math.isinf(value) else int(value) + 2
         for k in range(top + 1):
-            if info.legal(value, k):
+            if scheme == "diam_atleast" and g.n == 0 and k == 0:
+                # the one legal claim refused: diameter 0 >= 0 holds, but
+                # distance labels need a node labelled 0 (prove_diam_atleast)
+                with pytest.raises(NotCertifiable, match="no node to label 0"):
+                    info.prover(g, k)
+            elif info.legal(value, k):
                 cert = info.prover(g, k)
                 verdict, _ = run_verifier(scheme, make_stream(g, k, "given"), cert)
                 assert verdict.accepted, (g, k, verdict)
