@@ -68,7 +68,6 @@ _INPUT_ERRORS = (
     oracles.TooLarge,
     OrderSpecError,
     gadgets.BadSizes,
-    gadgets.BadLength,
 )
 
 
@@ -113,7 +112,10 @@ def _cmd_prove(args) -> int:
     except NotCertifiable as exc:
         print(f"not-certifiable: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIABLE
-    Path(args.out).write_bytes(serialize_certificate(cert))
+    try:
+        Path(args.out).write_bytes(serialize_certificate(cert))
+    except OSError as exc:
+        raise CliError(f"cannot write certificate: {exc}") from None
     print(f"scheme={args.scheme} semantic_bits={cert.semantic_bits}")
     return EXIT_ACCEPT
 
@@ -186,9 +188,11 @@ def _cmd_fuzz(args) -> int:
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
     g, k = _load_graph(args.graph, args.k)
-    entry = harness._attach("cli-instance", g)
+    validate_graph(g)
     info = SCHEMES[args.scheme]
-    if info.legal(entry.value(info.parameter), k):
+    value = oracles.parameter_value(g, info.parameter)
+    entry = harness.CorpusEntry("cli-instance", g, {info.parameter: value})
+    if info.legal(value, k):
         raise CliError(
             f"instance is legal for {args.scheme} at k={k}; "
             "soundness fuzzing needs an illegal instance"
@@ -252,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("oracle", help="run an exact oracle")
-    p.add_argument("parameter", choices=oracles.PARAMETERS + ("tutte_berge", "all"))
+    p.add_argument("parameter", choices=(*oracles.PARAMETERS, "tutte_berge", "all"))
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(run=_cmd_oracle)

@@ -39,11 +39,7 @@ EXHAUSTIVE_SWEEP_LIMIT = 1 << 16
 
 
 class BadSizes(ValueError):
-    pass
-
-
-class BadLength(ValueError):
-    pass
+    """A family size below its minimum, or inputs that do not fit the size."""
 
 
 def _require_size(family: str, symbol: str, value: int, low: int) -> None:
@@ -320,7 +316,7 @@ def gadget_holzer_diameter2(x, y, p: int) -> GadgetInstance:
     1. Diameter stays 2 iff no pair is missing on both sides."""
     pairs = _pair_index(p)
     if len(x) != len(pairs) or len(y) != len(pairs):
-        raise BadLength(f"inputs must have length p(p-1)/2 = {len(pairs)}")
+        raise BadSizes(f"inputs must have length p(p-1)/2 = {len(pairs)}")
     a = lambda i: 1 + i
     b = lambda i: p + 2 + i
     fixed = (
@@ -364,9 +360,9 @@ def gadget_bitgadget_vc(x, y, width: int) -> GadgetInstance:
     when the bit vectors are disjoint."""
     logw = width.bit_length() - 1
     if width < 2 or (1 << logw) != width:
-        raise BadLength("width must be a power of two, >= 2")
+        raise BadSizes("width must be a power of two, >= 2")
     if len(x) != width * width or len(y) != width * width:
-        raise BadLength(f"inputs must have length {width * width}")
+        raise BadSizes(f"inputs must have length {width * width}")
 
     a = lambda i: 1 + i
     b = lambda i: width + 1 + i

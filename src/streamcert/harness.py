@@ -43,7 +43,7 @@ from .graph import (
     validate_graph,
 )
 from .meter import SpaceReport, ceil_log2, id_bits
-from .oracles import NP_ORACLE_MAX_N, TooLarge, oracle_vc_is_clique, parameter_value
+from .oracles import NP_ORACLE_MAX_N, PARAMETERS, TooLarge, parameter_value
 from .provers import NotCertifiable
 from .schemes import SCHEMES, SchemeInfo, illegal_thresholds, legal_thresholds
 from .stream import ORDER_BATTERY, SOUNDNESS_ORDERS, make_stream
@@ -75,10 +75,8 @@ def _attach(name: str, g: Graph) -> CorpusEntry:
     validate_graph(g)
     if g.n > NP_ORACLE_MAX_N:
         raise TooLarge(g.n, NP_ORACLE_MAX_N, f"{name}: n={g.n} beyond exact-oracle cutoff")
-    values = {p: parameter_value(g, p)
-              for p in ("matching", "degeneracy", "diameter", "chromatic")}
-    # one exponential search gives all three; parameter_value would run it once each
-    values["vc"], values["is"], values["clique"] = oracle_vc_is_clique(g)
+    values = {p: parameter_value(g, p) for p in PARAMETERS}
+    assert values["vc"] + values["is"] == g.n, "cover/IS complementarity violated"
     return CorpusEntry(name, g, values)
 
 
@@ -277,22 +275,6 @@ def _nearest_legal_cert(info: SchemeInfo, g: Graph, value: int | float) -> Certi
         return None
 
 
-#: whether adding an edge can only raise (True) or only lower (False) each
-#: parameter; removing an edge does the reverse. Adding an edge never lowers
-#: matching, degeneracy, chromatic number, clique number or vertex cover
-#: (each is monotone under subgraphs), and never raises the independence
-#: number (fewer sets stay independent) or the diameter (no distance grows).
-_ADDING_AN_EDGE_RAISES: dict[str, bool] = {
-    "matching": True,
-    "degeneracy": True,
-    "chromatic": True,
-    "clique": True,
-    "vc": True,
-    "is": False,
-    "diameter": False,
-}
-
-
 def _one_edge_variant(
     info: SchemeInfo, g: Graph, k: int, value: int | float
 ) -> Graph | None:
@@ -302,7 +284,7 @@ def _one_edge_variant(
     a le scheme removes one; when that move can only carry the parameter
     further from k, no candidate is legal and the search is skipped."""
     adds = info.direction in ("ge", "eq")
-    raises = _ADDING_AN_EDGE_RAISES[info.parameter] == adds
+    raises = PARAMETERS[info.parameter].adding_an_edge_raises == adds
     if (value > k) if raises else (value < k):
         return None
     if adds:
@@ -377,31 +359,26 @@ def fuzz_instance(
     """Fuzz one illegal (graph, k) instance; returns (records, breaches).
 
     Each order's stream is built once and replayed to every certificate.
-    Each certificate's verifier is built once and streams the first order.
-    One that rejected at init has read no item (the run contract in
-    ``verifiers``), so its verdict and peak are the record of every order;
-    a survivor gets a fresh ``run_verifier`` for each later order."""
+    Each certificate's verifier is built once. One that rejected at init has
+    read no item (the run contract in ``verifiers``), so its verdict and peak
+    are the record of every order; a survivor gets a ``run_verifier`` for
+    each order."""
     info = SCHEMES[scheme]
     records: list[TrialRecord] = []
     breaches: list[str] = []
     certs = _fuzz_certificates(info, entry, k, fuzz)
-    if not certs or not orders:
+    if not certs:
         return records, breaches
     streams = [(order, make_stream(entry.graph, k, order)) for order in orders]
-    first = streams[0][1]
     verifier_cls = SCHEME_VERIFIERS[scheme]
     for cert_id, cert in certs:
-        verifier = verifier_cls(first.n, first.k, cert)
-        survived_init = not verifier.rejected
-        verifier.feed(first.edges)
-        outcome = (
-            verifier.finalize(),
-            SpaceReport(verifier.peak_state_bits(), cert.semantic_bits),
-        )
-        for i, (order, stream) in enumerate(streams):
-            if i and survived_init:
-                outcome = run_verifier(scheme, stream, cert)
-            verdict, report = outcome
+        verifier = verifier_cls(entry.graph.n, k, cert)
+        if verifier.rejected:
+            dead = verifier.finalize(), SpaceReport(verifier.peak_state_bits(), cert.semantic_bits)
+            outcomes = [dead] * len(streams)
+        else:
+            outcomes = [run_verifier(scheme, stream, cert) for _, stream in streams]
+        for (order, _), (verdict, report) in zip(streams, outcomes):
             records.append(
                 TrialRecord(
                     scheme, entry.name, k, order, cert_id,

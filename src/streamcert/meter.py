@@ -62,6 +62,3 @@ class SpaceMeter:
     @property
     def peak_bits(self) -> int:
         return self._peak
-
-    def report(self, certificate_bits: int) -> SpaceReport:
-        return SpaceReport(self._peak, certificate_bits)

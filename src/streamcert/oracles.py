@@ -4,6 +4,12 @@ All solvers here are exhaustive or exact combinatorial algorithms, used to
 decide instance legality, to feed provers, and to check gadget equivalences.
 Exponential solvers carry explicit size cutoffs; callers (corpus builders,
 gadget sweeps) are expected to respect them.
+
+``PARAMETERS`` is the one table of the graph parameters a scheme can bound.
+Each name maps to its exact oracle and to whether adding an edge can only
+raise the value (removing one does the reverse). ``parameter_value``, the
+corpus values, the fuzzer's one-edge search and the ``oracle`` subcommand
+all read it, in its order.
 """
 
 from __future__ import annotations
@@ -11,13 +17,12 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from typing import Callable, NamedTuple
 
 from .graph import Graph
 
 TUTTE_BERGE_MAX_N = 20
 NP_ORACLE_MAX_N = 24
-
-INFINITE = math.inf
 
 
 class TooLarge(ValueError):
@@ -284,7 +289,7 @@ def oracle_diameter(g: Graph) -> int | float:
     for v in range(1, g.n + 1):
         dist = bfs_distances(adj, v)
         if len(dist) < g.n:
-            return INFINITE
+            return math.inf
         diameter = max(diameter, max(dist.values()))
     return diameter
 
@@ -448,31 +453,38 @@ def maximum_clique(g: Graph) -> list[int]:
     return maximum_independent_set(complement)
 
 
-def oracle_vc_is_clique(g: Graph) -> tuple[int, int, int]:
-    if g.n > NP_ORACLE_MAX_N:
-        raise TooLarge(g.n, NP_ORACLE_MAX_N)
-    vc = len(minimum_vertex_cover(g))
-    independent = len(maximum_independent_set(g))
-    clique = len(maximum_clique(g))
-    assert vc + independent == g.n, "cover/IS complementarity violated"
-    return vc, independent, clique
+def _np_oracle(search: Callable[[Graph], list[int]]) -> Callable[[Graph], int]:
+    """Size of the optimum set ``search`` finds, refused beyond NP_ORACLE_MAX_N."""
+
+    def oracle(g: Graph) -> int:
+        if g.n > NP_ORACLE_MAX_N:
+            raise TooLarge(g.n, NP_ORACLE_MAX_N)
+        return len(search(g))
+
+    return oracle
 
 
-# -- parameter dispatch ----------------------------------------------------------
+# -- the parameter table -----------------------------------------------------------
 
-PARAMETERS = ("matching", "degeneracy", "diameter", "chromatic", "vc", "is", "clique")
+class Parameter(NamedTuple):
+    oracle: Callable[[Graph], int | float]
+    #: adding an edge can only raise the value (matching, degeneracy, chi, tau
+    #: and omega grow with the edge set) or only lower it (alpha, diameter)
+    adding_an_edge_raises: bool
+
+
+PARAMETERS: dict[str, Parameter] = {
+    "matching": Parameter(oracle_max_matching, True),
+    "degeneracy": Parameter(oracle_degeneracy, True),
+    "diameter": Parameter(oracle_diameter, False),
+    "chromatic": Parameter(oracle_chromatic, True),
+    "vc": Parameter(_np_oracle(minimum_vertex_cover), True),
+    "is": Parameter(_np_oracle(maximum_independent_set), False),
+    "clique": Parameter(_np_oracle(maximum_clique), True),
+}
 
 
 def parameter_value(g: Graph, parameter: str) -> int | float:
-    if parameter == "matching":
-        return oracle_max_matching(g)
-    if parameter == "degeneracy":
-        return oracle_degeneracy(g)
-    if parameter == "diameter":
-        return oracle_diameter(g)
-    if parameter == "chromatic":
-        return oracle_chromatic(g)
-    if parameter in ("vc", "is", "clique"):
-        vc, independent, clique = oracle_vc_is_clique(g)
-        return {"vc": vc, "is": independent, "clique": clique}[parameter]
-    raise ValueError(f"unknown parameter {parameter!r}")
+    if parameter not in PARAMETERS:
+        raise ValueError(f"unknown parameter {parameter!r}")
+    return PARAMETERS[parameter].oracle(g)

@@ -1,14 +1,14 @@
 """Edge streams: a threshold header followed by a permutation of a graph's edges.
 
-Order specs (CLI grammar in parentheses):
-  as-given     ("given")        file / construction order
-  reversed     ("rev")          reverse of as-given
-  sorted-lex   ("lex")          lexicographic on normalized pairs
-  shuffled     ("shuffle:SEED") seeded Fisher-Yates over the whole sequence
-  interleave   ("split:IDX" or "split:IDX:SEED")
-               the first IDX as-given edges are streamed (shuffled among
-               themselves), then the rest: the two-party split where one
-               side's edges all arrive before the other's.
+Order specs:
+  given                 file / construction order
+  rev                   reverse of the given order
+  lex                   lexicographic on normalized pairs
+  shuffle:SEED          seeded Fisher-Yates over the whole sequence
+  split:IDX[:SEED]      the first IDX given edges are streamed (shuffled
+                        among themselves), then the rest: the two-party
+                        split where one side's edges all arrive before the
+                        other's.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ class OrderSpecError(ValueError):
 
 
 def _ordered_edges(g: Graph, spec: str) -> list[tuple[int, int]]:
-    if spec in ("given", "as-given"):
+    if spec == "given":
         return list(g.edges)
-    if spec in ("rev", "reversed"):
+    if spec == "rev":
         return list(reversed(g.edges))
-    if spec in ("lex", "sorted-lex"):
+    if spec == "lex":
         return sorted(g.edges)
     parts = spec.split(":")
-    if parts[0] in ("shuffle", "shuffled") and len(parts) == 2:
+    if parts[0] == "shuffle" and len(parts) == 2:
         try:
             seed = int(parts[1])
         except ValueError:
@@ -46,7 +46,7 @@ def _ordered_edges(g: Graph, spec: str) -> list[tuple[int, int]]:
         out = list(g.edges)
         random.Random(seed).shuffle(out)
         return out
-    if parts[0] in ("split", "interleave") and len(parts) in (2, 3):
+    if parts[0] == "split" and len(parts) in (2, 3):
         try:
             idx = int(parts[1])
             seed = int(parts[2]) if len(parts) == 3 else 0

@@ -155,7 +155,8 @@ class StreamingVerifier:
 
 class MMListVerifier(StreamingVerifier):
     """Accept iff the certificate is a matching of size exactly k and exactly
-    k streamed edges belong to it."""
+    k streamed edges belong to it. Sound: with each edge streamed once, the
+    k disjoint pairs are all edges, a k-edge matching, so nu >= k."""
 
     scheme = "mm_atleast_list"
 
@@ -181,7 +182,8 @@ class MMListVerifier(StreamingVerifier):
 
 class MMColoringVerifier(StreamingVerifier):
     """One flag bit per vertex; a vertex on two monochromatic edges rejects;
-    accept iff at least 2k flags end up set."""
+    accept iff at least 2k flags end up set. Sound: with no vertex on two
+    monochromatic edges, those edges are a matching of >= k edges."""
 
     scheme = "mm_atleast_coloring"
 
@@ -213,7 +215,9 @@ class MMColoringVerifier(StreamingVerifier):
 
 class MMAtMostVerifier(StreamingVerifier):
     """Spanning forest of the graph minus U via union-find; accept iff
-    2k >= |U| - odd(V \\ U) + n at the end of the stream.
+    2k >= |U| - odd(V \\ U) + n at the end of the stream. Sound: the forest
+    counts odd(V \\ U) exactly, and 2 nu <= |U| - odd(V \\ U) + n for every U
+    (Tutte-Berge).
 
     The forest only grows while the stream lasts, so its width is charged
     once, at the top of ``_finalize``, at its final size: the peak is the same
@@ -272,7 +276,8 @@ class MMAtMostVerifier(StreamingVerifier):
 class DegAtMostVerifier(StreamingVerifier):
     """Per-vertex counters saturating at k+1; each edge increments the
     endpoint earlier in the certified order; accept iff no counter
-    exceeds k."""
+    exceeds k. Sound: then every subgraph's earliest vertex in the certified
+    permutation has degree <= k in it, so the degeneracy is <= k."""
 
     scheme = "deg_atmost"
 
@@ -307,7 +312,8 @@ class DegAtMostVerifier(StreamingVerifier):
 
 class DegAtLeastVerifier(StreamingVerifier):
     """Counters (saturating at k) for the certified subset; both endpoints of
-    an internal edge are incremented; accept iff all reach k."""
+    an internal edge are incremented; accept iff all reach k. Sound: for
+    k >= 1 the subset is nonempty and induces minimum degree >= k."""
 
     scheme = "deg_atleast"
 
@@ -339,7 +345,9 @@ class DegAtLeastVerifier(StreamingVerifier):
 
 class DiamAtLeastVerifier(StreamingVerifier):
     """Distance labels: needs a 0 label and a label >= k up front; any edge
-    whose endpoint labels differ by more than 1 is a shortcut and rejects."""
+    whose endpoint labels differ by more than 1 is a shortcut and rejects.
+    Sound: labels then differ by at most d(u, v), so the nodes labelled 0 and
+    >= k are at distance >= k (or disconnected), and D >= k."""
 
     scheme = "diam_atleast"
 
@@ -357,7 +365,8 @@ class DiamAtLeastVerifier(StreamingVerifier):
 
 
 class ColoringAtMostVerifier(StreamingVerifier):
-    """Reject on any monochromatic edge (colors must lie in 1..k)."""
+    """Reject on any monochromatic edge (colors must lie in 1..k). Sound: an
+    accepted certificate is a proper k-coloring, so chi <= k."""
 
     scheme = "coloring_atmost"
 
@@ -387,7 +396,8 @@ class _NodeSetVerifier(StreamingVerifier):
 
 
 class ISAtLeastVerifier(_NodeSetVerifier):
-    """No streamed edge may land inside the certified independent set."""
+    """No streamed edge may land inside the certified independent set.
+    Sound: the k distinct nodes are then independent, so alpha >= k."""
 
     scheme = "is_atleast"
 
@@ -398,7 +408,8 @@ class ISAtLeastVerifier(_NodeSetVerifier):
 
 class CliqueAtLeastVerifier(_NodeSetVerifier):
     """Count streamed edges inside the certified set; accept iff the count is
-    k(k-1)/2."""
+    k(k-1)/2. Sound: k distinct nodes span at most that many distinct edges,
+    so every pair is an edge, and omega >= k."""
 
     scheme = "clique_atleast"
 
@@ -419,7 +430,8 @@ class CliqueAtLeastVerifier(_NodeSetVerifier):
 
 
 class VCAtMostVerifier(_NodeSetVerifier):
-    """Every streamed edge must touch the certified cover (size <= k)."""
+    """Every streamed edge must touch the certified cover (size <= k).
+    Sound: an accepted certificate is a vertex cover, so tau <= k."""
 
     scheme = "vc_atmost"
     exact_size = False
@@ -431,7 +443,8 @@ class VCAtMostVerifier(_NodeSetVerifier):
 
 class EqualityVerifier(StreamingVerifier):
     """Lemma-style combinator: run the <=k and >=k verifiers on one pass and
-    accept iff both accept. Peak space is the sum of the two runs."""
+    accept iff both accept. Peak space is the sum of the two runs. Sound:
+    each half is sound alone, so both accept only when the value is k."""
 
     #: the (<=k, >=k) verifier classes run side by side
     sub_verifiers: tuple[type[StreamingVerifier], type[StreamingVerifier]]

@@ -130,6 +130,16 @@ def test_fuzz_command(capsys):
     assert "breaches=0" in capsys.readouterr().out
 
 
+def test_fuzz_computes_only_the_schemes_parameter(capsys):
+    # matching is polynomial: n = 30 is past the exponential oracles' cutoff
+    rc = main([
+        "fuzz", "--scheme", "mm_atmost", "--graph", "P30", "--k", "13",
+        "--trials", "5",
+    ])
+    assert rc == 0
+    assert "breaches=0" in capsys.readouterr().out
+
+
 def test_fuzz_refuses_legal_instance(capsys):
     rc = main([
         "fuzz", "--scheme", "mm_atmost", "--graph", "K4", "--k", "2",
@@ -183,6 +193,8 @@ def test_reject_exit_code_with_transplanted_cert(tmp_path):
         ["gadget", "bitgadget_vc", "--n", "3"],
         ["gadget", "bitgadget_vc", "--n", "3", "--check", "sample"],
         ["gadget", "disj_matching", "--n", "3"],
+        ["prove", "--scheme", "mm_atmost", "--graph", "P4", "--k", "2",
+         "--out", "UNWRITABLE"],
     ],
 )
 def test_bad_input_exits_with_parse_error(argv, tmp_path, capsys):
@@ -190,7 +202,8 @@ def test_bad_input_exits_with_parse_error(argv, tmp_path, capsys):
     # surface as neither, nor as a traceback
     cert = tmp_path / "empty.cert"
     cert.write_bytes(b"")
-    argv = [str(cert) if arg == "CERT" else arg for arg in argv]
+    paths = {"CERT": str(cert), "UNWRITABLE": str(tmp_path / "missing-dir" / "x.cert")}
+    argv = [paths.get(arg, arg) for arg in argv]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error: ")
 

@@ -9,7 +9,6 @@ import math
 import pytest
 
 from streamcert.gadgets import (
-    BadLength,
     BadSizes,
     bitgadget_vc_family,
     check_gadget_equivalence,
@@ -69,7 +68,7 @@ def test_holzer_examples():
     assert oracle_diameter(gadget_holzer_diameter2(common, common, 4).graph) >= 3
     other = (0, 1, 0, 0, 0, 0)
     assert oracle_diameter(gadget_holzer_diameter2(common, other, 4).graph) == 2
-    with pytest.raises(BadLength):
+    with pytest.raises(BadSizes):
         gadget_holzer_diameter2((0,) * 5, (0,) * 5, 4)
 
 
@@ -82,7 +81,7 @@ def test_bitgadget_examples():
     mixed = gadget_bitgadget_vc((0, 0, 0, 0), (1, 1, 1, 1), 2)
     assert mixed.predicate_expected  # no common 1 position
     assert len(minimum_vertex_cover(mixed.graph)) >= 9
-    with pytest.raises(BadLength):
+    with pytest.raises(BadSizes):
         gadget_bitgadget_vc((1, 1), (1, 1), 3)  # not a power of two
 
 
@@ -247,7 +246,7 @@ def test_split_stream_matches_shuffled_verdict(family, inputs):
     for pair in [inputs, (inputs[1], inputs[0])]:
         try:
             inst = family.build(*pair)
-        except (BadSizes, BadLength):
+        except BadSizes:
             continue
         holds = family.two_party(*pair)
         for scheme, k, legal_when in family.applicable:

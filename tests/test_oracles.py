@@ -30,7 +30,7 @@ from streamcert.oracles import (
     oracle_diameter,
     oracle_max_matching,
     oracle_tutte_berge,
-    oracle_vc_is_clique,
+    parameter_value,
     peel_order,
 )
 
@@ -238,16 +238,20 @@ def test_chromatic_rejects_large():
 
 # -- vertex cover / independent set / clique -------------------------------------------------
 
+def vc_is_clique(g):
+    return tuple(parameter_value(g, p) for p in ("vc", "is", "clique"))
+
+
 def test_vc_is_clique_examples():
-    assert oracle_vc_is_clique(TRIANGLE) == (2, 1, 3)
-    assert oracle_vc_is_clique(path_graph(4)) == (2, 2, 2)
-    assert oracle_vc_is_clique(empty_graph(5)) == (0, 5, 1)
+    assert vc_is_clique(TRIANGLE) == (2, 1, 3)
+    assert vc_is_clique(path_graph(4)) == (2, 2, 2)
+    assert vc_is_clique(empty_graph(5)) == (0, 5, 1)
 
 
 @settings(max_examples=50, deadline=None)
 @given(small_graphs(max_n=6))
 def test_vc_matches_exhaustive_and_complementarity(g):
-    vc, independent, _ = oracle_vc_is_clique(g)
+    vc, independent, _ = vc_is_clique(g)
     assert vc == brute_min_vc(g)
     assert vc + independent == g.n
 
@@ -264,13 +268,19 @@ def test_witnesses_are_valid():
             (min(u, v), max(u, v)) in g.edge_set
             for u, v in itertools.combinations(clique, 2)
         )
-        vc, alpha, omega = oracle_vc_is_clique(g)
+        vc, alpha, omega = vc_is_clique(g)
         assert (len(cover), len(ind), len(clique)) == (vc, alpha, omega)
 
 
 def test_vc_is_clique_rejects_large():
-    with pytest.raises(TooLarge):
-        oracle_vc_is_clique(empty_graph(25))
+    for parameter in ("vc", "is", "clique"):
+        with pytest.raises(TooLarge, match="limited to n <= 24, got n = 25"):
+            parameter_value(empty_graph(25), parameter)
+
+
+def test_parameter_value_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown parameter 'girth'"):
+        parameter_value(TRIANGLE, "girth")
 
 
 def test_matching_agrees_with_tutte_berge_at_mid_sizes():
