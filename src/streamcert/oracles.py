@@ -50,6 +50,10 @@ def edmonds_search(adj, mate: list[int], roots, excluded=frozenset()) -> list[bo
     nodes of two trees closes an augmenting path that this search does not
     flip; it raises ValueError, since a caller that roots a tree at every
     exposed node has passed a matching that is not maximum.
+
+    A contraction relabels only the nodes of the blossoms it merges, and
+    queues the ones that turn outer in id order, so apart from three fresh
+    n-sized lists a search costs what its forest touches.
     """
     n = len(mate) - 1
     outer = [False] * (n + 1)
@@ -58,28 +62,31 @@ def edmonds_search(adj, mate: list[int], roots, excluded=frozenset()) -> list[bo
     for root in roots:
         outer[root] = True
     queue = deque(roots)
+    # the nodes of each contracted blossom, by base; a base not listed here
+    # is its node alone
+    members: dict[int, list[int]] = {}
 
     def lca(a: int, b: int) -> int:
         """Base of the blossom that edge ab closes; 0 if a, b are in two trees."""
-        seen = [False] * (n + 1)
+        seen = set()
         while True:
             a = base[a]
-            seen[a] = True
+            seen.add(a)
             if mate[a] == 0:
                 break
             a = parent[mate[a]]
         while True:
             b = base[b]
-            if seen[b]:
+            if b in seen:
                 return b
             if mate[b] == 0:
                 return 0
             b = parent[mate[b]]
 
-    def mark_blossom(x: int, anchor: int, child: int, blossom: list[bool]) -> None:
+    def mark_blossom(x: int, anchor: int, child: int, blossom: set[int]) -> None:
         while base[x] != anchor:
-            blossom[base[x]] = True
-            blossom[base[mate[x]]] = True
+            blossom.add(base[x])
+            blossom.add(base[mate[x]])
             parent[x] = child
             child = mate[x]
             x = parent[mate[x]]
@@ -93,15 +100,23 @@ def edmonds_search(adj, mate: list[int], roots, excluded=frozenset()) -> list[bo
                 anchor = lca(v, to)
                 if anchor == 0:
                     raise ValueError("matching is not maximum: two alternating trees meet")
-                blossom = [False] * (n + 1)
+                blossom: set[int] = set()
                 mark_blossom(v, anchor, to, blossom)
                 mark_blossom(to, anchor, v, blossom)
-                for i in range(1, n + 1):
-                    if blossom[base[i]]:
+                # the anchor's own nodes keep their base and are outer already
+                blossom.discard(anchor)
+                merged = members.setdefault(anchor, [anchor])
+                newly_outer = []
+                for b in blossom:
+                    for i in members.pop(b, (b,)):
                         base[i] = anchor
+                        merged.append(i)
                         if not outer[i]:
                             outer[i] = True
-                            queue.append(i)
+                            newly_outer.append(i)
+                # in id order, as a scan of every node would queue them
+                newly_outer.sort()
+                queue.extend(newly_outer)
             elif parent[to] == 0:
                 parent[to] = v
                 if mate[to] == 0:

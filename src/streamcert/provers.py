@@ -11,6 +11,9 @@ byte-reproducible across runs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import islice
+
 from .certs import (
     CertificateBlob,
     encode_coloring,
@@ -56,8 +59,9 @@ def _maximum_mate_list(g: Graph) -> tuple[list[int], int]:
     return mate, len(matching) // 2
 
 
-def lex_min_maximum_matching(g: Graph) -> list[tuple[int, int]]:
-    """The lexicographically smallest maximum matching (as a sorted edge list).
+def _lex_min_greedy(g: Graph, mate: list[int], nu: int) -> Iterator[tuple[int, int]]:
+    """The edges of the lexicographically smallest maximum matching, in lex
+    order, grown from ``mate``, a maximum matching of size ``nu`` (consumed).
 
     Greedy over edges in lex order, keeping an edge iff the partial choice
     still extends to a maximum matching of the whole graph. Throughout, M is a
@@ -68,15 +72,15 @@ def lex_min_maximum_matching(g: Graph) -> list[tuple[int, int]]:
     other exposed node was exposed under M, and a path between two of them
     would augment M, so uv extends iff a search from u' or from v' in
     G - used - u - v augments. Either way, the matching left over is maximum
-    in G - used - u - v and serves as the next M.
+    in G - used - u - v and serves as the next M. Each edge is yielded as it
+    is kept, so a caller that needs only the first k stops the greedy there.
     """
-    mate, target = _maximum_mate_list(g)
     adj = g.adjacency()
-    chosen: list[tuple[int, int]] = []
+    chosen = 0
     used: set[int] = set()
     for u, v in sorted(g.edge_set):
-        if len(chosen) == target:
-            break
+        if chosen == nu:
+            return
         if u in used or v in used:
             continue
         mu, mv = mate[u], mate[v]
@@ -88,18 +92,25 @@ def lex_min_maximum_matching(g: Graph) -> list[tuple[int, int]]:
             or edmonds_search(adj, mate, (mu,), used) is None
             or edmonds_search(adj, mate, (mv,), used) is None
         ):
-            chosen.append((u, v))
+            chosen += 1
+            yield u, v
         else:  # uv does not extend: restore M
             used.difference_update((u, v))
             mate[u], mate[mu], mate[v], mate[mv] = mu, u, mv, v
-    return chosen
+
+
+def lex_min_maximum_matching(g: Graph) -> list[tuple[int, int]]:
+    """The lexicographically smallest maximum matching (as a sorted edge list)."""
+    return list(_lex_min_greedy(g, *_maximum_mate_list(g)))
 
 
 def prove_mm_atleast_list(g: Graph, k: int) -> CertificateBlob:
-    matching = lex_min_maximum_matching(g)
-    if len(matching) < k:
+    """The first k edges of the lex-min maximum matching: the greedy stops
+    once it has kept them."""
+    mate, nu = _maximum_mate_list(g)
+    if nu < k:
         raise NotCertifiable(f"maximum matching below {k}")
-    return encode_mm_list(matching[:k], g.n)
+    return encode_mm_list(list(islice(_lex_min_greedy(g, mate, nu), k)), g.n)
 
 
 def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:

@@ -4,11 +4,12 @@ Order specs:
   given                 file / construction order
   rev                   reverse of the given order
   lex                   lexicographic on normalized pairs
-  shuffle:SEED          seeded Fisher-Yates over the whole sequence
+  shuffle:SEED          the Fisher-Yates permutation of the given order
+                        that CPython's ``random.Random(SEED).shuffle`` gives
   split:IDX[:SEED]      the first IDX given edges are streamed (shuffled
-                        among themselves), then the rest: the two-party
-                        split where one side's edges all arrive before the
-                        other's.
+                        among themselves), then the rest (shuffled too, by
+                        the same generator): the two-party split where one
+                        side's edges all arrive before the other's.
 """
 
 from __future__ import annotations
@@ -30,6 +31,26 @@ class OrderSpecError(ValueError):
     pass
 
 
+def _shuffle(items: list, rng: random.Random) -> None:
+    """Shuffle ``items`` in place into the permutation ``rng.shuffle(items)``
+    gives, drawing the same ``rng.getrandbits`` sequence as CPython's
+    ``Random.shuffle``: for i = len - 1 down to 1 it swaps items[i] with
+    items[j], j drawn as ``getrandbits((i + 1).bit_length())`` and redrawn
+    while j > i. The walk goes down in bands of i where that bit length is
+    constant, so it is computed once per band, not once per item."""
+    getrandbits = rng.getrandbits
+    top = len(items) - 1
+    while top > 0:
+        bits = (top + 1).bit_length()
+        bottom = max((1 << (bits - 1)) - 1, 1)
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            items[i], items[j] = items[j], items[i]
+        top = bottom - 1
+
+
 def _ordered_edges(g: Graph, spec: str) -> list[tuple[int, int]]:
     if spec == "given":
         return list(g.edges)
@@ -44,7 +65,7 @@ def _ordered_edges(g: Graph, spec: str) -> list[tuple[int, int]]:
         except ValueError:
             raise OrderSpecError(f"bad shuffle seed in {spec!r}") from None
         out = list(g.edges)
-        random.Random(seed).shuffle(out)
+        _shuffle(out, random.Random(seed))
         return out
     if parts[0] == "split" and len(parts) in (2, 3):
         try:
@@ -56,8 +77,8 @@ def _ordered_edges(g: Graph, spec: str) -> list[tuple[int, int]]:
             raise OrderSpecError(f"split point {idx} outside 0..{g.m}")
         rng = random.Random(seed)
         first, second = list(g.edges[:idx]), list(g.edges[idx:])
-        rng.shuffle(first)
-        rng.shuffle(second)
+        _shuffle(first, rng)
+        _shuffle(second, rng)
         return first + second
     raise OrderSpecError(f"unknown order spec {spec!r}")
 

@@ -1,16 +1,18 @@
 """Space-metered one-pass streaming verifiers, one per scheme.
 
 Shared run contract: the constructor validates certificate decodability and
-may set a sticky reject; ``feed``, the only way to push stream items,
-consumes them in order and stops at the first reject, so ``run_verifier``
-streams nothing to a verifier that rejected at init; ``finalize`` returns
-the Verdict, the same one on every call. Rejection is sticky, so the items a
-rejected verifier skips cannot change its verdict. A verifier that rejects at
-init has read no item, so its verdict and peak depend on the certificate, n
-and k alone, never on the stream or its order. The certificate
-is random-access read-only memory and is never charged to the meter;
-decoded views of it held by the Python object are caches over that
-read-only memory, not verifier state.
+may set a sticky reject; ``feed``, the only way to push stream items, hands
+them to the class's ``_consume``, one loop over the items that returns at
+the first reject, and passes nothing when the verifier rejected at init, so
+``run_verifier`` streams nothing to such a verifier; ``feed`` may be called
+again with the items that follow, since each ``_consume`` writes its state
+back; ``finalize`` returns the Verdict, the same one on every call.
+Rejection is sticky, so the items a rejected verifier skips cannot change
+its verdict. A verifier that rejects at init has read no item, so its
+verdict and peak depend on the certificate, n and k alone, never on the
+stream or its order. The certificate is random-access read-only memory and
+is never charged to the meter; decoded views of it held by the Python
+object are caches over that read-only memory, not verifier state.
 
 Stream promise: the items are the edges of a simple graph on 1..n, each
 exactly once, with no self-loops. The verifiers do not check it, and a
@@ -31,8 +33,10 @@ registers, gives the closed-form ceiling its peak must stay under.
 
 A new scheme touches four places, one per layer:
   1. ``certs.CODECS``: its tag byte and decoder (plus an ``encode_*``);
-  2. ``SCHEME_VERIFIERS`` here: its verifier class, with ``space_bound``
-     overridden when the scheme registers more than the shared allowance;
+  2. ``SCHEME_VERIFIERS`` here: its verifier class (``_setup`` from the
+     decoded certificate, the ``_consume`` edge loop, ``_finalize``), with
+     ``space_bound`` overridden when the scheme registers more than the
+     shared allowance;
   3. ``schemes.SCHEMES``: its parameter, direction and prover;
   4. ``harness._scaling_instance``: its closed-form scaling family, and
      ``harness.SCALING_MIN_N``: the family's smallest legal n.
@@ -109,7 +113,10 @@ class StreamingVerifier:
     def _setup(self, decoded) -> None:
         raise NotImplementedError
 
-    def _on_edge(self, u: int, v: int) -> None:
+    def _consume(self, edges) -> None:
+        """The edge loop: read ``edges`` in order, with the state held in
+        locals and written back at the end, and return at the first reject,
+        so no item after it is read."""
         raise NotImplementedError
 
     def _finalize(self) -> Verdict:
@@ -126,13 +133,8 @@ class StreamingVerifier:
 
     def feed(self, edges) -> None:
         """Consume stream items in order, up to the first reject."""
-        if self._reject_reason is not None:
-            return
-        on_edge = self._on_edge
-        for u, v in edges:
-            on_edge(u, v)
-            if self._reject_reason is not None:
-                return
+        if self._reject_reason is None:
+            self._consume(edges)
 
     def finalize(self) -> Verdict:
         if self._verdict is None:
@@ -166,13 +168,18 @@ class MMListVerifier(StreamingVerifier):
         endpoints = [x for e in edges for x in e]
         if len(set(endpoints)) != 2 * self.k:
             return self.reject(R_NOT_MATCHING)
-        self._cert_edges = frozenset(tuple(sorted(e)) for e in edges)
+        # both orientations, so a streamed pair is looked up as it comes
+        self._cert_edges = frozenset(e for u, v in edges for e in ((u, v), (v, u)))
         self.meter.register("matched_counter", ceil_log2(self.k + 1))
         self._count = 0
 
-    def _on_edge(self, u: int, v: int) -> None:
-        if ((u, v) if u < v else (v, u)) in self._cert_edges:
-            self._count += 1
+    def _consume(self, edges) -> None:
+        cert_edges = self._cert_edges
+        count = self._count
+        for u, v in edges:
+            if (u, v) in cert_edges:
+                count += 1
+        self._count = count
 
     def _finalize(self) -> Verdict:
         if self._count != self.k:
@@ -194,14 +201,16 @@ class MMColoringVerifier(StreamingVerifier):
         self._flag = bytearray(self.n + 1)
         self._set_count = 0
 
-    def _on_edge(self, u: int, v: int) -> None:
-        colors = self._colors
-        if colors[u] == colors[v]:
-            flag = self._flag
-            if flag[u] or flag[v]:
-                return self.reject(R_FLAG_CONFLICT)
-            flag[u] = flag[v] = 1
-            self._set_count += 2
+    def _consume(self, edges) -> None:
+        colors, flag = self._colors, self._flag
+        set_count = self._set_count
+        for u, v in edges:
+            if colors[u] == colors[v]:
+                if flag[u] or flag[v]:
+                    return self.reject(R_FLAG_CONFLICT)
+                flag[u] = flag[v] = 1
+                set_count += 2
+        self._set_count = set_count
 
     def _finalize(self) -> Verdict:
         if self._set_count < 2 * self.k:
@@ -243,13 +252,22 @@ class MMAtMostVerifier(StreamingVerifier):
             parent[v], v = root, parent[v]
         return root
 
-    def _on_edge(self, u: int, v: int) -> None:
-        if u in self._u_set or v in self._u_set:
-            return
-        ru, rv = self._find(u), self._find(v)
-        if ru != rv:
-            self._parent[ru] = rv
-            self._forest_size += 1
+    def _consume(self, edges) -> None:
+        # ``_find`` inlined with path halving: it reaches the same roots, so
+        # every union, and so the forest and its components, are the same
+        u_set, parent = self._u_set, self._parent
+        forest_size = self._forest_size
+        for u, v in edges:
+            if u in u_set or v in u_set:
+                continue
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                forest_size += 1
+        self._forest_size = forest_size
 
     def _finalize(self) -> Verdict:
         self.meter.resize("forest_edges", 2 * self._forest_size * self._id_width)
@@ -295,10 +313,12 @@ class DegAtMostVerifier(StreamingVerifier):
         self.meter.register("counters", n * ceil_log2(self.k + 2))
         self._count = [0] * (n + 1)
 
-    def _on_edge(self, u: int, v: int) -> None:
-        w = u if self._pi[u] < self._pi[v] else v
-        if self._count[w] <= self.k:
-            self._count[w] += 1
+    def _consume(self, edges) -> None:
+        pi, count, k = self._pi, self._count, self.k
+        for u, v in edges:
+            w = u if pi[u] < pi[v] else v
+            if count[w] <= k:
+                count[w] += 1
 
     def _finalize(self) -> Verdict:
         if any(c > self.k for c in self._count):
@@ -324,14 +344,14 @@ class DegAtLeastVerifier(StreamingVerifier):
         self.meter.register("counters", len(members) * ceil_log2(self.k + 1))
         self._count = {v: 0 for v in members}
 
-    def _on_edge(self, u: int, v: int) -> None:
-        count = self._count
-        if u in count and v in count:
-            k = self.k
-            if count[u] < k:
-                count[u] += 1
-            if count[v] < k:
-                count[v] += 1
+    def _consume(self, edges) -> None:
+        count, k = self._count, self.k
+        for u, v in edges:
+            if u in count and v in count:
+                if count[u] < k:
+                    count[u] += 1
+                if count[v] < k:
+                    count[v] += 1
 
     def _finalize(self) -> Verdict:
         if any(c < self.k for c in self._count.values()):
@@ -357,11 +377,12 @@ class DiamAtLeastVerifier(StreamingVerifier):
             return self.reject(R_NO_ANCHOR)
         self._labels = labels
 
-    def _on_edge(self, u: int, v: int) -> None:
+    def _consume(self, edges) -> None:
         labels = self._labels
-        diff = labels[u] - labels[v]
-        if diff > 1 or diff < -1:
-            self.reject(R_SHORTCUT)
+        for u, v in edges:
+            diff = labels[u] - labels[v]
+            if diff > 1 or diff < -1:
+                return self.reject(R_SHORTCUT)
 
 
 class ColoringAtMostVerifier(StreamingVerifier):
@@ -376,9 +397,11 @@ class ColoringAtMostVerifier(StreamingVerifier):
                 return self.reject(R_COLOR_RANGE)
         self._colors = colors
 
-    def _on_edge(self, u: int, v: int) -> None:
-        if self._colors[u] == self._colors[v]:
-            self.reject(R_MONO_EDGE)
+    def _consume(self, edges) -> None:
+        colors = self._colors
+        for u, v in edges:
+            if colors[u] == colors[v]:
+                return self.reject(R_MONO_EDGE)
 
 
 class _NodeSetVerifier(StreamingVerifier):
@@ -401,9 +424,11 @@ class ISAtLeastVerifier(_NodeSetVerifier):
 
     scheme = "is_atleast"
 
-    def _on_edge(self, u: int, v: int) -> None:
-        if u in self._members and v in self._members:
-            self.reject(R_EDGE_IN_SET)
+    def _consume(self, edges) -> None:
+        members = self._members
+        for u, v in edges:
+            if u in members and v in members:
+                return self.reject(R_EDGE_IN_SET)
 
 
 class CliqueAtLeastVerifier(_NodeSetVerifier):
@@ -419,9 +444,13 @@ class CliqueAtLeastVerifier(_NodeSetVerifier):
             self.meter.register("pair_counter", 2 * ceil_log2(self.n + 1))
             self._count = 0
 
-    def _on_edge(self, u: int, v: int) -> None:
-        if u in self._members and v in self._members:
-            self._count += 1
+    def _consume(self, edges) -> None:
+        members = self._members
+        count = self._count
+        for u, v in edges:
+            if u in members and v in members:
+                count += 1
+        self._count = count
 
     def _finalize(self) -> Verdict:
         if self._count != self.k * (self.k - 1) // 2:
@@ -436,9 +465,11 @@ class VCAtMostVerifier(_NodeSetVerifier):
     scheme = "vc_atmost"
     exact_size = False
 
-    def _on_edge(self, u: int, v: int) -> None:
-        if u not in self._members and v not in self._members:
-            self.reject(R_UNCOVERED)
+    def _consume(self, edges) -> None:
+        members = self._members
+        for u, v in edges:
+            if u not in members and v not in members:
+                return self.reject(R_UNCOVERED)
 
 
 class EqualityVerifier(StreamingVerifier):
@@ -455,13 +486,17 @@ class EqualityVerifier(StreamingVerifier):
         self._le = le_cls(self.n, self.k, le_blob)
         self._ge = ge_cls(self.n, self.k, ge_blob)
 
-    def _on_edge(self, u: int, v: int) -> None:
-        # each half keeps its own sticky reject: step it only until then
-        le, ge = self._le, self._ge
-        if le._reject_reason is None:
-            le._on_edge(u, v)
-        if ge._reject_reason is None:
-            ge._on_edge(u, v)
+    def _consume(self, edges) -> None:
+        """Feed ``le`` the items, then ``ge`` the same items. This gives the
+        verdicts and peaks of the one lockstep pass: the two halves share no
+        state, so neither sees how its reads interleave with the other's;
+        and this verifier can reject only at init, so past init it reads the
+        whole stream, and each half gets every item up to its own reject.
+        A one-shot iterable is read once, into a tuple both halves share."""
+        if not isinstance(edges, (tuple, list)):
+            edges = tuple(edges)
+        self._le.feed(edges)
+        self._ge.feed(edges)
 
     def _finalize(self) -> Verdict:
         le = self._le.finalize()

@@ -73,6 +73,38 @@ def test_stream_shuffle_deterministic():
     assert a == b
 
 
+def test_shuffle_gives_the_permutation_of_random_shuffle():
+    import random
+
+    from streamcert.stream import _shuffle
+
+    for length in [*range(301), 16384]:
+        for seed in (0, 1, 7, 2**31 + 5):
+            expected, items = list(range(length)), list(range(length))
+            reference, rng = random.Random(seed), random.Random(seed)
+            reference.shuffle(expected)
+            _shuffle(items, rng)
+            assert items == expected, (length, seed)
+            # the same draws were made, so the generators stay in step
+            assert rng.getrandbits(64) == reference.getrandbits(64), (length, seed)
+
+
+def test_split_order_shuffles_both_sides_as_random_shuffle_does():
+    import random
+
+    g = gnp_random_graph(30, 0.3, 4)
+    for idx in (0, 1, 17, g.m // 2, g.m):
+        for seed in (0, 3, 99):
+            rng = random.Random(seed)
+            first, second = list(g.edges[:idx]), list(g.edges[idx:])
+            rng.shuffle(first)
+            rng.shuffle(second)
+            assert make_stream(g, 1, f"split:{idx}:{seed}").edges == tuple(first + second)
+    reference = list(g.edges)
+    random.Random(0).shuffle(reference)
+    assert make_stream(g, 1, "split:0").edges == tuple(reference)
+
+
 def test_stream_split_keeps_sides_separate():
     g = path_graph(6)
     s = make_stream(g, 2, "split:3:5")

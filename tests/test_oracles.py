@@ -288,3 +288,68 @@ def test_matching_agrees_with_tutte_berge_at_mid_sizes():
     for seed in range(12):
         g = gnp_random_graph(14 + seed % 3, 0.25, seed)
         assert oracle_tutte_berge(g)[0] == oracle_max_matching(g)
+
+
+def _edmonds_search_calls():
+    """Seeded ``(adj, mate, roots, excluded)`` inputs of two kinds. First, a
+    random matching (often not maximum, so some searches augment and some
+    raise), roots drawn from its exposed nodes and excluded nodes drawn from
+    the rest. Second, on sparse graphs, a maximum matching with at most one
+    edge dropped, searched from one exposed node or all of them: the search
+    then grows blossoms before it augments or stops, and the order in which
+    a blossom queues its new outer nodes can show in the path it flips."""
+    import random
+
+    rng = random.Random(2024)
+    for call in range(2400):
+        n = rng.randrange(1, 41)
+        g = gnp_random_graph(n, rng.choice((0.05, 0.1, 0.2, 0.4, 0.7)), call)
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        keep = rng.random()
+        mate = [0] * (n + 1)
+        for u, v in edges:
+            if mate[u] == 0 and mate[v] == 0 and rng.random() < keep:
+                mate[u], mate[v] = v, u
+        exposed = [v for v in range(1, n + 1) if mate[v] == 0]
+        roots = rng.sample(exposed, rng.randrange(len(exposed) + 1)) if exposed else []
+        if exposed and rng.random() < 0.3:
+            roots = exposed  # a whole forest, as the Gallai-Edmonds witness grows
+        others = [v for v in range(1, n + 1) if v not in roots]
+        excluded = set(rng.sample(others, rng.randrange(len(others) + 1) // 3))
+        yield g.adjacency(), mate, roots, excluded
+    for call in range(3000):
+        n = rng.randrange(20, 60)
+        g = gnp_random_graph(n, rng.choice((0.05, 0.1)), call)
+        mate = [0] * (n + 1)
+        for v, w in maximum_matching(g).items():
+            mate[v] = w
+        matched = [v for v in range(1, n + 1) if mate[v] > v]
+        if matched and rng.random() < 0.7:
+            u = rng.choice(matched)
+            w = mate[u]
+            mate[u] = mate[w] = 0
+        exposed = [v for v in range(1, n + 1) if mate[v] == 0]
+        roots = [rng.choice(exposed)] if exposed and rng.random() < 0.7 else exposed
+        yield g.adjacency(), mate, roots, set()
+
+
+#: sha256 over each call's mate list after the search and its outcome (the
+#: outer marks, None, or the ValueError text), recorded with the search that
+#: relabels all n nodes per blossom
+PINNED_EDMONDS_SEARCH_SHA256 = "f906c57e94c6559be980394adb3c3471519bde53c98b0e908a4e1a2ce182e191"
+
+
+def test_edmonds_search_outcomes_pinned():
+    import hashlib
+
+    from streamcert.oracles import edmonds_search
+
+    digest = hashlib.sha256()
+    for adj, mate, roots, excluded in _edmonds_search_calls():
+        try:
+            outcome = edmonds_search(adj, mate, roots, excluded)
+        except ValueError as exc:
+            outcome = str(exc)
+        digest.update(f"{mate} {outcome}\n".encode())
+    assert digest.hexdigest() == PINNED_EDMONDS_SEARCH_SHA256

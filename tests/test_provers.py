@@ -77,6 +77,18 @@ def test_mm_list_truncates():
     assert decode_blob(cert, "mm_atleast_list", 8, 2) == ((1, 2), (3, 4))
 
 
+def test_mm_list_is_the_lex_min_prefix_at_every_k():
+    from streamcert.certs import encode_mm_list
+
+    for seed in range(40):
+        g = gnp_random_graph(4 + seed % 30, (0.1, 0.25, 0.5)[seed % 3], seed)
+        full = lex_min_maximum_matching(g)
+        for k in range(len(full) + 1):
+            assert prove_mm_atleast_list(g, k) == encode_mm_list(full[:k], g.n), (seed, k)
+        with pytest.raises(NotCertifiable):
+            prove_mm_atleast_list(g, len(full) + 1)
+
+
 # -- matching coloring --------------------------------------------------------------
 
 def _coloring_cert_stats(g, k):

@@ -404,6 +404,63 @@ def test_feed_streams_nothing_after_a_reject():
     assert verifier.finalize().reason == "monochromatic-edge"
 
 
+#: per scheme that can reject mid-stream: (n, k, certificate, first item,
+#: the item that rejects, the reason)
+MID_STREAM_REJECTS = {
+    "mm_atleast_coloring": (
+        4, 1, encode_mm_coloring({1: 1, 2: 1, 3: 1, 4: 2}, 2, 4),
+        (1, 2), (2, 3), "flag-conflict",
+    ),
+    "diam_atleast": (
+        4, 2, encode_distance_labels({1: 0, 2: 1, 3: 2, 4: 2}, 4, 2),
+        (1, 2), (1, 3), "shortcut",
+    ),
+    "is_atleast": (4, 2, encode_node_set("is_atleast", [1, 2], 4), (3, 4), (1, 2), "edge-inside-set"),
+    "vc_atmost": (4, 1, encode_node_set("vc_atmost", [1], 4), (1, 2), (3, 4), "uncovered-edge"),
+}
+
+
+@pytest.mark.parametrize("scheme", list(MID_STREAM_REJECTS))
+def test_feed_stops_reading_at_a_mid_stream_reject(scheme):
+    n, k, cert, first, bad, reason = MID_STREAM_REJECTS[scheme]
+
+    def stream():
+        yield first
+        yield bad
+        raise AssertionError("stream item read after a reject")
+
+    verifier = SCHEME_VERIFIERS[scheme](n, k, cert)
+    verifier.feed(stream())
+    assert verifier.finalize().reason == reason
+
+
+@pytest.mark.parametrize("scheme", list(SCHEME_VERIFIERS))
+def test_feed_can_be_split(scheme):
+    """One ``feed`` call, two calls on a split of the items, and one call on
+    a generator give the same verdict and peak: each edge loop writes its
+    state back, and the equality combinator reads a one-shot input once."""
+    from streamcert.harness import _scaling_instance
+
+    g, k, cert, _ = _scaling_instance(scheme, 64)
+    edges = make_stream(g, k, "shuffle:3").edges
+    for threshold in (k - 1, k, k + 1):
+        if threshold < 0:
+            continue
+
+        def run(*parts):
+            verifier = SCHEME_VERIFIERS[scheme](g.n, threshold, cert)
+            for part in parts:
+                verifier.feed(part)
+            return verifier.finalize(), verifier.peak_state_bits()
+
+        whole = run(edges)
+        if threshold == k:
+            assert whole[0].accepted
+        for i in (0, 1, len(edges) // 3, len(edges) // 2, len(edges) - 1, len(edges)):
+            assert run(edges[:i], edges[i:]) == whole, (threshold, i)
+        assert run(e for e in edges) == whole, threshold
+
+
 @pytest.mark.parametrize("scheme", list(SCHEME_VERIFIERS))
 def test_finalize_is_idempotent(scheme):
     from streamcert.harness import _scaling_instance
