@@ -29,7 +29,6 @@ from .graph import (
     parse_graph_file,
     path_graph,
     star_graph,
-    validate_graph,
 )
 from .provers import NotCertifiable
 from .schemes import SCHEMES
@@ -104,8 +103,6 @@ def _load_graph(
 
 
 def _cmd_prove(args) -> int:
-    if args.scheme not in SCHEMES:
-        raise CliError(f"unknown scheme {args.scheme!r}")
     g, k = _load_graph(args.graph, args.k)
     try:
         cert = SCHEMES[args.scheme].prover(g, k)
@@ -121,8 +118,6 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.scheme not in SCHEMES:
-        raise CliError(f"unknown scheme {args.scheme!r}")
     g, k = _load_graph(args.graph, args.k)
     try:
         cert = deserialize_certificate(Path(args.cert).read_bytes())
@@ -140,14 +135,14 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     # the threshold is irrelevant to oracles; builtins default it to 0
     g, _ = _load_graph(args.graph, args.k, builtin_default_k=0)
-    validate_graph(g)
-    params = oracles.PARAMETERS if args.parameter == "all" else (args.parameter,)
     if args.parameter == "tutte_berge":
         value, witness = oracles.oracle_tutte_berge(g)
         print(f"tutte_berge={value} witness={sorted(witness)}")
         return EXIT_ACCEPT
-    for p in params:
-        print(f"{p}={oracles.parameter_value(g, p)}")
+    params = oracles.PARAMETERS if args.parameter == "all" else (args.parameter,)
+    # every value before any line, so a refused oracle leaves stdout empty
+    lines = [f"{p}={oracles.parameter_value(g, p)}" for p in params]
+    print("\n".join(lines))
     return EXIT_ACCEPT
 
 
@@ -160,8 +155,6 @@ _GADGET_NAMES = {
 
 
 def _cmd_gadget(args) -> int:
-    if args.name not in _GADGET_NAMES:
-        raise CliError(f"unknown gadget {args.name!r}")
     canonical = _GADGET_NAMES[args.name]
     row = gadgets.FAMILY_BUILDERS[canonical]
     param = getattr(args, row.size_flag)
@@ -183,12 +176,9 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    if args.scheme not in SCHEMES:
-        raise CliError(f"unknown scheme {args.scheme!r}")
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
     g, k = _load_graph(args.graph, args.k)
-    validate_graph(g)
     info = SCHEMES[args.scheme]
     value = oracles.parameter_value(g, info.parameter)
     entry = harness.CorpusEntry("cli-instance", g, {info.parameter: value})
@@ -197,9 +187,7 @@ def _cmd_fuzz(args) -> int:
             f"instance is legal for {args.scheme} at k={k}; "
             "soundness fuzzing needs an illegal instance"
         )
-    modes = ("random_bytes", "bit_flip", "structured_wrong")
-    if args.mode != "all":
-        modes = (args.mode,)
+    modes = harness.FUZZ_MODES if args.mode == "all" else (args.mode,)
     breaches: list[str] = []
     total = 0
     for mode in modes:
@@ -214,8 +202,6 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_scale(args) -> int:
-    if args.scheme not in SCHEMES:
-        raise CliError(f"unknown scheme {args.scheme!r}")
     try:
         sizes = [int(tok) for tok in args.sizes.split(",")]
     except ValueError:
@@ -241,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prove", help="write a certificate for a legal instance")
-    p.add_argument("--scheme", required=True)
+    p.add_argument("--scheme", required=True, choices=SCHEMES)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(run=_cmd_prove)
 
     p = sub.add_parser("verify", help="verify a certificate against a stream")
-    p.add_argument("--scheme", required=True)
+    p.add_argument("--scheme", required=True, choices=SCHEMES)
     p.add_argument("--graph", required=True)
     p.add_argument("--cert", required=True)
     p.add_argument("--k", type=int, default=None)
@@ -262,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_oracle)
 
     p = sub.add_parser("gadget", help="sweep a lower-bound gadget family")
-    p.add_argument("name")
+    p.add_argument("name", choices=_GADGET_NAMES)
     for flag in sorted({row.size_flag for row in gadgets.FAMILY_BUILDERS.values()}):
         p.add_argument(f"--{flag}", type=int, default=None)
     p.add_argument("--check", choices=("exhaustive", "sample"), default="exhaustive")
@@ -271,20 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_gadget)
 
     p = sub.add_parser("fuzz", help="fuzz certificates against an illegal instance")
-    p.add_argument("--scheme", required=True)
+    p.add_argument("--scheme", required=True, choices=SCHEMES)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--mode",
-        choices=("random_bytes", "bit_flip", "structured_wrong", "all"),
-        default="all",
-    )
+    p.add_argument("--mode", choices=(*harness.FUZZ_MODES, "all"), default="all")
     p.set_defaults(run=_cmd_fuzz)
 
     p = sub.add_parser("scale", help="measure verifier space against its bound")
-    p.add_argument("--scheme", required=True)
+    p.add_argument("--scheme", required=True, choices=SCHEMES)
     p.add_argument("--sizes", default="256,1024,4096,16384")
     p.set_defaults(run=_cmd_scale)
 

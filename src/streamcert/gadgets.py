@@ -26,7 +26,6 @@ from typing import Callable, Iterable, NamedTuple
 
 from .graph import Graph, validate_graph
 from .oracles import (
-    NP_ORACLE_MAX_N,
     TooLarge,
     k_coloring,
     oracle_degeneracy,
@@ -74,8 +73,6 @@ def _assemble(
     fixed, alice, bob = _norm_edges(fixed), _norm_edges(alice), _norm_edges(bob)
     graph = Graph(n, fixed + alice + bob)
     validate_graph(graph)
-    if len(graph.edge_set) != len(graph.edges):
-        raise AssertionError(f"{family}: edge groups overlap")
     return GadgetInstance(family, graph, fixed, alice, bob, x, y, expected)
 
 
@@ -161,9 +158,6 @@ class GadgetFamily:
     #: instance (graph, threshold) is legal exactly when two_party(...) is
     #: legal_when, used by split-order replay tests.
     applicable: tuple[tuple[str, int, bool], ...] = field(default=())
-    #: node-count ceiling for evaluating ``predicate`` with the exact oracles;
-    #: None when the predicate is polynomial and unbounded
-    oracle_node_limit: int | None = None
 
     @property
     def render(self) -> Callable[[object], str]:
@@ -445,7 +439,6 @@ def bitgadget_vc_family(width: int) -> GadgetFamily:
         predicate=lambda g: vertex_cover_at_most(g, cover_bound) is None,
         domain=bit_vectors(width * width),
         applicable=(("vc_atmost", cover_bound, False),),
-        oracle_node_limit=NP_ORACLE_MAX_N,
     )
 
 
@@ -507,7 +500,6 @@ def perm_coloring_family(r: int) -> GadgetFamily:
         predicate=lambda g: k_coloring(g, r) is not None,
         domain=permutations(r),
         applicable=(("coloring_atmost", r, True),),
-        oracle_node_limit=NP_ORACLE_MAX_N,
     )
 
 
@@ -587,15 +579,9 @@ def check_gadget_equivalence(
     else:
         raise ValueError(f"unknown instance space {instance_space!r}")
 
-    limit = family.oracle_node_limit
     records = []
     for x, y in inputs:
         instance = family.build(x, y)
-        if limit is not None and instance.graph.n > limit:
-            raise TooLarge(
-                instance.graph.n, limit,
-                f"{family.name}: {instance.graph.n} nodes exceed oracle cutoff {limit}",
-            )
         records.append(
             EquivalenceRecord(
                 family.render(x),

@@ -258,9 +258,13 @@ def run_completeness(
 
 # -- soundness --------------------------------------------------------------------
 
+#: the certificate mutators ``FuzzPolicy.mode`` names, in campaign order
+FUZZ_MODES = ("random_bytes", "bit_flip", "structured_wrong")
+
+
 @dataclass(frozen=True)
 class FuzzPolicy:
-    mode: str  # random_bytes | bit_flip | structured_wrong
+    mode: str  # one of FUZZ_MODES
     trials: int
     seed: int
 

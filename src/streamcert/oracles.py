@@ -2,8 +2,12 @@
 
 All solvers here are exhaustive or exact combinatorial algorithms, used to
 decide instance legality, to feed provers, and to check gadget equivalences.
-Exponential solvers carry explicit size cutoffs; callers (corpus builders,
-gadget sweeps) are expected to respect them.
+Each exponential search refuses input beyond its size cutoff itself, with
+``TooLarge``: the Tutte-Berge sweep above ``TUTTE_BERGE_MAX_N`` nodes, and
+``k_coloring``, ``vertex_cover_at_most``, ``maximum_independent_set`` and
+``maximum_clique`` above ``NP_ORACLE_MAX_N``. Everything built on them (the
+optimum searches, the parameter oracles, the provers and the gadget
+predicates) inherits the refusal and does not repeat it.
 
 ``PARAMETERS`` is the one table of the graph parameters a scheme can bound.
 Each name maps to its exact oracle and to whether adding an edge can only
@@ -31,6 +35,11 @@ class TooLarge(ValueError):
 
     def __init__(self, n: int, limit: int, message: str | None = None):
         super().__init__(message or f"exact oracle limited to n <= {limit}, got n = {n}")
+
+
+def _refuse_beyond_np_cutoff(g: Graph) -> None:
+    if g.n > NP_ORACLE_MAX_N:
+        raise TooLarge(g.n, NP_ORACLE_MAX_N)
 
 
 # -- maximum matching (augmenting paths with blossom contraction) -------------
@@ -313,6 +322,7 @@ def oracle_diameter(g: Graph) -> int | float:
 
 def k_coloring(g: Graph, k: int) -> dict[int, int] | None:
     """A proper coloring with colors 1..k, or None. Deterministic backtracking."""
+    _refuse_beyond_np_cutoff(g)
     if k < 0:
         return None
     n = g.n
@@ -344,8 +354,6 @@ def k_coloring(g: Graph, k: int) -> dict[int, int] | None:
 
 
 def oracle_chromatic(g: Graph) -> int:
-    if g.n > NP_ORACLE_MAX_N:
-        raise TooLarge(g.n, NP_ORACLE_MAX_N)
     if g.n == 0:
         return 0
     for k in range(1, g.n + 1):
@@ -404,7 +412,8 @@ def _vc_branch(adj: dict[int, set[int]], budget: int, chosen: list[int]) -> list
 
 
 def vertex_cover_at_most(g: Graph, budget: int) -> list[int] | None:
-    """A vertex cover of size <= budget, or None. Decision form, any n."""
+    """A vertex cover of size <= budget, or None. Decision form."""
+    _refuse_beyond_np_cutoff(g)
     if budget < 0:
         return None
     adj = {v: set(ns) for v, ns in g.adjacency().items() if ns}
@@ -451,11 +460,14 @@ def _is_branch(adj: dict[int, set[int]], chosen: list[int], best: list[int]) -> 
 
 
 def maximum_independent_set(g: Graph) -> list[int]:
+    _refuse_beyond_np_cutoff(g)
     adj = {v: set(ns) for v, ns in g.adjacency().items()}
     return sorted(_is_branch(adj, [], []))
 
 
 def maximum_clique(g: Graph) -> list[int]:
+    # refused before the complement, which has ~n^2/2 edges, is built
+    _refuse_beyond_np_cutoff(g)
     complement = Graph.from_edges(
         g.n,
         (
@@ -466,17 +478,6 @@ def maximum_clique(g: Graph) -> list[int]:
         ),
     )
     return maximum_independent_set(complement)
-
-
-def _np_oracle(search: Callable[[Graph], list[int]]) -> Callable[[Graph], int]:
-    """Size of the optimum set ``search`` finds, refused beyond NP_ORACLE_MAX_N."""
-
-    def oracle(g: Graph) -> int:
-        if g.n > NP_ORACLE_MAX_N:
-            raise TooLarge(g.n, NP_ORACLE_MAX_N)
-        return len(search(g))
-
-    return oracle
 
 
 # -- the parameter table -----------------------------------------------------------
@@ -493,9 +494,9 @@ PARAMETERS: dict[str, Parameter] = {
     "degeneracy": Parameter(oracle_degeneracy, True),
     "diameter": Parameter(oracle_diameter, False),
     "chromatic": Parameter(oracle_chromatic, True),
-    "vc": Parameter(_np_oracle(minimum_vertex_cover), True),
-    "is": Parameter(_np_oracle(maximum_independent_set), False),
-    "clique": Parameter(_np_oracle(maximum_clique), True),
+    "vc": Parameter(lambda g: len(minimum_vertex_cover(g)), True),
+    "is": Parameter(lambda g: len(maximum_independent_set(g)), False),
+    "clique": Parameter(lambda g: len(maximum_clique(g)), True),
 }
 
 

@@ -28,8 +28,6 @@ from .certs import (
 )
 from .graph import Graph
 from .oracles import (
-    NP_ORACLE_MAX_N,
-    TooLarge,
     bfs_distances,
     count_odd_components_excluding,
     edmonds_search,
@@ -212,8 +210,6 @@ def prove_diam_atleast(g: Graph, k: int) -> CertificateBlob:
 # -- coloring --------------------------------------------------------------------
 
 def prove_coloring_atmost(g: Graph, k: int) -> CertificateBlob:
-    if g.n > NP_ORACLE_MAX_N:
-        raise TooLarge(g.n, NP_ORACLE_MAX_N)
     coloring = k_coloring(g, k)
     if coloring is None:
         raise NotCertifiable(f"chromatic number above {k}")
@@ -223,8 +219,6 @@ def prove_coloring_atmost(g: Graph, k: int) -> CertificateBlob:
 # -- vertex sets (IS / clique / VC) ------------------------------------------------
 
 def prove_is_atleast(g: Graph, k: int) -> CertificateBlob:
-    if g.n > NP_ORACLE_MAX_N:
-        raise TooLarge(g.n, NP_ORACLE_MAX_N)
     witness = maximum_independent_set(g)
     if len(witness) < k:
         raise NotCertifiable(f"independence number below {k}")
@@ -232,8 +226,6 @@ def prove_is_atleast(g: Graph, k: int) -> CertificateBlob:
 
 
 def prove_clique_atleast(g: Graph, k: int) -> CertificateBlob:
-    if g.n > NP_ORACLE_MAX_N:
-        raise TooLarge(g.n, NP_ORACLE_MAX_N)
     witness = maximum_clique(g)
     if len(witness) < k:
         raise NotCertifiable(f"clique number below {k}")
@@ -241,8 +233,6 @@ def prove_clique_atleast(g: Graph, k: int) -> CertificateBlob:
 
 
 def prove_vc_atmost(g: Graph, k: int) -> CertificateBlob:
-    if g.n > NP_ORACLE_MAX_N:
-        raise TooLarge(g.n, NP_ORACLE_MAX_N)
     cover = minimum_vertex_cover(g)
     if len(cover) > k:
         raise NotCertifiable(f"vertex cover above {k}")

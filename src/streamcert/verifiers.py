@@ -243,18 +243,7 @@ class MMAtMostVerifier(StreamingVerifier):
         self._parent = list(range(n + 1))
         self._forest_size = 0
 
-    def _find(self, v: int) -> int:
-        parent = self._parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
     def _consume(self, edges) -> None:
-        # ``_find`` inlined with path halving: it reaches the same roots, so
-        # every union, and so the forest and its components, are the same
         u_set, parent = self._u_set, self._parent
         forest_size = self._forest_size
         for u, v in edges:
@@ -275,10 +264,13 @@ class MMAtMostVerifier(StreamingVerifier):
         # its freed budget covers the size-counting array
         self.meter.resize("forest_edges", 0)
         self.meter.register("component_sizes", self.n * self._id_width)
+        u_set, parent = self._u_set, self._parent
         sizes = [0] * (self.n + 1)
         for v in range(1, self.n + 1):
-            if v not in self._u_set:
-                sizes[self._find(v)] += 1
+            if v not in u_set:
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                sizes[v] += 1
         odd = sum(1 for s in sizes if s % 2 == 1)
         if 2 * self.k >= len(self._u_set) - odd + self.n:
             return ACCEPT
@@ -341,20 +333,27 @@ class DegAtLeastVerifier(StreamingVerifier):
         if self.k >= 1 and not members:
             return self.reject(R_EMPTY_SUBSET)
         self._members = members
+        # a decoded view of the certified subset, indexed by node id
+        self._member = member = bytearray(self.n + 1)
+        for v in members:
+            member[v] = 1
+        # one counter per member, charged as such; the list is indexed by
+        # node id so the edge loop needs no lookup by key
         self.meter.register("counters", len(members) * ceil_log2(self.k + 1))
-        self._count = {v: 0 for v in members}
+        self._count = [0] * (self.n + 1)
 
     def _consume(self, edges) -> None:
-        count, k = self._count, self.k
+        member, count, k = self._member, self._count, self.k
         for u, v in edges:
-            if u in count and v in count:
+            if member[u] and member[v]:
                 if count[u] < k:
                     count[u] += 1
                 if count[v] < k:
                     count[v] += 1
 
     def _finalize(self) -> Verdict:
-        if any(c < self.k for c in self._count.values()):
+        count, k = self._count, self.k
+        if any(count[v] < k for v in self._members):
             return Verdict("reject", R_COUNTER_SHORT)
         return ACCEPT
 

@@ -85,6 +85,14 @@ def test_builtin_graphs_and_oracle(capsys):
     assert "witness=[1]" in capsys.readouterr().out
 
 
+def test_refused_oracle_prints_nothing(capsys):
+    # matching, degeneracy and diameter are polynomial; chromatic refuses K30
+    assert main(["oracle", "all", "--graph", "K30"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: exact oracle limited to n <= 24, got n = 30\n"
+
+
 def test_gadget_command(capsys):
     rc = main(["gadget", "holzer", "--p", "4", "--check", "exhaustive"])
     assert rc == 0
@@ -195,6 +203,13 @@ def test_reject_exit_code_with_transplanted_cert(tmp_path):
         ["gadget", "disj_matching", "--n", "3"],
         ["prove", "--scheme", "mm_atmost", "--graph", "P4", "--k", "2",
          "--out", "UNWRITABLE"],
+        ["prove", "--scheme", "nope", "--graph", "P4", "--k", "2", "--out", "CERT"],
+        ["verify", "--scheme", "nope", "--graph", "P4", "--k", "2", "--cert", "CERT"],
+        ["fuzz", "--scheme", "nope", "--graph", "K4", "--k", "1"],
+        ["scale", "--scheme", "nope"],
+        ["gadget", "nope"],
+        ["gadget", "perm", "--r", "7", "--check", "sample", "--count", "1"],
+        ["gadget", "bitvc", "--n", "4", "--check", "sample", "--count", "1"],
     ],
 )
 def test_bad_input_exits_with_parse_error(argv, tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 
 from streamcert.gadgets import (
     BadSizes,
+    _assemble,
     bitgadget_vc_family,
     check_gadget_equivalence,
     disj_degeneracy_family,
@@ -24,7 +25,7 @@ from streamcert.gadgets import (
     holzer_diameter2_family,
     perm_coloring_family,
 )
-from streamcert.graph import validate_graph
+from streamcert.graph import DuplicateEdge, validate_graph
 from streamcert.oracles import (
     TooLarge,
     minimum_vertex_cover,
@@ -141,6 +142,12 @@ def test_partition_invariant(family, inputs):
     assert set.union(*groups) == set(inst.graph.edge_set)
     assert inst.split_point == len(inst.fixed_edges) + len(inst.alice_edges)
     assert inst.predicate_expected == family.two_party(x, y)
+
+
+def test_overlapping_edge_groups_are_refused():
+    # the same pair on both sides, written in opposite orientations
+    with pytest.raises(DuplicateEdge, match=r"duplicate edge \(1, 2\)"):
+        _assemble("overlap", 3, [], [(1, 2)], [(2, 1), (2, 3)], (), (), True)
 
 
 @pytest.mark.parametrize("family,inputs", FAMILIES, ids=lambda fi: str(fi)[:24])

@@ -32,6 +32,13 @@ from streamcert.oracles import (
     oracle_tutte_berge,
     parameter_value,
     peel_order,
+    vertex_cover_at_most,
+)
+from streamcert.provers import (
+    prove_clique_atleast,
+    prove_coloring_atmost,
+    prove_is_atleast,
+    prove_vc_atmost,
 )
 
 TRIANGLE = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
@@ -273,9 +280,27 @@ def test_witnesses_are_valid():
 
 
 def test_vc_is_clique_rejects_large():
-    for parameter in ("vc", "is", "clique"):
+    # each exponential search refuses by itself; the optimum searches, the
+    # parameter oracles and the provers built on them inherit the refusal,
+    # the provers before they could find the claim false
+    searches = [
+        *(
+            lambda g, p=parameter: parameter_value(g, p)
+            for parameter in ("vc", "is", "clique", "chromatic")
+        ),
+        lambda g: k_coloring(g, 0),
+        lambda g: vertex_cover_at_most(g, -1),
+        maximum_independent_set,
+        maximum_clique,
+        minimum_vertex_cover,
+        lambda g: prove_coloring_atmost(g, 0),
+        lambda g: prove_is_atleast(g, 26),
+        lambda g: prove_clique_atleast(g, 2),
+        lambda g: prove_vc_atmost(g, 0),
+    ]
+    for search in searches:
         with pytest.raises(TooLarge, match="limited to n <= 24, got n = 25"):
-            parameter_value(empty_graph(25), parameter)
+            search(empty_graph(25))
 
 
 def test_parameter_value_refuses_an_unknown_name():
