@@ -4,25 +4,24 @@ A certificate is a scheme-tagged read-only byte payload with a declared
 semantic bit count. Byte payloads use fixed-width fields (u8/u32/u64
 big-endian, MSB-first bit vectors) for simplicity; the declared
 ``semantic_bits`` is the information-theoretic size and is what space
-accounting reports. Declared sizes must match the scheme's closed-form
-formula exactly, with L = ceil(log2(n+1)):
+accounting reports. It must match the codec's closed-form formula exactly.
 
-  mm_atleast_list      (1 + 2*count) * L
-  mm_atleast_coloring  n * ceil(log2(C))      C = declared color-domain size
-  mm_atmost            n                      (membership bit vector)
-  deg_atmost           n * ceil(log2(n))      (one order value per node)
-  deg_atleast          min over forms: list = count * ceil(log2(n)), bits = n
-  diam_atleast         n * ceil(log2(k+2))    (labels in 0..k+1)
-  coloring_atmost      n * ceil(log2(k))      (colors in 1..k)
-  is/clique/vc         (1 + count) * L        (count then node ids)
-  mm_equal, deg_equal  sum of the two embedded certificates
+Seven codecs are runs of u32 fields, and each is one ``U32Layout`` row: its
+head field (none, a count or a colour domain), body length, field range, bit
+formula and decoded shape. The row is the codec's decoder and its encoders'
+packer, so each formula is written once, in its row. The is/clique/vc node
+sets share a row, and the list form of ``deg_atleast`` is a row behind a form
+byte. Three codecs keep their own code: ``mm_atmost`` is an n-bit membership
+vector; ``deg_atleast`` takes the smaller of its list form and an n-bit
+vector; ``mm_equal`` and ``deg_equal`` embed two certificates and declare the
+sum of their bits.
 
 Decoders are total over arbitrary byte strings: every structural defect
 (truncation, trailing bytes, out-of-range fields, nonzero padding, declared
 size off the formula) raises MalformedCertificate, which verifiers turn into
-a reject at init. A run of fixed-width u32 fields is length-checked against
-its field count before any field is read, then read in one step and
-range-checked as a whole, so a forged count costs O(1), not a read per field.
+a reject at init. A u32 row is length-checked against its field count before
+any field is read, then read in one step and range-checked as a whole, so a
+forged count costs O(1), not a read per field.
 
 Each scheme's tag byte and decoder live in one table, ``CODECS``; the
 tag/name lookups are derived from it.
@@ -52,53 +51,12 @@ class CertificateBlob:
     semantic_bits: int
 
 
-# -- primitive readers --------------------------------------------------------
+# -- primitive fields ---------------------------------------------------------
 
-#: array typecode of an unsigned 32-bit machine integer
+#: array typecode of an unsigned 32-bit machine integer, and whether its
+#: machine byte order differs from the wire's big-endian one
 _U32 = next(code for code in "IL" if array(code).itemsize == 4)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u32(self) -> int:
-        return int.from_bytes(self._take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self._take(8), "big")
-
-    def raw(self, nbytes: int) -> bytes:
-        return self._take(nbytes)
-
-    def u32s(self, count: int) -> array:
-        """The ``count`` u32 fields that must make up the rest of the payload,
-        read in one step once the length is known to match."""
-        end = self.off + 4 * count
-        if end > len(self.data):
-            raise MalformedCertificate("truncated payload")
-        if end < len(self.data):
-            raise MalformedCertificate("trailing bytes in payload")
-        fields = array(_U32, self.data[self.off :])
-        if sys.byteorder == "little":
-            fields.byteswap()
-        self.off = end
-        return fields
-
-    def _take(self, nbytes: int) -> bytes:
-        if self.off + nbytes > len(self.data):
-            raise MalformedCertificate("truncated payload")
-        out = self.data[self.off : self.off + nbytes]
-        self.off += nbytes
-        return out
-
-    def done(self) -> None:
-        if self.off != len(self.data):
-            raise MalformedCertificate("trailing bytes in payload")
+_SWAP = sys.byteorder == "little"
 
 
 def _pack_bitvector(members: frozenset[int] | set[int], n: int) -> bytes:
@@ -123,51 +81,116 @@ def _unpack_bitvector(data: bytes, n: int) -> frozenset[int]:
     return frozenset(members)
 
 
-def _check_range(fields: array, lo: int, hi: int, what: str) -> None:
-    if fields:
-        low, high = min(fields), max(fields)
-        if low < lo or high > hi:
-            bad = low if low < lo else high
-            raise MalformedCertificate(f"{what} {bad} out of {lo}..{hi}")
+# -- u32 field layouts --------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class U32Layout:
+    """A codec whose payload is a run of u32 fields: ``heads`` head fields
+    (0, or 1 for a count or a colour domain, at least ``head_min``; a row
+    without one reads its head as 0), then ``body(head, n)`` body fields,
+    each in ``span(head, n, k)`` unless ``span`` is None. ``bits(head, n, k)``
+    is the codec formula and ``shape(body, head)`` the decoded value.
+
+    Called as ``decode(payload, n, k)``, a layout is its codec's decoder;
+    ``blob`` is its encoders' packer.
+    """
+
+    heads: int
+    body: Callable[[int, int], int]
+    span: Callable[[int, int, int], tuple[int, int]] | None
+    bits: Callable[[int, int, int], int]
+    shape: Callable[[array, int], object]
+    head_min: int = 0
+
+    def __call__(self, payload: bytes, n: int, k: int):
+        start = 4 * self.heads
+        # a payload shorter than its head fails the length check: size >= start
+        head = int.from_bytes(payload[:start], "big")
+        size = start + 4 * self.body(head, n)
+        if len(payload) != size:
+            raise MalformedCertificate(f"payload of {len(payload)} bytes, layout needs {size}")
+        if head < self.head_min:
+            raise MalformedCertificate(f"head field {head} below {self.head_min}")
+        body = array(_U32, payload[start:])
+        if _SWAP:
+            body.byteswap()
+        if self.span is not None and body:
+            lo, hi = self.span(head, n, k)
+            low, high = min(body), max(body)
+            if low < lo or high > hi:
+                raise MalformedCertificate(f"field {low if low < lo else high} out of {lo}..{hi}")
+        return self.shape(body, head), self.bits(head, n, k)
+
+    def blob(self, scheme: str, fields: list[int], n: int, k: int = 0) -> CertificateBlob:
+        """The certificate whose fields, head first, are ``fields``."""
+        packed = array(_U32, fields)
+        if _SWAP:
+            packed.byteswap()
+        head = fields[0] if self.heads else 0
+        return CertificateBlob(scheme, packed.tobytes(), self.bits(head, n, k))
+
+
+def _per_node(head: int, n: int) -> int:
+    return n
+
+
+def _node_ids(head: int, n: int, k: int) -> tuple[int, int]:
+    return 1, n
+
+
+def _one_indexed(body: array, head: int) -> list[int]:
+    return [0, *body]
+
+
+def _ascending_set(ids: array, count: int) -> frozenset[int]:
+    if ids.tolist() != sorted(set(ids)):
+        raise MalformedCertificate("subset ids must be strictly ascending")
+    return frozenset(ids)
+
+
+_MM_LIST = U32Layout(  # a count, then its edges as id pairs
+    heads=1, body=lambda count, n: 2 * count, span=_node_ids,
+    bits=lambda count, n, k: (1 + 2 * count) * id_bits(n),
+    shape=lambda ids, count: tuple(zip(ids[::2], ids[1::2])),
+)
+_MM_COLORING = U32Layout(  # a colour domain, then a colour per node
+    heads=1, head_min=1, body=_per_node, span=lambda domain, n, k: (1, domain),
+    bits=lambda domain, n, k: n * ceil_log2(max(domain, 1)),
+    shape=lambda colors, domain: (domain, [0, *colors]),
+)
+_PEEL_ORDER = U32Layout(  # an order value per node
+    heads=0, body=_per_node, span=_node_ids,
+    bits=lambda _, n, k: n * ceil_log2(max(n, 1)), shape=_one_indexed,
+)
+_DISTANCE_LABELS = U32Layout(  # a label in 0..k+1 per node
+    heads=0, body=_per_node, span=lambda _, n, k: (0, k + 1),
+    bits=lambda _, n, k: n * ceil_log2(k + 2), shape=_one_indexed,
+)
+_COLORING = U32Layout(  # a colour per node; its range is the verifier's check
+    heads=0, body=_per_node, span=None,
+    bits=lambda _, n, k: n * ceil_log2(max(k, 1)), shape=_one_indexed,
+)
+_NODE_SET = U32Layout(  # a count, then its node ids
+    heads=1, body=lambda count, n: count, span=_node_ids,
+    bits=lambda count, n, k: (1 + count) * id_bits(n),
+    shape=lambda ids, count: tuple(ids),
+)
+_SUBSET_LIST = U32Layout(  # a count, then its node ids ascending
+    heads=1, body=lambda count, n: count, span=_node_ids,
+    bits=lambda count, n, k: count * ceil_log2(max(n, 1)), shape=_ascending_set,
+)
 
 
 # -- per-scheme encode/decode -------------------------------------------------
 
 def encode_mm_list(edges, n: int) -> CertificateBlob:
     edges = sorted(tuple(sorted(e)) for e in edges)
-    payload = struct.pack(">I", len(edges)) + b"".join(
-        struct.pack(">II", u, v) for u, v in edges
-    )
-    bits = (1 + 2 * len(edges)) * id_bits(n)
-    return CertificateBlob("mm_atleast_list", payload, bits)
-
-
-def decode_mm_list(payload: bytes, n: int, k: int):
-    r = _Reader(payload)
-    count = r.u32()
-    ids = r.u32s(2 * count)
-    _check_range(ids, 1, n, "node id")
-    pairs = iter(ids)
-    return tuple(zip(pairs, pairs)), (1 + 2 * count) * id_bits(n)
+    return _MM_LIST.blob("mm_atleast_list", [len(edges), *(v for e in edges for v in e)], n)
 
 
 def encode_mm_coloring(colors: dict[int, int], domain: int, n: int) -> CertificateBlob:
-    payload = struct.pack(">I", domain) + b"".join(
-        struct.pack(">I", colors[v]) for v in range(1, n + 1)
-    )
-    return CertificateBlob(
-        "mm_atleast_coloring", payload, n * ceil_log2(max(domain, 1))
-    )
-
-
-def decode_mm_coloring(payload: bytes, n: int, k: int):
-    r = _Reader(payload)
-    domain = r.u32()
-    if domain < 1:
-        raise MalformedCertificate("color domain must be >= 1")
-    colors = r.u32s(n)
-    _check_range(colors, 1, domain, "color")
-    return (domain, [0, *colors]), n * ceil_log2(domain)  # 1-indexed
+    fields = [domain, *(colors[v] for v in range(1, n + 1))]
+    return _MM_COLORING.blob("mm_atleast_coloring", fields, n)
 
 
 def encode_tutte_berge(u_set, n: int) -> CertificateBlob:
@@ -179,96 +202,53 @@ def decode_tutte_berge(payload: bytes, n: int, k: int):
 
 
 def encode_peel_order(pi: dict[int, int], n: int) -> CertificateBlob:
-    payload = b"".join(struct.pack(">I", pi[v]) for v in range(1, n + 1))
-    return CertificateBlob("deg_atmost", payload, n * ceil_log2(max(n, 1)))
-
-
-def decode_peel_order(payload: bytes, n: int, k: int):
-    pi = _Reader(payload).u32s(n)
-    _check_range(pi, 1, n, "order value")
-    return [0, *pi], n * ceil_log2(max(n, 1))
+    return _PEEL_ORDER.blob("deg_atmost", [pi[v] for v in range(1, n + 1)], n)
 
 
 _CORE_LIST, _CORE_BITS = 0, 1
 
 
-def core_subset_list_bits(count: int, n: int) -> int:
-    return count * ceil_log2(max(n, 1))
-
-
 def encode_core_subset(members, n: int) -> CertificateBlob:
     members = sorted(set(members))
-    if core_subset_list_bits(len(members), n) < n:
-        payload = bytes([_CORE_LIST]) + struct.pack(">I", len(members)) + b"".join(
-            struct.pack(">I", v) for v in members
-        )
-        bits = core_subset_list_bits(len(members), n)
+    listed = _SUBSET_LIST.blob("deg_atleast", [len(members), *members], n)
+    if listed.semantic_bits < n:
+        payload, bits = bytes([_CORE_LIST]) + listed.payload, listed.semantic_bits
     else:
-        payload = bytes([_CORE_BITS]) + _pack_bitvector(set(members), n)
-        bits = n
+        payload, bits = bytes([_CORE_BITS]) + _pack_bitvector(members, n), n
     return CertificateBlob("deg_atleast", payload, bits)
 
 
 def decode_core_subset(payload: bytes, n: int, k: int):
-    r = _Reader(payload)
-    form = r.u8()
+    if not payload:
+        raise MalformedCertificate("truncated payload")
+    form = payload[0]
     if form == _CORE_LIST:
-        count = r.u32()
-        members = r.u32s(count)
-        _check_range(members, 1, n, "node id")
-        if members.tolist() != sorted(set(members)):
-            raise MalformedCertificate("subset ids must be strictly ascending")
-        return frozenset(members), core_subset_list_bits(count, n)
+        return _SUBSET_LIST(payload[1:], n, k)
     if form == _CORE_BITS:
-        members = _unpack_bitvector(r.raw((n + 7) // 8), n)
-        r.done()
-        return members, n
+        return _unpack_bitvector(payload[1:], n), n
     raise MalformedCertificate(f"unknown subset form {form}")
 
 
 def encode_distance_labels(labels: dict[int, int], n: int, k: int) -> CertificateBlob:
-    payload = b"".join(struct.pack(">I", labels[v]) for v in range(1, n + 1))
-    return CertificateBlob("diam_atleast", payload, n * ceil_log2(k + 2))
-
-
-def decode_distance_labels(payload: bytes, n: int, k: int):
-    labels = _Reader(payload).u32s(n)
-    _check_range(labels, 0, k + 1, "label")
-    return [0, *labels], n * ceil_log2(k + 2)
+    return _DISTANCE_LABELS.blob("diam_atleast", [labels[v] for v in range(1, n + 1)], n, k)
 
 
 def encode_coloring(colors: dict[int, int], n: int, k: int) -> CertificateBlob:
-    payload = b"".join(struct.pack(">I", colors[v]) for v in range(1, n + 1))
-    return CertificateBlob("coloring_atmost", payload, n * ceil_log2(max(k, 1)))
-
-
-def decode_coloring(payload: bytes, n: int, k: int):
-    # color range is the verifier's check (distinct reject reason)
-    colors = _Reader(payload).u32s(n)
-    return [0, *colors], n * ceil_log2(max(k, 1))
+    return _COLORING.blob("coloring_atmost", [colors[v] for v in range(1, n + 1)], n, k)
 
 
 def encode_node_set(scheme: str, members, n: int) -> CertificateBlob:
     members = sorted(members)
-    payload = struct.pack(">I", len(members)) + b"".join(
-        struct.pack(">I", v) for v in members
-    )
-    return CertificateBlob(scheme, payload, (1 + len(members)) * id_bits(n))
+    return _NODE_SET.blob(scheme, [len(members), *members], n)
 
 
-def decode_node_set(payload: bytes, n: int, k: int):
-    r = _Reader(payload)
-    count = r.u32()
-    members = r.u32s(count)
-    _check_range(members, 1, n, "node id")
-    return tuple(members), (1 + count) * id_bits(n)
+#: an embedded certificate's header: tag byte, u64 semantic_bits, u32 length
+_INNER = struct.Struct(">BQI")
 
 
 def encode_equality(scheme: str, le_blob: CertificateBlob, ge_blob: CertificateBlob) -> CertificateBlob:
     payload = b"".join(
-        bytes([SCHEME_TAGS[b.scheme]])
-        + struct.pack(">QI", b.semantic_bits, len(b.payload))
-        + b.payload
+        _INNER.pack(SCHEME_TAGS[b.scheme], b.semantic_bits, len(b.payload)) + b.payload
         for b in (le_blob, ge_blob)
     )
     return CertificateBlob(
@@ -277,31 +257,34 @@ def encode_equality(scheme: str, le_blob: CertificateBlob, ge_blob: CertificateB
 
 
 def decode_equality(payload: bytes, n: int, k: int):
-    r = _Reader(payload)
-    inner = []
+    inner, end = [], 0
     for _ in range(2):
-        tag = r.u8()
+        if len(payload) < end + _INNER.size:
+            raise MalformedCertificate("truncated payload")
+        tag, bits, length = _INNER.unpack_from(payload, end)
         if tag not in TAG_SCHEMES:
             raise MalformedCertificate(f"unknown inner scheme tag {tag}")
-        bits = r.u64()
-        length = r.u32()
-        inner.append(CertificateBlob(TAG_SCHEMES[tag], r.raw(length), bits))
-    r.done()
+        start, end = end + _INNER.size, end + _INNER.size + length
+        if end > len(payload):
+            raise MalformedCertificate("truncated payload")
+        inner.append(CertificateBlob(TAG_SCHEMES[tag], payload[start:end], bits))
+    if end != len(payload):
+        raise MalformedCertificate("trailing bytes in payload")
     return tuple(inner), inner[0].semantic_bits + inner[1].semantic_bits
 
 
 #: the wire format's one per-scheme listing: scheme -> (tag byte, decoder)
 CODECS: dict[str, tuple[int, Callable]] = {
-    "mm_atleast_list": (1, decode_mm_list),
-    "mm_atleast_coloring": (2, decode_mm_coloring),
+    "mm_atleast_list": (1, _MM_LIST),
+    "mm_atleast_coloring": (2, _MM_COLORING),
     "mm_atmost": (3, decode_tutte_berge),
-    "deg_atmost": (4, decode_peel_order),
+    "deg_atmost": (4, _PEEL_ORDER),
     "deg_atleast": (5, decode_core_subset),
-    "diam_atleast": (6, decode_distance_labels),
-    "coloring_atmost": (7, decode_coloring),
-    "is_atleast": (8, decode_node_set),
-    "clique_atleast": (9, decode_node_set),
-    "vc_atmost": (10, decode_node_set),
+    "diam_atleast": (6, _DISTANCE_LABELS),
+    "coloring_atmost": (7, _COLORING),
+    "is_atleast": (8, _NODE_SET),
+    "clique_atleast": (9, _NODE_SET),
+    "vc_atmost": (10, _NODE_SET),
     "mm_equal": (11, decode_equality),
     "deg_equal": (12, decode_equality),
 }

@@ -140,9 +140,11 @@ def _cmd_oracle(args) -> int:
         print(f"tutte_berge={value} witness={sorted(witness)}")
         return EXIT_ACCEPT
     params = oracles.PARAMETERS if args.parameter == "all" else (args.parameter,)
-    # every value before any line, so a refused oracle leaves stdout empty
-    lines = [f"{p}={oracles.parameter_value(g, p)}" for p in params]
-    print("\n".join(lines))
+    # every value before any line, so a refused oracle leaves stdout empty,
+    # and in reverse table order, so the exponential searches at its end
+    # refuse an oversized graph before any polynomial oracle runs
+    values = {p: oracles.parameter_value(g, p) for p in reversed(params)}
+    print("\n".join(f"{p}={values[p]}" for p in params))
     return EXIT_ACCEPT
 
 

@@ -113,6 +113,17 @@ def _standard_gadget_entries() -> list[tuple[str, Graph]]:
     ]
 
 
+#: corpus families with one graph per size: family -> (entry-name prefix, builder)
+_SIZED_FAMILIES = {
+    "paths": ("path", path_graph),
+    "cycles": ("cycle", cycle_graph),
+    "cliques": ("clique", complete_graph),
+    "stars": ("star", star_graph),
+    "matchings": ("matching", matching_graph),
+    "empty": ("empty", empty_graph),
+}
+
+
 def build_corpus(spec: Sequence[str], seed: int) -> Corpus:
     """Deterministic corpus from family descriptors.
 
@@ -126,18 +137,9 @@ def build_corpus(spec: Sequence[str], seed: int) -> Corpus:
     for item in spec:
         parts = item.split(":")
         kind = parts[0]
-        if kind == "paths":
-            entries += [_attach(f"path-{n}", path_graph(n)) for n in _parse_span(parts[1])]
-        elif kind == "cycles":
-            entries += [_attach(f"cycle-{n}", cycle_graph(n)) for n in _parse_span(parts[1])]
-        elif kind == "cliques":
-            entries += [_attach(f"clique-{n}", complete_graph(n)) for n in _parse_span(parts[1])]
-        elif kind == "stars":
-            entries += [_attach(f"star-{n}", star_graph(n)) for n in _parse_span(parts[1])]
-        elif kind == "matchings":
-            entries += [_attach(f"matching-{n}", matching_graph(n)) for n in _parse_span(parts[1])]
-        elif kind == "empty":
-            entries += [_attach(f"empty-{n}", empty_graph(n)) for n in _parse_span(parts[1])]
+        if kind in _SIZED_FAMILIES:
+            prefix, build = _SIZED_FAMILIES[kind]
+            entries += [_attach(f"{prefix}-{n}", build(n)) for n in _parse_span(parts[1])]
         elif kind == "trees":
             span, count = _parse_span(parts[1]), int(parts[2])
             for i in range(count):

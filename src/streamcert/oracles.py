@@ -13,7 +13,8 @@ predicates) inherits the refusal and does not repeat it.
 Each name maps to its exact oracle and to whether adding an edge can only
 raise the value (removing one does the reverse). ``parameter_value``, the
 corpus values, the fuzzer's one-edge search and the ``oracle`` subcommand
-all read it, in its order.
+all read it, in its order; the exponential searches come last, and the
+subcommand computes in reverse so that they refuse first.
 """
 
 from __future__ import annotations

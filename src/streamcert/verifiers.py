@@ -32,7 +32,9 @@ side: the ``space_bound(n, k)`` classmethod, next to the components the class
 registers, gives the closed-form ceiling its peak must stay under.
 
 A new scheme touches four places, one per layer:
-  1. ``certs.CODECS``: its tag byte and decoder (plus an ``encode_*``);
+  1. ``certs.CODECS``: its tag byte and decoder (plus an ``encode_*``); a
+     codec of u32 fields is one ``certs.U32Layout`` row, which holds its bit
+     formula and serves as its decoder and its encoder's packer;
   2. ``SCHEME_VERIFIERS`` here: its verifier class (``_setup`` from the
      decoded certificate, the ``_consume`` edge loop, ``_finalize``), with
      ``space_bound`` overridden when the scheme registers more than the

@@ -153,11 +153,7 @@ def test_file_format_total_on_garbage():
 
 from hypothesis import given, settings, strategies as st
 
-from streamcert.certs import (
-    decode_coloring,
-    encode_coloring,
-    encode_distance_labels as _edl,
-)
+from streamcert.certs import encode_coloring
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,11 +195,23 @@ def test_roundtrip_properties(data):
     blob = encode_coloring(colors, n, k)
     assert decode_blob(blob, "coloring_atmost", n, k)[1:] == [colors[v] for v in range(1, n + 1)]
 
+    domain = data.draw(st.integers(min_value=1, max_value=12), label="domain")
+    shades = [data.draw(st.integers(min_value=1, max_value=domain)) for _ in range(n)]
+    blob = encode_mm_coloring(dict(enumerate(shades, start=1)), domain, n)
+    assert decode_blob(blob, "mm_atleast_coloring", n, k) == (domain, [0, *shades])
+
     perm = list(range(1, n + 1))
     data.draw(st.randoms(use_true_random=False), label="rng").shuffle(perm)
     pi = dict(enumerate(perm, start=1))
     blob = encode_peel_order(pi, n)
     assert decode_blob(blob, "deg_atmost", n, k)[1:] == perm
+
+    le, ge = encode_peel_order(pi, n), encode_core_subset(members, n)
+    blob = encode_equality("deg_equal", le, ge)
+    assert blob.semantic_bits == le.semantic_bits + ge.semantic_bits
+    inner_le, inner_ge = decode_blob(blob, "deg_equal", n, k)
+    assert decode_blob(inner_le, "deg_atmost", n, k)[1:] == perm
+    assert decode_blob(inner_ge, "deg_atleast", n, k) == frozenset(members)
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from streamcert import oracles
 from streamcert.cli import main
 from streamcert.graph import format_graph_file, path_graph, star_graph
 
@@ -85,12 +86,18 @@ def test_builtin_graphs_and_oracle(capsys):
     assert "witness=[1]" in capsys.readouterr().out
 
 
-def test_refused_oracle_prints_nothing(capsys):
-    # matching, degeneracy and diameter are polynomial; chromatic refuses K30
-    assert main(["oracle", "all", "--graph", "K30"]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: exact oracle limited to n <= 24, got n = 30\n"
+def test_refused_oracle_prints_nothing(capsys, monkeypatch):
+    # matching, degeneracy and diameter are polynomial; the exponential
+    # searches refuse K30 and P3000 before any of them runs
+    def unreachable(g):
+        pytest.fail("diameter oracle ran before the refusal")
+
+    monkeypatch.setitem(oracles.PARAMETERS, "diameter", oracles.Parameter(unreachable, False))
+    for graph, n in (("K30", 30), ("P3000", 3000)):
+        assert main(["oracle", "all", "--graph", graph]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: exact oracle limited to n <= 24, got n = {n}\n"
 
 
 def test_gadget_command(capsys):
