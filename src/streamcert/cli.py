@@ -19,17 +19,7 @@ from pathlib import Path
 
 from . import gadgets, harness, oracles
 from .certs import deserialize_certificate, serialize_certificate
-from .graph import (
-    Graph,
-    GraphParseError,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
-    matching_graph,
-    parse_graph_file,
-    path_graph,
-    star_graph,
-)
+from .graph import Graph, GraphParseError, parse_graph_file
 from .provers import NotCertifiable
 from .schemes import SCHEMES
 from .stream import OrderSpecError, make_stream
@@ -41,14 +31,9 @@ EXIT_NOT_CERTIFIABLE = 2
 EXIT_PARSE_ERROR = 3
 EXIT_COUNTEREXAMPLE = 4
 
-_BUILTIN = {
-    "K": complete_graph,
-    "C": cycle_graph,
-    "P": path_graph,
-    "S": star_graph,
-    "M": matching_graph,
-    "E": empty_graph,
-}
+#: builtin graphs by letter, from the corpus's sized families
+_BUILTIN = {letter: build for _, letter, build in harness.SIZED_FAMILIES.values()}
+_BUILTIN_NAME = re.compile(rf"([{''.join(_BUILTIN)}])(\d+)")
 
 
 class CliError(Exception):
@@ -76,7 +61,7 @@ def _load_graph(
     """Load a graph file, or a builtin name like K4 / C5 / P6 / S5 / M8 / E3."""
     if k_flag is not None and k_flag < 0:
         raise CliError(f"--k must be >= 0, got {k_flag}")
-    m = re.fullmatch(r"([KCPSME])(\d+)", spec)
+    m = _BUILTIN_NAME.fullmatch(spec)
     if m and not Path(spec).exists():
         try:
             g = _BUILTIN[m.group(1)](int(m.group(2)))
@@ -109,6 +94,9 @@ def _cmd_prove(args) -> int:
     except NotCertifiable as exc:
         print(f"not-certifiable: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIABLE
+    except OverflowError as exc:
+        # a label derived from --k (diam_atleast's k + 1) past the u32 field
+        raise CliError(f"--k {k} gives a certificate field past u32: {exc}") from None
     try:
         Path(args.out).write_bytes(serialize_certificate(cert))
     except OSError as exc:

@@ -9,6 +9,12 @@ disagreement. The stored edge order is fixed-then-Alice-then-Bob so the
 stream order "split:<split_point>" reproduces the one-side-then-the-other
 order the reductions rely on.
 
+``<name>_family(size)`` is the only constructor of a family. It refuses a
+size below the family's minimum, lays out what depends on the size alone
+(node numbering, and the edges no input switches) once, and returns a
+``GadgetFamily`` whose ``build(x, y)`` closure refuses inputs that do not
+fit the size and assembles one instance.
+
 Both sides of a family draw their private input from one ``InputDomain``
 (half-size subsets, all subsets, bit vectors or permutations), which fixes the
 exhaustive sweep order, the seeded sampler and the rendering of inputs in
@@ -52,14 +58,10 @@ def _norm_edges(edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class GadgetInstance:
-    family: str
     graph: Graph
     fixed_edges: tuple[tuple[int, int], ...]
     alice_edges: tuple[tuple[int, int], ...]
     bob_edges: tuple[tuple[int, int], ...]
-    x: object
-    y: object
-    predicate_expected: bool
 
     @property
     def split_point(self) -> int:
@@ -67,13 +69,11 @@ class GadgetInstance:
         return len(self.fixed_edges) + len(self.alice_edges)
 
 
-def _assemble(
-    family: str, n: int, fixed, alice, bob, x, y, expected: bool
-) -> GadgetInstance:
+def _assemble(n: int, fixed, alice, bob) -> GadgetInstance:
     fixed, alice, bob = _norm_edges(fixed), _norm_edges(alice), _norm_edges(bob)
     graph = Graph(n, fixed + alice + bob)
     validate_graph(graph)
-    return GadgetInstance(family, graph, fixed, alice, bob, x, y, expected)
+    return GadgetInstance(graph, fixed, alice, bob)
 
 
 @dataclass(frozen=True)
@@ -160,10 +160,6 @@ class GadgetFamily:
     applicable: tuple[tuple[str, int, bool], ...] = field(default=())
 
     @property
-    def render(self) -> Callable[[object], str]:
-        return self.domain.render
-
-    @property
     def input_space(self) -> int:
         """Number of (x, y) pairs."""
         return self.domain.size**2
@@ -179,32 +175,31 @@ def _bits_disjoint(x, y) -> bool:
 
 # -- perfect matching from set disjointness ------------------------------------
 
-def gadget_disj_matching(x, y, universe: int) -> GadgetInstance:
+def disj_matching_family(universe: int) -> GadgetFamily:
     """Bipartite graph on 2*universe nodes: Alice matches her elements to the
     first half of the right side, Bob his to the second half. A perfect
     matching exists iff the element sets are disjoint."""
-    x, y = frozenset(x), frozenset(y)
-    if universe % 2 or len(x) != universe // 2 or len(y) != universe // 2:
-        raise BadSizes(f"need |x| = |y| = {universe}/2 halves of [universe]")
-    if not (x | y) <= set(range(1, universe + 1)):
-        raise BadSizes("elements outside the universe")
-    half = universe // 2
-    alice = [(xi, universe + slot) for slot, xi in enumerate(sorted(x), start=1)]
-    bob = [
-        (yi, universe + half + slot) for slot, yi in enumerate(sorted(y), start=1)
-    ]
-    return _assemble(
-        "disj_matching", 2 * universe, [], alice, bob, x, y, _sets_disjoint(x, y)
-    )
-
-
-def disj_matching_family(universe: int) -> GadgetFamily:
     _require_size("disj_matching", "N", universe, 2)
     if universe % 2:
         raise BadSizes(f"disj_matching needs N even, got {universe}")
+    half = universe // 2
+    pool = frozenset(range(1, universe + 1))
+
+    def build(x, y) -> GadgetInstance:
+        x, y = frozenset(x), frozenset(y)
+        if len(x) != half or len(y) != half:
+            raise BadSizes(f"need |x| = |y| = {universe}/2 halves of [universe]")
+        if not (x | y) <= pool:
+            raise BadSizes("elements outside the universe")
+        alice = [(xi, universe + slot) for slot, xi in enumerate(sorted(x), start=1)]
+        bob = [
+            (yi, universe + half + slot) for slot, yi in enumerate(sorted(y), start=1)
+        ]
+        return _assemble(2 * universe, [], alice, bob)
+
     return GadgetFamily(
         name=f"disj_matching[N={universe}]",
-        build=lambda x, y: gadget_disj_matching(x, y, universe),
+        build=build,
         two_party=_sets_disjoint,
         predicate=lambda g: oracle_max_matching(g) == universe,
         domain=half_subsets(universe),
@@ -218,26 +213,24 @@ def disj_matching_family(universe: int) -> GadgetFamily:
 
 # -- 1-degeneracy from set disjointness -----------------------------------------
 
-def gadget_disj_degeneracy(x, y, universe: int) -> GadgetInstance:
+def disj_degeneracy_family(universe: int) -> GadgetFamily:
     """Alice stars {a,b} ∪ x at a; Bob paths b through y. The union is a tree
     (1-degenerate) iff the sets are disjoint, else a cycle closes through a,b."""
-    x, y = frozenset(x), frozenset(y)
-    if not (x | y) <= set(range(1, universe + 1)):
-        raise BadSizes("elements outside the universe")
-    a, b = universe + 1, universe + 2
-    alice = [(a, b)] + [(a, xi) for xi in sorted(x)]
-    path = [b] + sorted(y)
-    bob = list(zip(path, path[1:]))
-    return _assemble(
-        "disj_degeneracy", universe + 2, [], alice, bob, x, y, _sets_disjoint(x, y)
-    )
-
-
-def disj_degeneracy_family(universe: int) -> GadgetFamily:
     _require_size("disj_degeneracy", "N", universe, 1)
+    pool = frozenset(range(1, universe + 1))
+    a, b = universe + 1, universe + 2
+
+    def build(x, y) -> GadgetInstance:
+        x, y = frozenset(x), frozenset(y)
+        if not (x | y) <= pool:
+            raise BadSizes("elements outside the universe")
+        alice = [(a, b)] + [(a, xi) for xi in sorted(x)]
+        path = [b] + sorted(y)
+        return _assemble(universe + 2, [], alice, zip(path, path[1:]))
+
     return GadgetFamily(
         name=f"disj_degeneracy[N={universe}]",
-        build=lambda x, y: gadget_disj_degeneracy(x, y, universe),
+        build=build,
         two_party=_sets_disjoint,
         predicate=lambda g: oracle_degeneracy(g) <= 1,
         domain=all_subsets(universe),
@@ -247,24 +240,21 @@ def disj_degeneracy_family(universe: int) -> GadgetFamily:
 
 # -- diameter >= 8 from set disjointness -----------------------------------------
 
-def gadget_disj_diameter8(x, y, universe: int) -> GadgetInstance:
+def disj_diameter8_family(universe: int) -> GadgetFamily:
     """Three node rows joined through bottleneck pairs; Alice's elements
     shortcut rows 1-2, Bob's rows 2-3. A common element gives a u-v path of
     length 6; otherwise every u-v route is forced through both bottlenecks
     and the diameter stays at least 8."""
-    x, y = frozenset(x), frozenset(y)
-    if universe < 1:
-        raise BadSizes("universe must be >= 1")
-    if not (x | y) <= set(range(1, universe + 1)):
-        raise BadSizes("elements outside the universe")
+    _require_size("disj_diameter8", "N", universe, 1)
+    pool = frozenset(range(1, universe + 1))
     row1 = lambda i: i
     row2 = lambda i: universe + i
     row3 = lambda i: 2 * universe + i
     u, v, a, b = (3 * universe + d for d in (1, 2, 3, 4))
     t1, t2, t3, t4 = (3 * universe + d for d in (5, 6, 7, 8))
-    alice = [(u, a), (b, v), (t1, t2), (t3, t4)]
+    frame = [(u, a), (b, v), (t1, t2), (t3, t4)]
     for i in range(1, universe + 1):
-        alice += [
+        frame += [
             (a, row1(i)),
             (row3(i), b),
             (row1(i), t1),
@@ -272,25 +262,18 @@ def gadget_disj_diameter8(x, y, universe: int) -> GadgetInstance:
             (row2(i), t3),
             (t4, row3(i)),
         ]
-    alice += [(row1(i), row2(i)) for i in sorted(x)]
-    bob = [(row2(j), row3(j)) for j in sorted(y)]
-    return _assemble(
-        "disj_diameter8",
-        3 * universe + 8,
-        [],
-        alice,
-        bob,
-        x,
-        y,
-        _sets_disjoint(x, y),
-    )
 
+    def build(x, y) -> GadgetInstance:
+        x, y = frozenset(x), frozenset(y)
+        if not (x | y) <= pool:
+            raise BadSizes("elements outside the universe")
+        alice = frame + [(row1(i), row2(i)) for i in sorted(x)]
+        bob = [(row2(j), row3(j)) for j in sorted(y)]
+        return _assemble(3 * universe + 8, [], alice, bob)
 
-def disj_diameter8_family(universe: int) -> GadgetFamily:
-    _require_size("disj_diameter8", "N", universe, 1)
     return GadgetFamily(
         name=f"disj_diameter8[N={universe}]",
-        build=lambda x, y: gadget_disj_diameter8(x, y, universe),
+        build=build,
         two_party=_sets_disjoint,
         predicate=lambda g: oracle_diameter(g) >= 8,
         domain=all_subsets(universe),
@@ -300,17 +283,12 @@ def disj_diameter8_family(universe: int) -> GadgetFamily:
 
 # -- diameter-2 family (Holzer-style) ----------------------------------------------
 
-def _pair_index(p: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
-
-
-def gadget_holzer_diameter2(x, y, p: int) -> GadgetInstance:
+def holzer_diameter2_family(p: int) -> GadgetFamily:
     """Two fans a_0..a_p and b_0..b_p joined by rungs a_i-b_i; bit vectors
     (indexed by pairs i<j) switch a-side and b-side edges OFF where the bit is
     1. Diameter stays 2 iff no pair is missing on both sides."""
-    pairs = _pair_index(p)
-    if len(x) != len(pairs) or len(y) != len(pairs):
-        raise BadSizes(f"inputs must have length p(p-1)/2 = {len(pairs)}")
+    _require_size("holzer_diameter2", "p", p, 2)
+    pairs = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
     a = lambda i: 1 + i
     b = lambda i: p + 2 + i
     fixed = (
@@ -318,45 +296,37 @@ def gadget_holzer_diameter2(x, y, p: int) -> GadgetInstance:
         + [(a(0), a(i)) for i in range(1, p + 1)]
         + [(b(0), b(i)) for i in range(1, p + 1)]
     )
-    alice = [(a(i), a(j)) for idx, (i, j) in enumerate(pairs) if x[idx] == 0]
-    bob = [(b(i), b(j)) for idx, (i, j) in enumerate(pairs) if y[idx] == 0]
-    return _assemble(
-        "holzer_diameter2",
-        2 * (p + 1),
-        fixed,
-        alice,
-        bob,
-        tuple(x),
-        tuple(y),
-        _bits_disjoint(x, y),
-    )
 
+    def build(x, y) -> GadgetInstance:
+        if len(x) != len(pairs) or len(y) != len(pairs):
+            raise BadSizes(f"inputs must have length p(p-1)/2 = {len(pairs)}")
+        alice = [(a(i), a(j)) for (i, j), z in zip(pairs, x) if z == 0]
+        bob = [(b(i), b(j)) for (i, j), z in zip(pairs, y) if z == 0]
+        return _assemble(2 * (p + 1), fixed, alice, bob)
 
-def holzer_diameter2_family(p: int) -> GadgetFamily:
-    _require_size("holzer_diameter2", "p", p, 2)
     return GadgetFamily(
         name=f"holzer_diameter2[p={p}]",
-        build=lambda x, y: gadget_holzer_diameter2(x, y, p),
+        build=build,
         two_party=_bits_disjoint,
         predicate=lambda g: oracle_diameter(g) == 2,
-        domain=bit_vectors(p * (p - 1) // 2),
+        domain=bit_vectors(len(pairs)),
         applicable=(("diam_atleast", 3, False),),
     )
 
 
 # -- minimum vertex cover bit gadget ------------------------------------------------
 
-def gadget_bitgadget_vc(x, y, width: int) -> GadgetInstance:
+def bitgadget_vc_family(width: int) -> GadgetFamily:
     """Four cliques A, B, A', B' wired to true/false bit nodes by the binary
     representation of each index, bit nodes cross-linked into 4-cycles; zero
     bits of x add A-side a_i-a'_j edges, zero bits of y the mirrored B-side
     edges. The minimum vertex cover exceeds 4(width-1) + 4*log(width) exactly
     when the bit vectors are disjoint."""
+    _require_size("bitgadget_vc", "N", width, 2)
     logw = width.bit_length() - 1
-    if width < 2 or (1 << logw) != width:
-        raise BadSizes("width must be a power of two, >= 2")
-    if len(x) != width * width or len(y) != width * width:
-        raise BadSizes(f"inputs must have length {width * width}")
+    if 1 << logw != width:
+        raise BadSizes(f"bitgadget_vc needs N a power of two, got {width}")
+    cover_bound = 4 * (width - 1) + 4 * logw
 
     a = lambda i: 1 + i
     b = lambda i: width + 1 + i
@@ -372,69 +342,39 @@ def gadget_bitgadget_vc(x, y, width: int) -> GadgetInstance:
             for j in range(logw):
                 yield (node, bit_node(t_group if i >> j & 1 else f_group, j))
 
-    def clique(members):
-        return itertools.combinations(members, 2)
+    def rungs(f_group, t_group):
+        return [(bit_node(f_group, j), bit_node(t_group, j)) for j in range(logw)]
 
-    a_nodes = [a(i) for i in range(width)]
-    b_nodes = [b(i) for i in range(width)]
-    ap_nodes = [ap(i) for i in range(width)]
-    bp_nodes = [bp(i) for i in range(width)]
+    def side(node, prime, f, t, fp, tp):
+        """One side's input-free edges: its two cliques, their members wired
+        to the bit nodes of their index, and its two false-true bit pairs."""
+        members = [node(i) for i in range(width)]
+        primes = [prime(i) for i in range(width)]
+        return [
+            *itertools.combinations(members, 2),
+            *itertools.combinations(primes, 2),
+            *wire(members, f, t),
+            *wire(primes, fp, tp),
+            *rungs(f, t),
+            *rungs(fp, tp),
+        ]
 
-    alice = (
-        list(clique(a_nodes))
-        + list(clique(ap_nodes))
-        + list(wire(a_nodes, "fa", "ta"))
-        + list(wire(ap_nodes, "fap", "tap"))
-        + [(bit_node("fa", j), bit_node("ta", j)) for j in range(logw)]
-        + [(bit_node("fap", j), bit_node("tap", j)) for j in range(logw)]
-    )
-    bob = (
-        list(clique(b_nodes))
-        + list(clique(bp_nodes))
-        + list(wire(b_nodes, "fb", "tb"))
-        + list(wire(bp_nodes, "fbp", "tbp"))
-        + [(bit_node("fb", j), bit_node("tb", j)) for j in range(logw)]
-        + [(bit_node("fbp", j), bit_node("tbp", j)) for j in range(logw)]
-    )
-    fixed = (
-        [(bit_node("fa", j), bit_node("tb", j)) for j in range(logw)]
-        + [(bit_node("ta", j), bit_node("fb", j)) for j in range(logw)]
-        + [(bit_node("fap", j), bit_node("tbp", j)) for j in range(logw)]
-        + [(bit_node("tap", j), bit_node("fbp", j)) for j in range(logw)]
-    )
-    alice += [
-        (a(i), ap(j))
-        for i in range(width)
-        for j in range(width)
-        if x[i * width + j] == 0
-    ]
-    bob += [
-        (b(i), bp(j))
-        for i in range(width)
-        for j in range(width)
-        if y[i * width + j] == 0
-    ]
-    return _assemble(
-        "bitgadget_vc",
-        4 * width + 8 * logw,
-        fixed,
-        alice,
-        bob,
-        tuple(x),
-        tuple(y),
-        _bits_disjoint(x, y),
-    )
+    alice_frame = side(a, ap, "fa", "ta", "fap", "tap")
+    bob_frame = side(b, bp, "fb", "tb", "fbp", "tbp")
+    fixed = rungs("fa", "tb") + rungs("ta", "fb")
+    fixed += rungs("fap", "tbp") + rungs("tap", "fbp")
+    cells = [(i, j) for i in range(width) for j in range(width)]
 
+    def build(x, y) -> GadgetInstance:
+        if len(x) != width * width or len(y) != width * width:
+            raise BadSizes(f"inputs must have length {width * width}")
+        alice = alice_frame + [(a(i), ap(j)) for (i, j), z in zip(cells, x) if z == 0]
+        bob = bob_frame + [(b(i), bp(j)) for (i, j), z in zip(cells, y) if z == 0]
+        return _assemble(4 * width + 8 * logw, fixed, alice, bob)
 
-def bitgadget_vc_family(width: int) -> GadgetFamily:
-    _require_size("bitgadget_vc", "N", width, 2)
-    logw = width.bit_length() - 1
-    if 1 << logw != width:
-        raise BadSizes(f"bitgadget_vc needs N a power of two, got {width}")
-    cover_bound = 4 * (width - 1) + 4 * logw
     return GadgetFamily(
         name=f"bitgadget_vc[N={width}]",
-        build=lambda x, y: gadget_bitgadget_vc(x, y, width),
+        build=build,
         two_party=_bits_disjoint,
         predicate=lambda g: vertex_cover_at_most(g, cover_bound) is None,
         domain=bit_vectors(width * width),
@@ -444,58 +384,37 @@ def bitgadget_vc_family(width: int) -> GadgetFamily:
 
 # -- k-colorability permutation gadget ------------------------------------------------
 
-def gadget_perm_coloring(sigma, tau, r: int) -> GadgetInstance:
+def perm_coloring_family(r: int) -> GadgetFamily:
     """Two cocktail-party blocks (complete minus a perfect matching between the
     i-th nodes of the two columns); Alice links first columns by everything
     off her permutation, Bob mirrors on second columns. r-colorable iff the
     permutations coincide."""
-    if r < 3:
-        raise BadSizes("r must be >= 3")
-    sigma, tau = tuple(sigma), tuple(tau)
-    for perm in (sigma, tau):
-        if sorted(perm) != list(range(1, r + 1)):
-            raise BadSizes("inputs must be permutations of 1..r")
+    _require_size("perm_coloring", "r", r, 3)
+    ids = list(range(1, r + 1))
 
-    def block(offset: int):
-        col1 = lambda i: offset + i
-        col2 = lambda i: offset + r + i
-        edges = list(itertools.combinations([col1(i) for i in range(1, r + 1)], 2))
-        edges += list(itertools.combinations([col2(i) for i in range(1, r + 1)], 2))
-        edges += [
-            (col1(i), col2(j))
-            for i in range(1, r + 1)
-            for j in range(1, r + 1)
-            if i != j
-        ]
+    def block(offset: int) -> list[tuple[int, int]]:
+        col1 = [offset + i for i in ids]
+        col2 = [offset + r + i for i in ids]
+        edges = list(itertools.combinations(col1, 2))
+        edges += itertools.combinations(col2, 2)
+        edges += [(offset + i, offset + r + j) for i in ids for j in ids if i != j]
         return edges
 
-    p_col1 = lambda i: i
-    p_col2 = lambda i: r + i
-    q_col1 = lambda i: 2 * r + i
-    q_col2 = lambda i: 3 * r + i
-    e_sigma = [
-        (p_col1(i), q_col1(j))
-        for i in range(1, r + 1)
-        for j in range(1, r + 1)
-        if j != sigma[i - 1]
-    ]
-    e_tau = [
-        (p_col2(i), q_col2(j))
-        for i in range(1, r + 1)
-        for j in range(1, r + 1)
-        if j != tau[i - 1]
-    ]
-    alice = block(0) + block(2 * r) + e_sigma
-    return _assemble(
-        "perm_coloring", 4 * r, [], alice, e_tau, sigma, tau, sigma == tau
-    )
+    blocks = block(0) + block(2 * r)
 
+    def build(sigma, tau) -> GadgetInstance:
+        sigma, tau = tuple(sigma), tuple(tau)
+        for perm in (sigma, tau):
+            if sorted(perm) != ids:
+                raise BadSizes("inputs must be permutations of 1..r")
+        # columns: p_col1 = i, p_col2 = r + i, q_col1 = 2r + j, q_col2 = 3r + j
+        e_sigma = [(i, 2 * r + j) for i in ids for j in ids if j != sigma[i - 1]]
+        e_tau = [(r + i, 3 * r + j) for i in ids for j in ids if j != tau[i - 1]]
+        return _assemble(4 * r, [], blocks + e_sigma, e_tau)
 
-def perm_coloring_family(r: int) -> GadgetFamily:
-    _require_size("perm_coloring", "r", r, 3)
     return GadgetFamily(
         name=f"perm_coloring[r={r}]",
-        build=lambda s, t: gadget_perm_coloring(s, t, r),
+        build=build,
         two_party=lambda s, t: tuple(s) == tuple(t),
         predicate=lambda g: k_coloring(g, r) is not None,
         domain=permutations(r),
@@ -584,8 +503,8 @@ def check_gadget_equivalence(
         instance = family.build(x, y)
         records.append(
             EquivalenceRecord(
-                family.render(x),
-                family.render(y),
+                family.domain.render(x),
+                family.domain.render(y),
                 family.two_party(x, y),
                 family.predicate(instance.graph),
             )

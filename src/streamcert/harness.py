@@ -107,20 +107,24 @@ _GADGET_PICKS = (
 
 def _standard_gadget_entries() -> list[tuple[str, Graph]]:
     return [
-        (f"gadget-{short}-{fam.render(x)}-{fam.render(y)}", fam.build(x, y).graph)
+        (
+            f"gadget-{short}-{fam.domain.render(x)}-{fam.domain.render(y)}",
+            fam.build(x, y).graph,
+        )
         for short, fam, pairs in _GADGET_PICKS
         for x, y in pairs
     ]
 
 
-#: corpus families with one graph per size: family -> (entry-name prefix, builder)
-_SIZED_FAMILIES = {
-    "paths": ("path", path_graph),
-    "cycles": ("cycle", cycle_graph),
-    "cliques": ("clique", complete_graph),
-    "stars": ("star", star_graph),
-    "matchings": ("matching", matching_graph),
-    "empty": ("empty", empty_graph),
+#: corpus families with one graph per size, which the CLI also takes as
+#: builtin graphs (K4, C5, ...): family -> (entry-name prefix, letter, builder)
+SIZED_FAMILIES = {
+    "paths": ("path", "P", path_graph),
+    "cycles": ("cycle", "C", cycle_graph),
+    "cliques": ("clique", "K", complete_graph),
+    "stars": ("star", "S", star_graph),
+    "matchings": ("matching", "M", matching_graph),
+    "empty": ("empty", "E", empty_graph),
 }
 
 
@@ -137,8 +141,8 @@ def build_corpus(spec: Sequence[str], seed: int) -> Corpus:
     for item in spec:
         parts = item.split(":")
         kind = parts[0]
-        if kind in _SIZED_FAMILIES:
-            prefix, build = _SIZED_FAMILIES[kind]
+        if kind in SIZED_FAMILIES:
+            prefix, _, build = SIZED_FAMILIES[kind]
             entries += [_attach(f"{prefix}-{n}", build(n)) for n in _parse_span(parts[1])]
         elif kind == "trees":
             span, count = _parse_span(parts[1]), int(parts[2])

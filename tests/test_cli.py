@@ -86,6 +86,17 @@ def test_builtin_graphs_and_oracle(capsys):
     assert "witness=[1]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "spec,matching,degeneracy",
+    [("K4", 2, 3), ("C5", 2, 2), ("P6", 3, 1), ("S5", 1, 1), ("M8", 4, 1),
+     ("E3", 0, 0)],
+)
+def test_every_builtin_graph_letter_loads(spec, matching, degeneracy, capsys):
+    assert main(["oracle", "all", "--graph", spec]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"matching={matching}\ndegeneracy={degeneracy}\n")
+
+
 def test_refused_oracle_prints_nothing(capsys, monkeypatch):
     # matching, degeneracy and diameter are polynomial; the exponential
     # searches refuse K30 and P3000 before any of them runs
@@ -217,6 +228,9 @@ def test_reject_exit_code_with_transplanted_cert(tmp_path):
         ["gadget", "nope"],
         ["gadget", "perm", "--r", "7", "--check", "sample", "--count", "1"],
         ["gadget", "bitvc", "--n", "4", "--check", "sample", "--count", "1"],
+        # the unreachable node's label k + 1 does not fit a u32 field
+        ["prove", "--scheme", "diam_atleast", "--graph", "E2", "--k", "4294967295",
+         "--out", "CERT"],
     ],
 )
 def test_bad_input_exits_with_parse_error(argv, tmp_path, capsys):
@@ -244,6 +258,14 @@ def test_empty_graph_diameter_exits_cleanly(argv, code, stream, tmp_path, capsys
     assert main(argv) == code
     text = getattr(capsys.readouterr(), stream)
     assert text.startswith("not-certifiable: " if code == 2 else "summary ")
+
+
+def test_prove_at_the_largest_k_whose_labels_fit_u32(tmp_path, capsys):
+    out = tmp_path / "e2.cert"
+    argv = ["prove", "--scheme", "diam_atleast", "--graph", "E2",
+            "--k", "4294967294", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes().hex() == "06000000000000004000000000ffffffff"
 
 
 @pytest.mark.parametrize(

@@ -16,12 +16,6 @@ from streamcert.gadgets import (
     disj_degeneracy_family,
     disj_diameter8_family,
     disj_matching_family,
-    gadget_bitgadget_vc,
-    gadget_disj_degeneracy,
-    gadget_disj_diameter8,
-    gadget_disj_matching,
-    gadget_holzer_diameter2,
-    gadget_perm_coloring,
     holzer_diameter2_family,
     perm_coloring_family,
 )
@@ -41,60 +35,62 @@ from streamcert.verifiers import run_verifier
 # -- pinned examples ----------------------------------------------------------------
 
 def test_disj_matching_examples():
-    assert oracle_max_matching(gadget_disj_matching({1, 2}, {3, 4}, 4).graph) == 4
-    assert oracle_max_matching(gadget_disj_matching({1, 2}, {2, 3}, 4).graph) < 4
-    assert oracle_max_matching(gadget_disj_matching({1}, {2}, 2).graph) == 2
+    build = disj_matching_family(4).build
+    assert oracle_max_matching(build({1, 2}, {3, 4}).graph) == 4
+    assert oracle_max_matching(build({1, 2}, {2, 3}).graph) < 4
+    assert oracle_max_matching(disj_matching_family(2).build({1}, {2}).graph) == 2
     with pytest.raises(BadSizes):
-        gadget_disj_matching({1}, {2, 3}, 4)
+        build({1}, {2, 3})
 
 
 def test_disj_degeneracy_examples():
-    assert oracle_degeneracy(gadget_disj_degeneracy({1, 2}, {3, 4}, 4).graph) == 1
-    assert oracle_degeneracy(gadget_disj_degeneracy({1, 2}, {2, 4}, 4).graph) >= 2
-    inst = gadget_disj_degeneracy(set(), set(), 4)
+    build = disj_degeneracy_family(4).build
+    assert oracle_degeneracy(build({1, 2}, {3, 4}).graph) == 1
+    assert oracle_degeneracy(build({1, 2}, {2, 4}).graph) >= 2
+    inst = build(set(), set())
     assert inst.graph.edges == ((5, 6),)  # the single a-b edge
     assert oracle_degeneracy(inst.graph) == 1
 
 
 def test_disj_diameter8_examples():
-    assert oracle_diameter(gadget_disj_diameter8({1}, {1}, 3).graph) == 6
-    assert oracle_diameter(gadget_disj_diameter8({1}, {2}, 3).graph) >= 8
-    assert oracle_diameter(gadget_disj_diameter8(set(), set(), 1).graph) >= 8
+    build = disj_diameter8_family(3).build
+    assert oracle_diameter(build({1}, {1}).graph) == 6
+    assert oracle_diameter(build({1}, {2}).graph) >= 8
+    assert oracle_diameter(disj_diameter8_family(1).build(set(), set()).graph) >= 8
 
 
 def test_holzer_examples():
+    build = holzer_diameter2_family(4).build
     zero = (0,) * 6
-    assert oracle_diameter(gadget_holzer_diameter2(zero, zero, 4).graph) == 2
+    assert oracle_diameter(build(zero, zero).graph) == 2
     common = (1, 0, 0, 0, 0, 0)
-    assert oracle_diameter(gadget_holzer_diameter2(common, common, 4).graph) >= 3
+    assert oracle_diameter(build(common, common).graph) >= 3
     other = (0, 1, 0, 0, 0, 0)
-    assert oracle_diameter(gadget_holzer_diameter2(common, other, 4).graph) == 2
+    assert oracle_diameter(build(common, other).graph) == 2
     with pytest.raises(BadSizes):
-        gadget_holzer_diameter2((0,) * 5, (0,) * 5, 4)
+        build((0,) * 5, (0,) * 5)
 
 
 def test_bitgadget_examples():
+    family = bitgadget_vc_family(2)
     ones = (1,) * 4
-    inst = gadget_bitgadget_vc(ones, ones, 2)
+    inst = family.build(ones, ones)
     assert len(minimum_vertex_cover(inst.graph)) == 4 * (2 - 1) + 4 * 1  # = 8
-    disjoint = gadget_bitgadget_vc((1, 1, 0, 0), (0, 0, 1, 1), 2)
+    disjoint = family.build((1, 1, 0, 0), (0, 0, 1, 1))
     assert len(minimum_vertex_cover(disjoint.graph)) >= 9
-    mixed = gadget_bitgadget_vc((0, 0, 0, 0), (1, 1, 1, 1), 2)
-    assert mixed.predicate_expected  # no common 1 position
-    assert len(minimum_vertex_cover(mixed.graph)) >= 9
-    with pytest.raises(BadSizes):
-        gadget_bitgadget_vc((1, 1), (1, 1), 3)  # not a power of two
+    x, y = (0, 0, 0, 0), (1, 1, 1, 1)
+    assert family.two_party(x, y)  # no common 1 position
+    assert len(minimum_vertex_cover(family.build(x, y).graph)) >= 9
 
 
 def test_perm_coloring_examples():
     from streamcert.oracles import oracle_chromatic
 
+    build = perm_coloring_family(3).build
     ident, swap, cyc = (1, 2, 3), (2, 1, 3), (2, 3, 1)
-    assert oracle_chromatic(gadget_perm_coloring(ident, ident, 3).graph) <= 3
-    assert oracle_chromatic(gadget_perm_coloring(ident, swap, 3).graph) > 3
-    assert oracle_chromatic(gadget_perm_coloring(cyc, cyc, 3).graph) <= 3
-    with pytest.raises(BadSizes):
-        gadget_perm_coloring((1, 2), (2, 1), 2)
+    assert oracle_chromatic(build(ident, ident).graph) <= 3
+    assert oracle_chromatic(build(ident, swap).graph) > 3
+    assert oracle_chromatic(build(cyc, cyc).graph) <= 3
 
 
 @pytest.mark.parametrize(
@@ -141,13 +137,12 @@ def test_partition_invariant(family, inputs):
     assert sum(map(len, groups)) == inst.graph.m  # disjoint union
     assert set.union(*groups) == set(inst.graph.edge_set)
     assert inst.split_point == len(inst.fixed_edges) + len(inst.alice_edges)
-    assert inst.predicate_expected == family.two_party(x, y)
 
 
 def test_overlapping_edge_groups_are_refused():
     # the same pair on both sides, written in opposite orientations
     with pytest.raises(DuplicateEdge, match=r"duplicate edge \(1, 2\)"):
-        _assemble("overlap", 3, [], [(1, 2)], [(2, 1), (2, 3)], (), (), True)
+        _assemble(3, [], [(1, 2)], [(2, 1), (2, 3)])
 
 
 @pytest.mark.parametrize("family,inputs", FAMILIES, ids=lambda fi: str(fi)[:24])
@@ -240,6 +235,35 @@ def test_gadget_report_lines_pinned():
     assert len(lines) == 1116
     assert digest == (
         "904e4c3f90d9231ae59775e3c996e02a4a3979ca0e4ae4b07dfb48dc1d6f1d43"
+    )
+
+
+def test_gadget_instances_pinned():
+    """sha256 over every small instance's size and edge groups, in order:
+    the graph, the fixed/Alice/Bob partition and so the split point must not
+    drift."""
+    lines = []
+    for family in [
+        disj_matching_family(2), disj_matching_family(4),
+        disj_degeneracy_family(1), disj_degeneracy_family(3),
+        disj_diameter8_family(1), disj_diameter8_family(2),
+        holzer_diameter2_family(2), holzer_diameter2_family(3),
+        bitgadget_vc_family(2), perm_coloring_family(3),
+    ]:
+        render = family.domain.render
+        side = list(family.domain.all_inputs())
+        for x in side:
+            for y in side:
+                inst = family.build(x, y)
+                lines.append(
+                    f"{family.name} {render(x)} {render(y)} n={inst.graph.n} "
+                    f"fixed={inst.fixed_edges} alice={inst.alice_edges} "
+                    f"bob={inst.bob_edges}"
+                )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(lines) == 488
+    assert digest == (
+        "463dbd9f023eae2a44f984350758c9dd6dd31175daae8c4df29f7a6f34ddcd1f"
     )
 
 
