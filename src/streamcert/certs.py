@@ -35,6 +35,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Callable
 
 from .meter import ceil_log2, id_bits
@@ -67,18 +68,21 @@ def _pack_bitvector(members: frozenset[int] | set[int], n: int) -> bytes:
     return bytes(out)
 
 
+#: each byte's eight bits, most significant first: node 8i + j + 1 is in a
+#: bit vector when bit j of its byte i is set
+_BYTE_BITS = tuple(
+    tuple(byte >> shift & 1 for shift in range(7, -1, -1)) for byte in range(256)
+)
+
+
 def _unpack_bitvector(data: bytes, n: int) -> frozenset[int]:
     if len(data) != (n + 7) // 8:
         raise MalformedCertificate("bit vector has wrong length")
-    members = set()
-    for idx in range(n):
-        if data[idx >> 3] & (0x80 >> (idx & 7)):
-            members.add(idx + 1)
     # padding bits beyond n must be zero (no trailing garbage)
-    if n % 8:
-        if data[-1] & ((1 << (8 - n % 8)) - 1):
-            raise MalformedCertificate("nonzero padding bits")
-    return frozenset(members)
+    if n % 8 and data[-1] & ((1 << (8 - n % 8)) - 1):
+        raise MalformedCertificate("nonzero padding bits")
+    bits = chain.from_iterable(map(_BYTE_BITS.__getitem__, data))
+    return frozenset(compress(range(1, n + 1), bits))
 
 
 # -- u32 field layouts --------------------------------------------------------

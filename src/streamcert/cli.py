@@ -178,16 +178,20 @@ def _cmd_fuzz(args) -> int:
             "soundness fuzzing needs an illegal instance"
         )
     modes = harness.FUZZ_MODES if args.mode == "all" else (args.mode,)
+    records: list[harness.TrialRecord] = []
     breaches: list[str] = []
-    total = 0
     for mode in modes:
         policy = harness.FuzzPolicy(mode, args.trials, args.seed)
-        records, got = harness.fuzz_instance(args.scheme, entry, k, policy)
-        total += len(records)
-        breaches += got
+        got_records, got_breaches = harness.fuzz_instance(args.scheme, entry, k, policy)
+        records += got_records
+        breaches += got_breaches
     for b in breaches:
         print(b)
-    print(f"summary scheme={args.scheme} trials={total} breaches={len(breaches)}")
+    report = harness.CampaignReport(args.scheme, "fuzz", tuple(records), tuple(breaches))
+    print(
+        f"summary scheme={args.scheme} trials={len(records)} breaches={len(breaches)} "
+        f"reasons={harness.format_reasons(report.reasons())}"
+    )
     return EXIT_ACCEPT if not breaches else EXIT_COUNTEREXAMPLE
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from . import gadgets
 from .certs import (
@@ -42,7 +44,7 @@ from .graph import (
     star_graph,
     validate_graph,
 )
-from .meter import SpaceReport, ceil_log2, id_bits
+from .meter import ceil_log2, id_bits
 from .oracles import NP_ORACLE_MAX_N, PARAMETERS, TooLarge, parameter_value
 from .provers import NotCertifiable
 from .schemes import SCHEMES, SchemeInfo, illegal_thresholds, legal_thresholds
@@ -181,9 +183,14 @@ ACCEPTANCE_CORPUS_SPEC: tuple[str, ...] = (
 
 
 # -- campaign records -------------------------------------------------------------
+#
+# A campaign keeps one TrialRecord per (certificate, order) trial; criterion 2
+# builds about seven million of them, so a record is a plain tuple with named
+# fields, built without any per-field setattr. A certificate rejected at init
+# gets its whole batch of records, one per order, from one read of its reason
+# and peak (see ``fuzz_instance``).
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     scheme: str
     graph: str
     k: int
@@ -203,6 +210,9 @@ class TrialRecord:
         )
 
 
+_DECISION_REASON = attrgetter("decision", "reason")
+
+
 @dataclass(frozen=True)
 class CampaignReport:
     scheme: str
@@ -220,6 +230,20 @@ class CampaignReport:
 
     def lines(self) -> list[str]:
         return [r.line() for r in self.records]
+
+    def reasons(self) -> Counter[tuple[str, str]]:
+        """How the trials split by (decision, reason): a diagnostic, never
+        read by the accept decision."""
+        return Counter(map(_DECISION_REASON, self.records))
+
+
+def format_reasons(reasons: Counter[tuple[str, str]]) -> str:
+    """A reason histogram as ``reason:count`` pairs, sorted by reason and
+    joined by commas; an accept's reason is ``ok``."""
+    by_reason: Counter[str] = Counter()
+    for (_, reason), count in reasons.items():
+        by_reason[reason] += count
+    return ",".join(f"{reason}:{count}" for reason, count in sorted(by_reason.items()))
 
 
 # -- completeness -----------------------------------------------------------------
@@ -370,35 +394,41 @@ def fuzz_instance(
 
     Each order's stream is built once and replayed to every certificate.
     Each certificate's verifier is built once. One that rejected at init has
-    read no item (the run contract in ``verifiers``), so its verdict and peak
-    are the record of every order; a survivor gets a ``run_verifier`` for
-    each order."""
+    read no item and never accepts (the run contract in ``verifiers``), so
+    its reason and peak are read once and make its whole batch of records,
+    one reject per order, with no breach check; a survivor gets a
+    ``run_verifier`` for each order, and each of its accepts is a breach."""
     info = SCHEMES[scheme]
     records: list[TrialRecord] = []
     breaches: list[str] = []
     certs = _fuzz_certificates(info, entry, k, fuzz)
     if not certs:
         return records, breaches
+    name, n = entry.name, entry.graph.n
     streams = [(order, make_stream(entry.graph, k, order)) for order in orders]
     verifier_cls = SCHEME_VERIFIERS[scheme]
     for cert_id, cert in certs:
-        verifier = verifier_cls(entry.graph.n, k, cert)
+        verifier = verifier_cls(n, k, cert)
         if verifier.rejected:
-            dead = verifier.finalize(), SpaceReport(verifier.peak_state_bits(), cert.semantic_bits)
-            outcomes = [dead] * len(streams)
-        else:
-            outcomes = [run_verifier(scheme, stream, cert) for _, stream in streams]
-        for (order, _), (verdict, report) in zip(streams, outcomes):
+            reason, peak = verifier.finalize().reason, verifier.peak_state_bits()
+            bits = cert.semantic_bits
+            records += [
+                TrialRecord(scheme, name, k, order, cert_id, "reject", reason, peak, bits)
+                for order, _ in streams
+            ]
+            continue
+        for order, stream in streams:
+            verdict, report = run_verifier(scheme, stream, cert)
             records.append(
                 TrialRecord(
-                    scheme, entry.name, k, order, cert_id,
+                    scheme, name, k, order, cert_id,
                     verdict.decision, verdict.reason,
                     report.peak_state_bits, report.certificate_bits,
                 )
             )
             if verdict.accepted:
                 breaches.append(
-                    f"BREACH {scheme} graph={entry.name} k={k} "
+                    f"BREACH {scheme} graph={name} k={k} "
                     f"order={order} cert={cert_id} seed={fuzz.seed} "
                     f"bytes={serialize_certificate(cert).hex()}"
                 )

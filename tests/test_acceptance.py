@@ -9,6 +9,7 @@ for the completeness/soundness/gadget sweeps.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from streamcert.harness import (
     ACCEPTANCE_CORPUS_SPEC,
     FuzzPolicy,
     build_corpus,
+    format_reasons,
     run_completeness,
     run_soundness,
     run_space_scaling,
@@ -82,6 +84,7 @@ def test_criterion_2_soundness_sweep(corpus):
     breaches: list[str] = []
     min_instances = math.inf
     trials = 0
+    reasons: Counter[tuple[str, str]] = Counter()
     assert len(SOUNDNESS_ORDERS) == 5
     for scheme in BASE_SCHEMES:
         per_scheme_instances = set()
@@ -95,6 +98,7 @@ def test_criterion_2_soundness_sweep(corpus):
             )
             breaches.extend(report.failures)
             trials += len(report.records)
+            reasons += report.reasons()
             per_scheme_instances |= {(r.graph, r.k) for r in report.records}
         min_instances = min(min_instances, len(per_scheme_instances))
     ok = not breaches and min_instances >= 300
@@ -102,7 +106,8 @@ def test_criterion_2_soundness_sweep(corpus):
         "2 soundness",
         ok,
         f"{len(BASE_SCHEMES)} schemes, >= {min_instances} illegal instances each, "
-        f"{trials} trials, {len(breaches)} acceptances",
+        f"{trials} trials, {len(breaches)} acceptances, "
+        f"reasons={format_reasons(reasons)}",
     )
     assert not breaches, breaches[:5]
     assert min_instances >= 300

@@ -156,6 +156,20 @@ def test_fuzz_command(capsys):
     assert "breaches=0" in capsys.readouterr().out
 
 
+def test_fuzz_reason_histogram_sums_to_trials(capsys):
+    rc = main([
+        "fuzz", "--scheme", "deg_atmost", "--graph", "K5", "--k", "2",
+        "--trials", "40",
+    ])
+    assert rc == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    fields = dict(field.split("=", 1) for field in summary.split()[1:])
+    counts = dict(pair.rsplit(":", 1) for pair in fields["reasons"].split(","))
+    assert list(counts) == sorted(counts)
+    assert "malformed-certificate" in counts and len(counts) > 1
+    assert sum(map(int, counts.values())) == int(fields["trials"]) > 0
+
+
 def test_fuzz_computes_only_the_schemes_parameter(capsys):
     # matching is polynomial: n = 30 is past the exponential oracles' cutoff
     rc = main([
@@ -228,6 +242,9 @@ def test_reject_exit_code_with_transplanted_cert(tmp_path):
         ["gadget", "nope"],
         ["gadget", "perm", "--r", "7", "--check", "sample", "--count", "1"],
         ["gadget", "bitvc", "--n", "4", "--check", "sample", "--count", "1"],
+        # input spaces whose decimal form is past Python's int-to-str limit
+        ["gadget", "diam8", "--n", "8000"],
+        ["gadget", "bitvc", "--n", "512"],
         # the unreachable node's label k + 1 does not fit a u32 field
         ["prove", "--scheme", "diam_atleast", "--graph", "E2", "--k", "4294967295",
          "--out", "CERT"],

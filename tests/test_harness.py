@@ -240,6 +240,67 @@ def test_fuzz_instance_matches_a_fresh_run_per_certificate_and_order(monkeypatch
     assert one_half_rejected > 0  # an equality certificate with one half dead at init
 
 
+def test_fuzz_instance_builds_one_verifier_per_certificate(monkeypatch):
+    """``fuzz_instance`` builds each certificate's verifier once, whatever
+    the number of orders, and writes one record per (certificate, order)."""
+    from streamcert import harness
+    from streamcert.harness import _fuzz_certificates
+    from streamcert.schemes import illegal_thresholds
+    from streamcert.stream import SOUNDNESS_ORDERS
+    from streamcert.verifiers import SCHEME_VERIFIERS
+
+    built = []
+
+    def counting(cls):
+        class Counting(cls):
+            def __init__(self, n, k, cert):
+                built.append(cert)
+                super().__init__(n, k, cert)
+
+        return Counting
+
+    monkeypatch.setattr(
+        harness, "SCHEME_VERIFIERS", {s: counting(c) for s, c in SCHEME_VERIFIERS.items()}
+    )
+    corpus = build_corpus(["paths:3..5", "cycles:4", "gnp:6..7:0.4:2"], seed=29)
+    certificates = 0
+    for scheme in ("deg_atmost", "mm_atmost", "diam_atleast", "mm_equal"):
+        info = SCHEMES[scheme]
+        for mode, budget in (("random_bytes", 6), ("bit_flip", 6), ("structured_wrong", 2)):
+            policy = FuzzPolicy(mode, budget, seed=4)
+            for entry in corpus.entries:
+                for k in illegal_thresholds(info, entry.value(info.parameter)):
+                    built.clear()
+                    records, _ = fuzz_instance(scheme, entry, k, policy)
+                    certs = _fuzz_certificates(info, entry, k, policy)
+                    assert built == [cert for _, cert in certs], (scheme, mode, entry.name, k)
+                    assert [r.cert_id for r in records] == [
+                        cert_id for cert_id, _ in certs for _ in SOUNDNESS_ORDERS
+                    ]
+                    assert [r.order for r in records] == list(SOUNDNESS_ORDERS) * len(certs)
+                    certificates += len(certs)
+    assert certificates > 0
+
+
+def test_trial_record_is_an_immutable_tuple_with_a_fixed_line():
+    from streamcert.harness import TrialRecord
+
+    assert TrialRecord._fields == (
+        "scheme", "graph", "k", "order", "cert_id", "decision", "reason",
+        "peak_bits", "cert_bits",
+    )
+    record = TrialRecord(
+        "deg_atmost", "path-4", 2, "shuffle:1", "flip:17", "reject",
+        "malformed-certificate", 24, 8,
+    )
+    with pytest.raises(AttributeError):
+        record.decision = "accept"
+    assert record.line() == (
+        "scheme=deg_atmost graph=path-4 k=2 order=shuffle:1 cert=flip:17 "
+        "verdict=reject reason=malformed-certificate peak_bits=24 cert_bits=8"
+    )
+
+
 def _brute_one_edge_variant(info, g, k):
     """Lex search over every graph one edge away from g, with no shortcut."""
     from streamcert.graph import Graph
