@@ -189,6 +189,78 @@ def test_equality_soundness_report_lines_pinned():
     assert digest.hexdigest() == PINNED_EQUALITY_SOUNDNESS_SHA256
 
 
+#: sha256 of the completeness report lines and failures of all 12 schemes on
+#: PINNED_CORPUS (seed 11) under four orders, recorded while
+#: ``run_completeness`` kept a trial loop of its own
+PINNED_COMPLETENESS_SHA256 = (
+    "56319541c62b1691754d2fcf125f49b86d117b049241fb5a0aee1bda3b9fd466"
+)
+
+
+def test_completeness_report_lines_pinned():
+    import hashlib
+
+    corpus = build_corpus(PINNED_CORPUS, seed=11)
+    digest = hashlib.sha256()
+    trials = 0
+    for scheme in SCHEMES:
+        report = run_completeness(scheme, corpus, ("given", "rev", "lex", "shuffle:0"))
+        for line in report.lines() + list(report.failures):
+            digest.update(line.encode() + b"\n")
+        trials += len(report.records)
+    assert trials == 1408
+    assert digest.hexdigest() == PINNED_COMPLETENESS_SHA256
+
+
+_GE = (
+    [[0], [0, 1], [1, 2], [2, 3], [3, 4]],
+    [[1], [2], [3], [4], [5]],
+)
+_LE = (
+    [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]],
+    [[], [0], [1], [2], [3]],
+)
+_EQ = (
+    [[0], [1], [2], [3], [4]],
+    [[1], [2, 0], [3, 1], [4, 2], [5, 3]],
+)
+
+#: (legal, illegal) thresholds of each scheme at values 0..4 with n = 5,
+#: recorded while the thresholds were written out per direction
+PINNED_THRESHOLDS = {
+    "mm_atleast_list": _GE,
+    "mm_atleast_coloring": _GE,
+    "mm_atmost": _LE,
+    "deg_atmost": _LE,
+    "deg_atleast": _GE,
+    "diam_atleast": _GE,
+    "coloring_atmost": _LE,
+    "is_atleast": _GE,
+    "clique_atleast": _GE,
+    "vc_atmost": _LE,
+    "mm_equal": _EQ,
+    "deg_equal": _EQ,
+}
+
+
+def test_thresholds_pinned():
+    import math
+
+    from streamcert.schemes import illegal_thresholds, legal_thresholds
+
+    assert set(PINNED_THRESHOLDS) == set(SCHEMES)
+    for scheme, (legal, illegal) in PINNED_THRESHOLDS.items():
+        info = SCHEMES[scheme]
+        assert [legal_thresholds(info, v, 5) for v in range(5)] == legal, scheme
+        assert [illegal_thresholds(info, v) for v in range(5)] == illegal, scheme
+        for v in range(5):
+            assert all(info.legal(v, k) for k in legal[v]), (scheme, v)
+            assert not any(info.legal(v, k) for k in illegal[v]), (scheme, v)
+    diam = SCHEMES["diam_atleast"]
+    assert legal_thresholds(diam, math.inf, 5) == [1, 5]
+    assert illegal_thresholds(diam, math.inf) == []
+
+
 def test_fuzz_instance_matches_a_fresh_run_per_certificate_and_order(monkeypatch):
     """Each record equals the one a fresh ``run_verifier`` gives for its
     (certificate, order), whether the certificate rejects at init or not,
