@@ -187,10 +187,10 @@ def _cmd_fuzz(args) -> int:
         breaches += got_breaches
     for b in breaches:
         print(b)
-    report = harness.CampaignReport(args.scheme, "fuzz", tuple(records), tuple(breaches))
+    reasons = harness.CampaignReport(tuple(records), tuple(breaches)).reasons()
     print(
         f"summary scheme={args.scheme} trials={len(records)} breaches={len(breaches)} "
-        f"reasons={harness.format_reasons(report.reasons())}"
+        f"reasons={harness.format_reasons(reasons)}"
     )
     return EXIT_ACCEPT if not breaches else EXIT_COUNTEREXAMPLE
 

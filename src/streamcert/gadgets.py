@@ -24,6 +24,7 @@ its gadget names and size flags from it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -288,7 +289,7 @@ def holzer_diameter2_family(p: int) -> GadgetFamily:
     (indexed by pairs i<j) switch a-side and b-side edges OFF where the bit is
     1. Diameter stays 2 iff no pair is missing on both sides."""
     _require_size("holzer_diameter2", "p", p, 2)
-    pairs = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
+    bits = p * (p - 1) // 2  # one per pair i < j, in lex order
     a = lambda i: 1 + i
     b = lambda i: p + 2 + i
     fixed = (
@@ -298,8 +299,9 @@ def holzer_diameter2_family(p: int) -> GadgetFamily:
     )
 
     def build(x, y) -> GadgetInstance:
-        if len(x) != len(pairs) or len(y) != len(pairs):
-            raise BadSizes(f"inputs must have length p(p-1)/2 = {len(pairs)}")
+        if len(x) != bits or len(y) != bits:
+            raise BadSizes(f"inputs must have length p(p-1)/2 = {bits}")
+        pairs = list(itertools.combinations(range(1, p + 1), 2))
         alice = [(a(i), a(j)) for (i, j), z in zip(pairs, x) if z == 0]
         bob = [(b(i), b(j)) for (i, j), z in zip(pairs, y) if z == 0]
         return _assemble(2 * (p + 1), fixed, alice, bob)
@@ -309,7 +311,7 @@ def holzer_diameter2_family(p: int) -> GadgetFamily:
         build=build,
         two_party=_bits_disjoint,
         predicate=lambda g: oracle_diameter(g) == 2,
-        domain=bit_vectors(len(pairs)),
+        domain=bit_vectors(bits),
         applicable=(("diam_atleast", 3, False),),
     )
 
@@ -359,17 +361,21 @@ def bitgadget_vc_family(width: int) -> GadgetFamily:
             *rungs(fp, tp),
         ]
 
-    alice_frame = side(a, ap, "fa", "ta", "fap", "tap")
-    bob_frame = side(b, bp, "fb", "tb", "fbp", "tbp")
+    @functools.cache
+    def frames():
+        """Both sides' frames, O(width^2) edges, laid out on the first build."""
+        return side(a, ap, "fa", "ta", "fap", "tap"), side(b, bp, "fb", "tb", "fbp", "tbp")
+
     fixed = rungs("fa", "tb") + rungs("ta", "fb")
     fixed += rungs("fap", "tbp") + rungs("tap", "fbp")
-    cells = [(i, j) for i in range(width) for j in range(width)]
 
     def build(x, y) -> GadgetInstance:
         if len(x) != width * width or len(y) != width * width:
             raise BadSizes(f"inputs must have length {width * width}")
-        alice = alice_frame + [(a(i), ap(j)) for (i, j), z in zip(cells, x) if z == 0]
-        bob = bob_frame + [(b(i), bp(j)) for (i, j), z in zip(cells, y) if z == 0]
+        alice_frame, bob_frame = frames()
+        # input bit c stands for the cell (i, j) = divmod(c, width)
+        alice = alice_frame + [(a(c // width), ap(c % width)) for c, z in enumerate(x) if z == 0]
+        bob = bob_frame + [(b(c // width), bp(c % width)) for c, z in enumerate(y) if z == 0]
         return _assemble(4 * width + 8 * logw, fixed, alice, bob)
 
     return GadgetFamily(

@@ -1,6 +1,11 @@
 """Experiment driver: corpora, completeness/soundness campaigns, certificate
 fuzzing, and space-scaling measurement.
 
+Every campaign runs the certificates of a (graph, k) instance through one
+trial loop, ``_run_trials``, which writes one ``TrialRecord`` per (certificate,
+order): completeness the honest certificate of a legal instance, soundness the
+fuzzed certificates of an illegal one.
+
 Every campaign is seeded and iterates in sorted order, so reports are
 byte-identical across re-runs. A soundness breach (an accepted certificate on
 an illegal instance) is reported with a full reproducer: graph name, stream
@@ -14,7 +19,6 @@ import random
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from . import gadgets
@@ -182,13 +186,11 @@ ACCEPTANCE_CORPUS_SPEC: tuple[str, ...] = (
 )
 
 
-# -- campaign records -------------------------------------------------------------
+# -- the trial loop ---------------------------------------------------------------
 #
 # A campaign keeps one TrialRecord per (certificate, order) trial; criterion 2
 # builds about seven million of them, so a record is a plain tuple with named
-# fields, built without any per-field setattr. A certificate rejected at init
-# gets its whole batch of records, one per order, from one read of its reason
-# and peak (see ``fuzz_instance``).
+# fields, built without any per-field setattr.
 
 class TrialRecord(NamedTuple):
     scheme: str
@@ -210,13 +212,8 @@ class TrialRecord(NamedTuple):
         )
 
 
-_DECISION_REASON = attrgetter("decision", "reason")
-
-
 @dataclass(frozen=True)
 class CampaignReport:
-    scheme: str
-    kind: str
     records: tuple[TrialRecord, ...]
     failures: tuple[str, ...]
 
@@ -231,19 +228,63 @@ class CampaignReport:
     def lines(self) -> list[str]:
         return [r.line() for r in self.records]
 
-    def reasons(self) -> Counter[tuple[str, str]]:
-        """How the trials split by (decision, reason): a diagnostic, never
-        read by the accept decision."""
-        return Counter(map(_DECISION_REASON, self.records))
+    def reasons(self) -> Counter[str]:
+        """How the trials split by reason (an accept's is ``ok``): a
+        diagnostic, never read by the accept decision."""
+        return Counter([r.reason for r in self.records])
 
 
-def format_reasons(reasons: Counter[tuple[str, str]]) -> str:
+def format_reasons(reasons: Counter[str]) -> str:
     """A reason histogram as ``reason:count`` pairs, sorted by reason and
-    joined by commas; an accept's reason is ``ok``."""
-    by_reason: Counter[str] = Counter()
-    for (_, reason), count in reasons.items():
-        by_reason[reason] += count
-    return ",".join(f"{reason}:{count}" for reason, count in sorted(by_reason.items()))
+    joined by commas."""
+    return ",".join(f"{reason}:{count}" for reason, count in sorted(reasons.items()))
+
+
+def _run_trials(
+    scheme: str,
+    entry: CorpusEntry,
+    k: int,
+    certs: Sequence[tuple[str, CertificateBlob]],
+    orders: Sequence[str],
+) -> tuple[list[TrialRecord], list[tuple[str, str, CertificateBlob]]]:
+    """Run each (cert_id, certificate) under each order; returns the records,
+    certificate-major, and the (order, cert_id, certificate) of each accept.
+
+    Each order's stream is built once, and none when there is no
+    certificate. Each certificate's verifier is built once. One that rejected
+    at init has read no item and never accepts (the run contract in
+    ``verifiers``), so its reason and peak are read once and make its whole
+    batch of records, one reject per order; a survivor gets a
+    ``run_verifier`` for each order."""
+    records: list[TrialRecord] = []
+    accepts: list[tuple[str, str, CertificateBlob]] = []
+    if not certs:
+        return records, accepts
+    name, n = entry.name, entry.graph.n
+    streams = [(order, make_stream(entry.graph, k, order)) for order in orders]
+    verifier_cls = SCHEME_VERIFIERS[scheme]
+    for cert_id, cert in certs:
+        verifier = verifier_cls(n, k, cert)
+        if verifier.rejected:
+            reason, peak = verifier.finalize().reason, verifier.peak_state_bits()
+            bits = cert.semantic_bits
+            records += [
+                TrialRecord(scheme, name, k, order, cert_id, "reject", reason, peak, bits)
+                for order, _ in streams
+            ]
+            continue
+        for order, stream in streams:
+            verdict, report = run_verifier(scheme, stream, cert)
+            records.append(
+                TrialRecord(
+                    scheme, name, k, order, cert_id,
+                    verdict.decision, verdict.reason,
+                    report.peak_state_bits, report.certificate_bits,
+                )
+            )
+            if verdict.accepted:
+                accepts.append((order, cert_id, cert))
+    return records, accepts
 
 
 # -- completeness -----------------------------------------------------------------
@@ -251,7 +292,9 @@ def format_reasons(reasons: Counter[tuple[str, str]]) -> str:
 def run_completeness(
     scheme: str, corpus: Corpus, orders: Sequence[str] = ORDER_BATTERY
 ) -> CampaignReport:
-    """Prove every legal (graph, k) in the corpus and verify under each order."""
+    """Prove every legal (graph, k) in the corpus and run the honest
+    certificate under each order through the trial loop; a prover refusal,
+    a reject, or a peak over the scheme's space bound is a failure."""
     info = SCHEMES[scheme]
     records: list[TrialRecord] = []
     failures: list[str] = []
@@ -263,27 +306,16 @@ def run_completeness(
             except (NotCertifiable, TooLarge) as exc:
                 failures.append(f"{entry.name} k={k}: prover refused: {exc}")
                 continue
-            for order in orders:
-                verdict, report = run_verifier(
-                    scheme, make_stream(entry.graph, k, order), cert
-                )
-                records.append(
-                    TrialRecord(
-                        scheme, entry.name, k, order, "honest",
-                        verdict.decision, verdict.reason,
-                        report.peak_state_bits, report.certificate_bits,
-                    )
-                )
-                if not verdict.accepted:
-                    failures.append(
-                        f"{entry.name} k={k} order={order}: "
-                        f"honest certificate rejected ({verdict.reason})"
-                    )
-                if report.peak_state_bits > space_bound(scheme, entry.graph.n, k):
-                    failures.append(
-                        f"{entry.name} k={k} order={order}: space bound exceeded"
-                    )
-    return CampaignReport(scheme, "completeness", tuple(records), tuple(failures))
+            trials, _ = _run_trials(scheme, entry, k, [("honest", cert)], orders)
+            bound = space_bound(scheme, entry.graph.n, k)
+            for r in trials:
+                where = f"{entry.name} k={k} order={r.order}"
+                if r.decision != "accept":
+                    failures.append(f"{where}: honest certificate rejected ({r.reason})")
+                if r.peak_bits > bound:
+                    failures.append(f"{where}: space bound exceeded")
+            records += trials
+    return CampaignReport(tuple(records), tuple(failures))
 
 
 # -- soundness --------------------------------------------------------------------
@@ -312,7 +344,8 @@ def _nearest_legal_cert(info: SchemeInfo, g: Graph, value: int | float) -> Certi
 def _one_edge_variant(
     info: SchemeInfo, g: Graph, k: int, value: int | float
 ) -> Graph | None:
-    """A graph one edge away from g that is legal at k, if any (lex search).
+    """A graph one edge away from g that is legal at k, if any: candidates
+    are built one at a time in lex order, and the first legal one is returned.
 
     ``value`` is g's own parameter value. A ge or eq scheme adds an edge and
     a le scheme removes one; when that move can only carry the parameter
@@ -322,24 +355,19 @@ def _one_edge_variant(
     if (value > k) if raises else (value < k):
         return None
     if adds:
-        candidates = [
-            Graph(g.n, g.edges + (e,))
-            for e in sorted(
-                (u, v)
-                for u in range(1, g.n + 1)
-                for v in range(u + 1, g.n + 1)
-                if (u, v) not in g.edge_set
-            )
-        ]
+        candidates = (
+            Graph(g.n, g.edges + ((u, v),))
+            for u in range(1, g.n + 1)
+            for v in range(u + 1, g.n + 1)
+            if (u, v) not in g.edge_set
+        )
     else:
-        candidates = [
+        candidates = (
             Graph(g.n, tuple(e for e in g.edges if e != drop))
             for drop in sorted(g.edge_set)
-        ]
-    for candidate in candidates:
-        if info.legal(parameter_value(candidate, info.parameter), k):
-            return candidate
-    return None
+        )
+    legal = (c for c in candidates if info.legal(parameter_value(c, info.parameter), k))
+    return next(legal, None)
 
 
 def _fuzz_certificates(
@@ -392,46 +420,16 @@ def fuzz_instance(
 ) -> tuple[list[TrialRecord], list[str]]:
     """Fuzz one illegal (graph, k) instance; returns (records, breaches).
 
-    Each order's stream is built once and replayed to every certificate.
-    Each certificate's verifier is built once. One that rejected at init has
-    read no item and never accepts (the run contract in ``verifiers``), so
-    its reason and peak are read once and make its whole batch of records,
-    one reject per order, with no breach check; a survivor gets a
-    ``run_verifier`` for each order, and each of its accepts is a breach."""
-    info = SCHEMES[scheme]
-    records: list[TrialRecord] = []
-    breaches: list[str] = []
-    certs = _fuzz_certificates(info, entry, k, fuzz)
-    if not certs:
-        return records, breaches
-    name, n = entry.name, entry.graph.n
-    streams = [(order, make_stream(entry.graph, k, order)) for order in orders]
-    verifier_cls = SCHEME_VERIFIERS[scheme]
-    for cert_id, cert in certs:
-        verifier = verifier_cls(n, k, cert)
-        if verifier.rejected:
-            reason, peak = verifier.finalize().reason, verifier.peak_state_bits()
-            bits = cert.semantic_bits
-            records += [
-                TrialRecord(scheme, name, k, order, cert_id, "reject", reason, peak, bits)
-                for order, _ in streams
-            ]
-            continue
-        for order, stream in streams:
-            verdict, report = run_verifier(scheme, stream, cert)
-            records.append(
-                TrialRecord(
-                    scheme, name, k, order, cert_id,
-                    verdict.decision, verdict.reason,
-                    report.peak_state_bits, report.certificate_bits,
-                )
-            )
-            if verdict.accepted:
-                breaches.append(
-                    f"BREACH {scheme} graph={name} k={k} "
-                    f"order={order} cert={cert_id} seed={fuzz.seed} "
-                    f"bytes={serialize_certificate(cert).hex()}"
-                )
+    The fuzzed certificates go through the trial loop (``_run_trials``);
+    each accept is a breach, reported with its certificate bytes."""
+    certs = _fuzz_certificates(SCHEMES[scheme], entry, k, fuzz)
+    records, accepts = _run_trials(scheme, entry, k, certs, orders)
+    breaches = [
+        f"BREACH {scheme} graph={entry.name} k={k} "
+        f"order={order} cert={cert_id} seed={fuzz.seed} "
+        f"bytes={serialize_certificate(cert).hex()}"
+        for order, cert_id, cert in accepts
+    ]
     return records, breaches
 
 
@@ -451,7 +449,7 @@ def run_soundness(
             got_records, got_breaches = fuzz_instance(scheme, entry, k, fuzz, orders)
             records += got_records
             breaches += got_breaches
-    return CampaignReport(scheme, f"soundness[{fuzz.mode}]", tuple(records), tuple(breaches))
+    return CampaignReport(tuple(records), tuple(breaches))
 
 
 # -- space scaling ------------------------------------------------------------------

@@ -55,26 +55,18 @@ BASE_SCHEMES: tuple[str, ...] = tuple(
 
 
 def legal_thresholds(info: SchemeInfo, value: int | float, n: int) -> list[int]:
-    """One or two representative legal thresholds for an instance."""
-    if info.direction == "ge":
-        if math.isinf(value):  # disconnected graph: any diameter threshold is legal
-            return sorted({n, 1})
-        ks = {int(value)}
-        if value >= 1:
-            ks.add(int(value) - 1)
-        return sorted(ks)
-    if info.direction == "le":
-        return [int(value), int(value) + 1]
-    return [int(value)]
+    """The legal ones of the thresholds v - 1, v, v + 1 around the parameter
+    value v that are non-negative, ascending."""
+    if math.isinf(value):  # disconnected graph: any diameter threshold is legal
+        return sorted({n, 1})
+    v = int(value)
+    return [k for k in (v - 1, v, v + 1) if k >= 0 and info.legal(value, k)]
 
 
 def illegal_thresholds(info: SchemeInfo, value: int | float) -> list[int]:
-    """Representative illegal thresholds, possibly none (e.g. infinite diameter)."""
-    if info.direction == "ge":
-        return [] if math.isinf(value) else [int(value) + 1]
-    if info.direction == "le":
-        return [int(value) - 1] if value >= 1 else []
-    ks = [int(value) + 1]
-    if value >= 1:
-        ks.append(int(value) - 1)
-    return ks
+    """The illegal ones of the thresholds v + 1, then v - 1, that are
+    non-negative; none for an infinite value (e.g. infinite diameter)."""
+    if math.isinf(value):
+        return []
+    v = int(value)
+    return [k for k in (v + 1, v - 1) if k >= 0 and not info.legal(value, k)]

@@ -84,7 +84,7 @@ def test_criterion_2_soundness_sweep(corpus):
     breaches: list[str] = []
     min_instances = math.inf
     trials = 0
-    reasons: Counter[tuple[str, str]] = Counter()
+    reasons: Counter[str] = Counter()
     assert len(SOUNDNESS_ORDERS) == 5
     for scheme in BASE_SCHEMES:
         per_scheme_instances = set()

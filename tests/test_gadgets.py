@@ -190,6 +190,26 @@ def test_exhaustive_gate():
         check_gadget_equivalence(holzer_diameter2_family(5), "exhaustive")
 
 
+@pytest.mark.parametrize(
+    "build, size, message",
+    [
+        (bitgadget_vc_family, 4096, "bitgadget_vc[N=4096]: at least 2^33554432"),
+        (holzer_diameter2_family, 6000, "holzer_diameter2[p=6000]: at least 2^35994000"),
+    ],
+    ids=["bitvc", "holzer"],
+)
+def test_exhaustive_gate_refuses_before_any_layout(build, size, message):
+    """The quadratic layouts of bitvc and holzer wait for the first build, so
+    the gate refuses a huge family in far less than the seconds they take."""
+    import re
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=re.escape(message + " instances exceed")):
+        check_gadget_equivalence(build(size), "exhaustive")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_report_lines_are_stable():
     fam = disj_matching_family(2)
     a = check_gadget_equivalence(fam, "exhaustive").lines()

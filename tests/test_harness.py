@@ -262,12 +262,13 @@ def test_thresholds_pinned():
 
 
 def test_fuzz_instance_matches_a_fresh_run_per_certificate_and_order(monkeypatch):
-    """Each record equals the one a fresh ``run_verifier`` gives for its
-    (certificate, order), whether the certificate rejects at init or not,
-    and every certificate that survives init is streamed under every order."""
+    """Each record of ``fuzz_instance`` and of ``run_completeness`` equals
+    the one a fresh ``run_verifier`` gives for its (certificate, order),
+    whether the certificate rejects at init or not, and every certificate
+    that survives init is streamed under every order."""
     from streamcert import harness
     from streamcert.harness import TrialRecord, _fuzz_certificates
-    from streamcert.schemes import illegal_thresholds
+    from streamcert.schemes import illegal_thresholds, legal_thresholds
     from streamcert.stream import SOUNDNESS_ORDERS, make_stream
     from streamcert.verifiers import SCHEME_VERIFIERS, run_verifier
 
@@ -277,9 +278,28 @@ def test_fuzz_instance_matches_a_fresh_run_per_certificate_and_order(monkeypatch
         replayed.append((cert, stream.edges))
         return run_verifier(scheme, stream, cert)
 
+    def fresh_runs(scheme, entry, k, certs):
+        """(records, replays, verifiers that survive init) of a fresh run per
+        (certificate, order), where only a surviving certificate is replayed."""
+        streams = [make_stream(entry.graph, k, order) for order in SOUNDNESS_ORDERS]
+        expected, expected_replays, live = [], [], []
+        for cert_id, cert in certs:
+            verifier = SCHEME_VERIFIERS[scheme](entry.graph.n, k, cert)
+            if not verifier.rejected:
+                live.append(verifier)
+                expected_replays += [(cert, s.edges) for s in streams]
+            for order, stream in zip(SOUNDNESS_ORDERS, streams):
+                verdict, report = run_verifier(scheme, stream, cert)
+                expected.append(TrialRecord(
+                    scheme, entry.name, k, order, cert_id,
+                    verdict.decision, verdict.reason,
+                    report.peak_state_bits, report.certificate_bits,
+                ))
+        return expected, expected_replays, live
+
     monkeypatch.setattr(harness, "run_verifier", traced_run_verifier)
     corpus = build_corpus(["paths:3..5", "cycles:4..5", "stars:4", "gnp:6..8:0.4:2"], seed=23)
-    survivors = one_half_rejected = 0
+    survivors = one_half_rejected = honest = 0
     for scheme, info in SCHEMES.items():
         for mode, budget in (("random_bytes", 12), ("bit_flip", 24), ("structured_wrong", 2)):
             policy = FuzzPolicy(mode, budget, seed=9)
@@ -288,28 +308,31 @@ def test_fuzz_instance_matches_a_fresh_run_per_certificate_and_order(monkeypatch
                     replayed.clear()
                     records, breaches = fuzz_instance(scheme, entry, k, policy)
                     assert not breaches
-                    streams = [make_stream(entry.graph, k, order) for order in SOUNDNESS_ORDERS]
-                    expected, expected_replays = [], []
-                    for cert_id, cert in _fuzz_certificates(info, entry, k, policy):
-                        verifier = SCHEME_VERIFIERS[scheme](entry.graph.n, k, cert)
-                        if not verifier.rejected:
-                            survivors += 1
-                            expected_replays += [(cert, s.edges) for s in streams]
-                            if info.direction == "eq":
-                                one_half_rejected += (
-                                    verifier._le.rejected != verifier._ge.rejected
-                                )
-                        for order, stream in zip(SOUNDNESS_ORDERS, streams):
-                            verdict, report = run_verifier(scheme, stream, cert)
-                            expected.append(TrialRecord(
-                                scheme, entry.name, k, order, cert_id,
-                                verdict.decision, verdict.reason,
-                                report.peak_state_bits, report.certificate_bits,
-                            ))
+                    certs = _fuzz_certificates(info, entry, k, policy)
+                    expected, expected_replays, live = fresh_runs(scheme, entry, k, certs)
                     assert records == expected, (scheme, mode, entry.name, k)
                     assert replayed == expected_replays, (scheme, mode, entry.name, k)
+                    survivors += len(live)
+                    if info.direction == "eq":
+                        one_half_rejected += sum(
+                            verifier._le.rejected != verifier._ge.rejected for verifier in live
+                        )
+        replayed.clear()
+        report = run_completeness(scheme, corpus, SOUNDNESS_ORDERS)
+        assert report.ok, (scheme, report.failures[:2])
+        expected, expected_replays = [], []
+        for entry in corpus.entries:
+            for k in legal_thresholds(info, entry.value(info.parameter), entry.graph.n):
+                cert = info.prover(entry.graph, k)
+                records, replays, _ = fresh_runs(scheme, entry, k, [("honest", cert)])
+                expected += records
+                expected_replays += replays
+        assert report.records == tuple(expected), scheme
+        assert replayed == expected_replays, scheme
+        honest += len(expected)
     assert survivors > 0
     assert one_half_rejected > 0  # an equality certificate with one half dead at init
+    assert honest > 0
 
 
 def test_fuzz_instance_builds_one_verifier_per_certificate(monkeypatch):
