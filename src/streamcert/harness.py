@@ -82,7 +82,8 @@ def _attach(name: str, g: Graph) -> CorpusEntry:
     if g.n > NP_ORACLE_MAX_N:
         raise TooLarge(g.n, NP_ORACLE_MAX_N, f"{name}: n={g.n} beyond exact-oracle cutoff")
     values = {p: parameter_value(g, p) for p in PARAMETERS}
-    assert values["vc"] + values["is"] == g.n, "cover/IS complementarity violated"
+    if values["vc"] + values["is"] != g.n:
+        raise AssertionError("cover/IS complementarity violated")
     return CorpusEntry(name, g, values)
 
 
@@ -364,7 +365,7 @@ def _one_edge_variant(
     else:
         candidates = (
             Graph(g.n, tuple(e for e in g.edges if e != drop))
-            for drop in sorted(g.edge_set)
+            for drop in sorted(g.edges)
         )
     legal = (c for c in candidates if info.legal(parameter_value(c, info.parameter), k))
     return next(legal, None)

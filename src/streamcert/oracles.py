@@ -22,6 +22,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from collections.abc import Iterator
+from functools import reduce
+from operator import and_
 from typing import Callable, NamedTuple
 
 from .graph import Graph
@@ -156,7 +159,7 @@ def maximum_matching(g: Graph) -> dict[int, int]:
     n = g.n
     adj = {v: sorted(ns) for v, ns in g.adjacency().items()}
     mate = [0] * (n + 1)
-    for u, v in sorted(g.edge_set):
+    for u, v in sorted(g.edges):
         if mate[u] == 0 and mate[v] == 0:
             mate[u] = v
             mate[v] = u
@@ -250,24 +253,27 @@ def peel_order(g: Graph) -> tuple[list[int], int]:
     """Repeated minimum-degree removal (ties: smallest id).
 
     Returns (removal order, degeneracy = max degree at removal time).
+    Heap keys are d * (n + 1) + v, so they order as the pairs (d, v) do.
     """
-    adj = {v: set(ns) for v, ns in g.adjacency().items()}
-    heap = [(len(ns), v) for v, ns in adj.items()]
+    stride = g.n + 1
+    adj = g.adjacency()
+    degree = [0] + [len(adj[v]) for v in range(1, stride)]
+    heap = [degree[v] * stride + v for v in range(1, stride)]
     heapq.heapify(heap)
-    removed: set[int] = set()
+    removed = bytearray(stride)
     order: list[int] = []
     degeneracy = 0
     while heap:
-        d, v = heapq.heappop(heap)
-        if v in removed or d != len(adj[v]):
+        d, v = divmod(heapq.heappop(heap), stride)
+        if removed[v] or d != degree[v]:
             continue  # stale heap entry
-        removed.add(v)
+        removed[v] = 1
         order.append(v)
         degeneracy = max(degeneracy, d)
         for w in adj[v]:
-            adj[w].discard(v)
-            heapq.heappush(heap, (len(adj[w]), w))
-        adj[v].clear()
+            if not removed[w]:
+                degree[w] -= 1
+                heapq.heappush(heap, degree[w] * stride + w)
     return order, degeneracy
 
 
@@ -293,6 +299,11 @@ def k_core(g: Graph, k: int) -> frozenset[int]:
 
 # -- diameter -------------------------------------------------------------------
 
+#: sources per bit-parallel BFS: a block's masks are ints of at most this many
+#: bits, one per node, so memory stays O(n) block-wide ints for any n
+BFS_BLOCK = 1024
+
+
 def bfs_distances(adj: dict[int, list[int]], source: int) -> dict[int, int]:
     dist = {source: 0}
     queue = deque([source])
@@ -305,17 +316,67 @@ def bfs_distances(adj: dict[int, list[int]], source: int) -> dict[int, int]:
     return dist
 
 
+def source_blocks(n: int) -> Iterator[range]:
+    """The sources 1..n in id-ordered blocks of at most ``BFS_BLOCK``."""
+    return (range(lo, min(lo + BFS_BLOCK, n + 1)) for lo in range(1, n + 1, BFS_BLOCK))
+
+
+def covered_sources(adj: dict[int, list[int]], sources: range) -> Iterator[int]:
+    """Bit-parallel BFS from every source at once: for depth 0, 1, 2, ...
+    the bitmask (bit i for ``sources[i]``) of the sources whose BFS has
+    reached every node within that depth, i.e. whose eccentricity is at most
+    that depth. Stops at the first depth at which no node's mask grows, so
+    the last mask yielded holds for every later depth too.
+
+    ``reach[v]`` is the mask of sources within the depth of v; a level ORs
+    into each node the masks its neighbors gained at the level before, the
+    sources exactly that far from them (Then et al., *The More the Merrier:
+    Efficient Multi-Source Graph Traversal*, PVLDB 2014). A level costs
+    O(n + m) ops on ints of len(sources) bits.
+    """
+    n = len(adj)
+    reach = [0] * (n + 1)
+    for bit, s in enumerate(sources):
+        reach[s] = 1 << bit
+    # slot 0 is no node: it holds every source, so the AND over reach sees
+    # the nodes alone
+    reach[0] = (1 << len(sources)) - 1
+    gained = reach[:]
+    gained[0] = 0
+    while True:
+        yield reduce(and_, reach)
+        incoming = [0] * (n + 1)
+        for v in range(1, n + 1):
+            new = gained[v]
+            if new:
+                for w in adj[v]:
+                    incoming[w] |= new
+        grew = False
+        for v in range(1, n + 1):
+            new = incoming[v] & ~reach[v]
+            gained[v] = new
+            if new:
+                reach[v] |= new
+                grew = True
+        if not grew:
+            return
+
+
 def oracle_diameter(g: Graph) -> int | float:
-    """Max over pairs of BFS distance; +infinity iff disconnected; 0 for n=1."""
-    if g.n == 0:
-        return 0
+    """Max over pairs of BFS distance; +infinity iff disconnected; 0 for n=1.
+
+    The first depth at which every block of ``covered_sources`` is covered;
+    +infinity once a block stops growing with a source still uncovered."""
     adj = g.adjacency()
     diameter = 0
-    for v in range(1, g.n + 1):
-        dist = bfs_distances(adj, v)
-        if len(dist) < g.n:
+    for sources in source_blocks(g.n):
+        full = (1 << len(sources)) - 1
+        for depth, covered in enumerate(covered_sources(adj, sources)):
+            if covered == full:
+                diameter = max(diameter, depth)
+                break
+        else:
             return math.inf
-        diameter = max(diameter, max(dist.values()))
     return diameter
 
 

@@ -3,8 +3,9 @@
 Provers are computationally unconstrained. Each builds its witness with the
 exact algorithms in ``oracles`` and refuses (NotCertifiable) from that witness
 alone when it falls short of the claimed bound: no prover asks a second
-oracle first. The equality provers only combine the two one-sided provers,
-since the <=k one refuses above k and the >=k one below k. All tie-breaks are
+oracle first. The equality provers only combine the two one-sided proofs,
+since the <=k one refuses above k and the >=k one below k; ``mm_equal``
+builds both from one maximum matching. All tie-breaks are
 by smallest node id / lexicographic edge order so certificates are
 byte-reproducible across runs.
 """
@@ -30,6 +31,7 @@ from .graph import Graph
 from .oracles import (
     bfs_distances,
     count_odd_components_excluding,
+    covered_sources,
     edmonds_search,
     k_coloring,
     k_core,
@@ -38,6 +40,7 @@ from .oracles import (
     maximum_matching,
     minimum_vertex_cover,
     peel_order,
+    source_blocks,
 )
 
 
@@ -76,7 +79,7 @@ def _lex_min_greedy(g: Graph, mate: list[int], nu: int) -> Iterator[tuple[int, i
     adj = g.adjacency()
     chosen = 0
     used: set[int] = set()
-    for u, v in sorted(g.edge_set):
+    for u, v in sorted(g.edges):
         if chosen == nu:
             return
         if u in used or v in used:
@@ -102,13 +105,17 @@ def lex_min_maximum_matching(g: Graph) -> list[tuple[int, int]]:
     return list(_lex_min_greedy(g, *_maximum_mate_list(g)))
 
 
-def prove_mm_atleast_list(g: Graph, k: int) -> CertificateBlob:
-    """The first k edges of the lex-min maximum matching: the greedy stops
+def _mm_list_from(g: Graph, k: int, mate: list[int], nu: int) -> CertificateBlob:
+    """The first k edges of the lex-min maximum matching, grown from the
+    maximum matching ``mate`` of size ``nu`` (consumed): the greedy stops
     once it has kept them."""
-    mate, nu = _maximum_mate_list(g)
     if nu < k:
         raise NotCertifiable(f"maximum matching below {k}")
     return encode_mm_list(list(islice(_lex_min_greedy(g, mate, nu), k)), g.n)
+
+
+def prove_mm_atleast_list(g: Graph, k: int) -> CertificateBlob:
+    return _mm_list_from(g, k, *_maximum_mate_list(g))
 
 
 def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:
@@ -140,9 +147,9 @@ def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:
     return encode_mm_coloring(colors, domain, g.n)
 
 
-def gallai_edmonds_witness(g: Graph) -> tuple[frozenset[int], int]:
-    """A minimizer U of (|U| - odd(V\\U) + |V|) / 2, and the maximum matching
-    size nu that it attains.
+def _witness_from(g: Graph, mate: list[int], nu: int) -> frozenset[int]:
+    """A minimizer U of (|U| - odd(V\\U) + |V|) / 2 that attains 2 * nu, from
+    ``mate``, a maximum matching of size ``nu`` (left as it is).
 
     U is the neighborhood (outside D) of D, the nodes missed by at least one
     maximum matching. D is the set of outer nodes of the Edmonds forest grown
@@ -150,7 +157,6 @@ def gallai_edmonds_witness(g: Graph) -> tuple[frozenset[int], int]:
     theorem; Lovasz & Plummer, *Matching Theory*, 1986); the forest search
     raises if two of its trees meet, since the matching was then not maximum.
     """
-    mate, nu = _maximum_mate_list(g)
     exposed = [v for v in range(1, g.n + 1) if mate[v] == 0]
     adj = g.adjacency()
     outer = edmonds_search(adj, mate, exposed)
@@ -158,15 +164,27 @@ def gallai_edmonds_witness(g: Graph) -> tuple[frozenset[int], int]:
         w for v in range(1, g.n + 1) if outer[v] for w in adj[v] if not outer[w]
     )
     odd = count_odd_components_excluding(g, witness)
-    assert 2 * nu == len(witness) - odd + g.n, "witness misses the matching bound"
-    return witness, nu
+    if 2 * nu != len(witness) - odd + g.n:
+        raise AssertionError("witness misses the matching bound")
+    return witness
 
 
-def prove_mm_atmost(g: Graph, k: int) -> CertificateBlob:
-    witness, nu = gallai_edmonds_witness(g)
+def gallai_edmonds_witness(g: Graph) -> tuple[frozenset[int], int]:
+    """A minimizer U of (|U| - odd(V\\U) + |V|) / 2, and the maximum matching
+    size nu that it attains (see ``_witness_from``)."""
+    mate, nu = _maximum_mate_list(g)
+    return _witness_from(g, mate, nu), nu
+
+
+def _tutte_berge_from(g: Graph, k: int, mate: list[int], nu: int) -> CertificateBlob:
+    witness = _witness_from(g, mate, nu)
     if nu > k:
         raise NotCertifiable(f"maximum matching above {k}")
     return encode_tutte_berge(witness, g.n)
+
+
+def prove_mm_atmost(g: Graph, k: int) -> CertificateBlob:
+    return _tutte_berge_from(g, k, *_maximum_mate_list(g))
 
 
 # -- degeneracy ------------------------------------------------------------------
@@ -188,19 +206,32 @@ def prove_deg_atleast(g: Graph, k: int) -> CertificateBlob:
 
 # -- diameter --------------------------------------------------------------------
 
+def _far_source(adj: dict[int, list[int]], n: int, k: int) -> int | None:
+    """The smallest id whose BFS misses a node or reaches depth k (its
+    eccentricity is at least k), or None: the lowest source that
+    ``covered_sources`` leaves uncovered at depth k - 1, in the first block
+    that holds one."""
+    for sources in source_blocks(n):
+        covered = 0  # nothing is covered before depth 0
+        for covered in islice(covered_sources(adj, sources), max(k, 0)):
+            pass
+        far = ((1 << len(sources)) - 1) & ~covered
+        if far:
+            return sources[(far & -far).bit_length() - 1]
+    return None
+
+
 def prove_diam_atleast(g: Graph, k: int) -> CertificateBlob:
     """Distance labels from the first source (in id order) whose BFS misses a
     node or reaches depth k; such a source exists iff the diameter is at
     least k and the graph has a node to label 0."""
     adj = g.adjacency()
-    for source in range(1, g.n + 1):
-        dist = bfs_distances(adj, source)
-        if len(dist) < g.n or max(dist.values()) >= k:
-            break
-    else:
+    source = _far_source(adj, g.n, k)
+    if source is None:
         raise NotCertifiable(
             f"diameter below {k}" if g.n else "no node to label 0 in an empty graph"
         )
+    dist = bfs_distances(adj, source)
     labels = {
         v: min(dist.get(v, k + 1), k + 1) for v in range(1, g.n + 1)
     }
@@ -242,7 +273,12 @@ def prove_vc_atmost(g: Graph, k: int) -> CertificateBlob:
 # -- equality combinator -------------------------------------------------------------
 
 def prove_mm_equal(g: Graph, k: int) -> CertificateBlob:
-    return encode_equality("mm_equal", prove_mm_atmost(g, k), prove_mm_atleast_list(g, k))
+    """Both halves from one maximum matching: the witness reads it, then the
+    lex-min greedy consumes it."""
+    mate, nu = _maximum_mate_list(g)
+    return encode_equality(
+        "mm_equal", _tutte_berge_from(g, k, mate, nu), _mm_list_from(g, k, mate, nu)
+    )
 
 
 def prove_deg_equal(g: Graph, k: int) -> CertificateBlob:

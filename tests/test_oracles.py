@@ -2,22 +2,26 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamcert.certs import decode_blob, encode_distance_labels, serialize_certificate
 from streamcert.graph import (
     Graph,
     complete_graph,
     cycle_graph,
     empty_graph,
     gnp_random_graph,
+    matching_graph,
     path_graph,
     star_graph,
 )
 from streamcert.oracles import (
+    BFS_BLOCK,
     TooLarge,
     k_core,
     k_coloring,
@@ -32,11 +36,14 @@ from streamcert.oracles import (
     oracle_tutte_berge,
     parameter_value,
     peel_order,
+    source_blocks,
     vertex_cover_at_most,
 )
 from streamcert.provers import (
+    NotCertifiable,
     prove_clique_atleast,
     prove_coloring_atmost,
+    prove_diam_atleast,
     prove_is_atleast,
     prove_vc_atmost,
 )
@@ -173,6 +180,47 @@ def test_peel_order_orientation_bound():
         assert max(out_degrees, default=0) <= degeneracy
 
 
+def _reference_peel_order(g: Graph) -> tuple[list[int], int]:
+    """Minimum-degree peeling as written with per-node neighbor sets and
+    (degree, id) heap keys."""
+    adj = {v: set(ns) for v, ns in g.adjacency().items()}
+    heap = [(len(ns), v) for v, ns in adj.items()]
+    heapq.heapify(heap)
+    removed: set[int] = set()
+    order: list[int] = []
+    degeneracy = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in removed or d != len(adj[v]):
+            continue
+        removed.add(v)
+        order.append(v)
+        degeneracy = max(degeneracy, d)
+        for w in adj[v]:
+            adj[w].discard(v)
+            heapq.heappush(heap, (len(adj[w]), w))
+        adj[v].clear()
+    return order, degeneracy
+
+
+def test_peel_order_matches_the_set_and_tuple_reference():
+    # regular and near-regular graphs are all ties: the smallest id must win
+    # each of them, as the (degree, id) keys make it
+    graphs = [
+        builder(n)
+        for n in range(1, 12)
+        for builder in (star_graph, complete_graph, empty_graph, matching_graph)
+    ]
+    graphs += [cycle_graph(n) for n in range(3, 12)]
+    graphs += [Graph(9, tuple(reversed(cycle_graph(9).edges))), empty_graph(0)]
+    graphs += [
+        gnp_random_graph(2 + seed % 40, (0.05, 0.1, 0.25, 0.5, 0.8)[seed % 5], seed)
+        for seed in range(200)
+    ]
+    for g in graphs:
+        assert peel_order(g) == _reference_peel_order(g), g
+
+
 def test_peel_tie_break_smallest_id():
     # all degrees equal on a cycle: the peel must start at node 1
     assert peel_order(cycle_graph(5))[0][0] == 1
@@ -212,6 +260,82 @@ def test_diameter_examples():
     assert oracle_diameter(empty_graph(2)) == math.inf
     assert oracle_diameter(empty_graph(1)) == 0
     assert oracle_diameter(cycle_graph(6)) == 3
+
+
+def _reference_distances(g: Graph) -> list[dict[int, int]]:
+    """One BFS from every node, in id order: the all-pairs search that
+    ``oracle_diameter`` and ``prove_diam_atleast`` ran before the
+    bit-parallel sieve."""
+    adj = g.adjacency()
+    out = []
+    for source in range(1, g.n + 1):
+        dist = {source: 0}
+        queue = [source]
+        for v in queue:
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        out.append(dist)
+    return out
+
+
+def _reference_diam_proof(g: Graph, k: int, dists, eccs) -> str:
+    """The id-order scan: labels from the first source whose BFS misses a
+    node or reaches depth k; the certificate's hex or the refusal text."""
+    source = next((s for s in range(1, g.n + 1) if eccs[s - 1] >= k), None)
+    if source is None:
+        return "refused: " + (
+            f"diameter below {k}" if g.n else "no node to label 0 in an empty graph"
+        )
+    dist = dists[source - 1]
+    labels = {v: min(dist.get(v, k + 1), k + 1) for v in range(1, g.n + 1)}
+    return serialize_certificate(encode_distance_labels(labels, g.n, k)).hex()
+
+
+def _diam_proof(g: Graph, k: int) -> str:
+    try:
+        return serialize_certificate(prove_diam_atleast(g, k)).hex()
+    except NotCertifiable as exc:
+        return f"refused: {exc}"
+
+
+def _check_diameter_against_reference(g: Graph, ks) -> None:
+    dists = _reference_distances(g)
+    eccs = [max(d.values()) if len(d) == g.n else math.inf for d in dists]
+    assert oracle_diameter(g) == max(eccs, default=0), g
+    for k in ks:
+        assert _diam_proof(g, k) == _reference_diam_proof(g, k, dists, eccs), (g, k)
+
+
+def test_diameter_matches_all_pairs_bfs_on_every_small_graph():
+    for n in range(6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+            _check_diameter_against_reference(g, range(n + 2))
+
+
+def test_diameter_matches_all_pairs_bfs_on_seeded_graphs():
+    for seed, n in enumerate((8, 13, 21, 55, 120, 200)):
+        for degree in (1.5, 3, 8):
+            g = gnp_random_graph(n, degree / n, 100 * seed + int(degree))
+            _check_diameter_against_reference(g, range(n + 2))
+
+
+def test_diameter_crosses_source_blocks():
+    # a star on 1..1096 with two 2-edge tails at its centre: the two tail
+    # ends, 1098 and 1100, are the only nodes of eccentricity 4, so at k = 4
+    # the first block (1..1024) holds no far source and the prover's source,
+    # like the diameter, comes from the second block
+    n = 1100
+    g = Graph.from_edges(
+        n, [(1, v) for v in range(2, n - 3)] + [(1, n - 3), (n - 3, n - 2), (1, n - 1), (n - 1, n)]
+    )
+    assert [len(s) for s in source_blocks(n)] == [BFS_BLOCK, n - BFS_BLOCK]
+    # every k past the diameter + 1 runs the same full sieve as k = 5
+    _check_diameter_against_reference(g, [*range(7), n + 1])
+    assert decode_blob(prove_diam_atleast(g, 4), "diam_atleast", n, 4)[n - 2] == 0
 
 
 # -- chromatic number --------------------------------------------------------------------

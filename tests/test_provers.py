@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from streamcert.certs import decode_blob
+from streamcert.certs import decode_blob, encode_equality, serialize_certificate
 from streamcert.graph import (
     Graph,
     bounded_degree_graph,
@@ -273,6 +273,36 @@ def test_equality_provers():
         prove_deg_equal(TRIANGLE, 1)
 
 
+def _outcome(prover, g, k):
+    """A prover's certificate bytes, or its refusal text."""
+    try:
+        return serialize_certificate(prover(g, k)).hex()
+    except NotCertifiable as exc:
+        return f"refused: {exc}"
+
+
+def test_mm_equal_runs_one_maximum_matching(monkeypatch):
+    from streamcert import provers
+
+    def one_sided(g, k):
+        return encode_equality("mm_equal", prove_mm_atmost(g, k), prove_mm_atleast_list(g, k))
+
+    calls = []
+    matching = provers.maximum_matching
+    monkeypatch.setattr(provers, "maximum_matching", lambda g: calls.append(g) or matching(g))
+    for seed in range(60):
+        g = gnp_random_graph(2 + seed % 30, (0.08, 0.15, 0.3, 0.6)[seed % 4], seed)
+        nu = oracle_max_matching(g)
+        for k in range(max(nu - 1, 0), nu + 2):
+            calls.clear()
+            got = _outcome(prove_mm_equal, g, k)
+            assert len(calls) == 1, (g, k)
+            assert got == _outcome(one_sided, g, k), (g, k)
+    # the le half refuses first, as it did when the halves were proved apart
+    assert _outcome(prove_mm_equal, TRIANGLE, 0) == "refused: maximum matching above 0"
+    assert _outcome(prove_mm_equal, TRIANGLE, 2) == "refused: maximum matching below 2"
+
+
 # -- legality sweep -----------------------------------------------------------------------
 
 def _legality_graphs():
@@ -465,3 +495,28 @@ def test_forest_search_raises_on_a_matching_that_is_not_maximum(monkeypatch):
     monkeypatch.setattr(provers, "maximum_matching", lambda g: {2: 3, 3: 2})
     with pytest.raises(ValueError):
         gallai_edmonds_witness(path_graph(4))
+
+
+def test_witness_check_fires_under_python_dash_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    # an odd-component count off by one: the witness no longer attains nu
+    code = (
+        "from streamcert import graph, provers\n"
+        "provers.count_odd_components_excluding = lambda g, u: 1\n"
+        "try:\n"
+        "    provers.prove_mm_atmost(graph.path_graph(4), 2)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "witness misses the matching bound\n"
