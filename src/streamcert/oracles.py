@@ -23,8 +23,6 @@ import heapq
 import math
 from collections import deque
 from collections.abc import Iterator
-from functools import reduce
-from operator import and_
 from typing import Callable, NamedTuple
 
 from .graph import Graph
@@ -322,61 +320,64 @@ def source_blocks(n: int) -> Iterator[range]:
 
 
 def covered_sources(adj: dict[int, list[int]], sources: range) -> Iterator[int]:
-    """Bit-parallel BFS from every source at once: for depth 0, 1, 2, ...
-    the bitmask (bit i for ``sources[i]``) of the sources whose BFS has
-    reached every node within that depth, i.e. whose eccentricity is at most
-    that depth. Stops at the first depth at which no node's mask grows, so
-    the last mask yielded holds for every later depth too.
+    """Bit-parallel BFS from every source at once, over a connected graph:
+    for depth 0, 1, 2, ... the bitmask (bit i for ``sources[i]``) of the
+    sources whose BFS has reached every node within that depth, i.e. whose
+    eccentricity is at most that depth. Stops after the first depth at which
+    every source is covered.
 
     ``reach[v]`` is the mask of sources within the depth of v; a level ORs
-    into each node the masks its neighbors gained at the level before, the
-    sources exactly that far from them (Then et al., *The More the Merrier:
-    Efficient Multi-Source Graph Traversal*, PVLDB 2014). A level costs
-    O(n + m) ops on ints of len(sources) bits.
+    into each neighbor of a frontier node the sources that reached it at the
+    level before, and keeps what is new (Then et al., *The More the Merrier:
+    Efficient Multi-Source Graph Traversal*, PVLDB 2014). In a connected
+    graph a source has reached every node within a depth iff its BFS gains no
+    node at the next one. A node is on a level's frontier only if some source
+    reached it at that depth, so a run costs no more ops (on ints of
+    len(sources) bits) than len(sources) separate BFSs, and far fewer when
+    the sources' frontiers overlap, as they do at low diameter.
     """
-    n = len(adj)
-    reach = [0] * (n + 1)
+    full = (1 << len(sources)) - 1
+    reach = [0] * (len(adj) + 1)
+    gained = [0] * (len(adj) + 1)  # the sources that reached v at this depth
+    incoming = [0] * (len(adj) + 1)
+    frontier = list(sources)
     for bit, s in enumerate(sources):
-        reach[s] = 1 << bit
-    # slot 0 is no node: it holds every source, so the AND over reach sees
-    # the nodes alone
-    reach[0] = (1 << len(sources)) - 1
-    gained = reach[:]
-    gained[0] = 0
-    while True:
-        yield reduce(and_, reach)
-        incoming = [0] * (n + 1)
-        for v in range(1, n + 1):
+        reach[s] = gained[s] = 1 << bit
+    while frontier:
+        touched = []
+        for v in frontier:
             new = gained[v]
+            for w in adj[v]:
+                if not incoming[w]:
+                    touched.append(w)
+                incoming[w] |= new
+        frontier = []
+        active = 0
+        for w in touched:
+            known = reach[w]
+            new = (incoming[w] | known) ^ known
+            incoming[w] = 0
+            gained[w] = new
             if new:
-                for w in adj[v]:
-                    incoming[w] |= new
-        grew = False
-        for v in range(1, n + 1):
-            new = incoming[v] & ~reach[v]
-            gained[v] = new
-            if new:
-                reach[v] |= new
-                grew = True
-        if not grew:
-            return
+                reach[w] = known | new
+                frontier.append(w)
+                active |= new
+        yield full & ~active
 
 
 def oracle_diameter(g: Graph) -> int | float:
     """Max over pairs of BFS distance; +infinity iff disconnected; 0 for n=1.
 
-    The first depth at which every block of ``covered_sources`` is covered;
-    +infinity once a block stops growing with a source still uncovered."""
+    One BFS from node 1 settles connectivity; the diameter is then the last
+    depth ``covered_sources`` yields for any block, the first at which the
+    whole block is covered."""
     adj = g.adjacency()
+    if g.n and len(bfs_distances(adj, 1)) < g.n:
+        return math.inf
     diameter = 0
     for sources in source_blocks(g.n):
-        full = (1 << len(sources)) - 1
-        for depth, covered in enumerate(covered_sources(adj, sources)):
-            if covered == full:
-                diameter = max(diameter, depth)
-                break
-        else:
-            return math.inf
+        for depth, _ in enumerate(covered_sources(adj, sources)):
+            diameter = max(diameter, depth)
     return diameter
 
 

@@ -105,17 +105,13 @@ def lex_min_maximum_matching(g: Graph) -> list[tuple[int, int]]:
     return list(_lex_min_greedy(g, *_maximum_mate_list(g)))
 
 
-def _mm_list_from(g: Graph, k: int, mate: list[int], nu: int) -> CertificateBlob:
-    """The first k edges of the lex-min maximum matching, grown from the
-    maximum matching ``mate`` of size ``nu`` (consumed): the greedy stops
+def prove_mm_atleast_list(g: Graph, k: int) -> CertificateBlob:
+    """The first k edges of the lex-min maximum matching: the greedy stops
     once it has kept them."""
+    mate, nu = _maximum_mate_list(g)
     if nu < k:
         raise NotCertifiable(f"maximum matching below {k}")
     return encode_mm_list(list(islice(_lex_min_greedy(g, mate, nu), k)), g.n)
-
-
-def prove_mm_atleast_list(g: Graph, k: int) -> CertificateBlob:
-    return _mm_list_from(g, k, *_maximum_mate_list(g))
 
 
 def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:
@@ -176,15 +172,11 @@ def gallai_edmonds_witness(g: Graph) -> tuple[frozenset[int], int]:
     return _witness_from(g, mate, nu), nu
 
 
-def _tutte_berge_from(g: Graph, k: int, mate: list[int], nu: int) -> CertificateBlob:
-    witness = _witness_from(g, mate, nu)
+def prove_mm_atmost(g: Graph, k: int) -> CertificateBlob:
+    witness, nu = gallai_edmonds_witness(g)
     if nu > k:
         raise NotCertifiable(f"maximum matching above {k}")
     return encode_tutte_berge(witness, g.n)
-
-
-def prove_mm_atmost(g: Graph, k: int) -> CertificateBlob:
-    return _tutte_berge_from(g, k, *_maximum_mate_list(g))
 
 
 # -- degeneracy ------------------------------------------------------------------
@@ -207,13 +199,12 @@ def prove_deg_atleast(g: Graph, k: int) -> CertificateBlob:
 # -- diameter --------------------------------------------------------------------
 
 def _far_source(adj: dict[int, list[int]], n: int, k: int) -> int | None:
-    """The smallest id whose BFS misses a node or reaches depth k (its
-    eccentricity is at least k), or None: the lowest source that
+    """In a connected graph, the smallest id whose BFS reaches depth k >= 1
+    (its eccentricity is at least k), or None: the lowest source that
     ``covered_sources`` leaves uncovered at depth k - 1, in the first block
     that holds one."""
     for sources in source_blocks(n):
-        covered = 0  # nothing is covered before depth 0
-        for covered in islice(covered_sources(adj, sources), max(k, 0)):
+        for covered in islice(covered_sources(adj, sources), k):
             pass
         far = ((1 << len(sources)) - 1) & ~covered
         if far:
@@ -224,14 +215,18 @@ def _far_source(adj: dict[int, list[int]], n: int, k: int) -> int | None:
 def prove_diam_atleast(g: Graph, k: int) -> CertificateBlob:
     """Distance labels from the first source (in id order) whose BFS misses a
     node or reaches depth k; such a source exists iff the diameter is at
-    least k and the graph has a node to label 0."""
+    least k and the graph has a node to label 0. The BFS from node 1 that
+    its labels would need comes first: only when node 1 does not qualify,
+    in a connected graph, does the bit-parallel sieve look further."""
+    if not g.n:
+        raise NotCertifiable("no node to label 0 in an empty graph")
     adj = g.adjacency()
-    source = _far_source(adj, g.n, k)
-    if source is None:
-        raise NotCertifiable(
-            f"diameter below {k}" if g.n else "no node to label 0 in an empty graph"
-        )
-    dist = bfs_distances(adj, source)
+    dist = bfs_distances(adj, 1)
+    if len(dist) == g.n and max(dist.values()) < k:
+        source = _far_source(adj, g.n, k)
+        if source is None:
+            raise NotCertifiable(f"diameter below {k}")
+        dist = bfs_distances(adj, source)
     labels = {
         v: min(dist.get(v, k + 1), k + 1) for v in range(1, g.n + 1)
     }
@@ -273,11 +268,19 @@ def prove_vc_atmost(g: Graph, k: int) -> CertificateBlob:
 # -- equality combinator -------------------------------------------------------------
 
 def prove_mm_equal(g: Graph, k: int) -> CertificateBlob:
-    """Both halves from one maximum matching: the witness reads it, then the
-    lex-min greedy consumes it."""
+    """Both halves from one maximum matching, with the one-sided provers'
+    refusals in their order: the witness reads the matching, then the lex-min
+    greedy consumes it, keeping all nu = k of its edges."""
     mate, nu = _maximum_mate_list(g)
+    witness = _witness_from(g, mate, nu)
+    if nu > k:
+        raise NotCertifiable(f"maximum matching above {k}")
+    if nu < k:
+        raise NotCertifiable(f"maximum matching below {k}")
     return encode_equality(
-        "mm_equal", _tutte_berge_from(g, k, mate, nu), _mm_list_from(g, k, mate, nu)
+        "mm_equal",
+        encode_tutte_berge(witness, g.n),
+        encode_mm_list(list(_lex_min_greedy(g, mate, nu)), g.n),
     )
 
 

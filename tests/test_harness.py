@@ -92,30 +92,47 @@ def test_fuzz_instance_against_legal_value():
     assert records and not breaches
 
 
-def test_complementarity_check_fires_under_python_dash_O():
+@pytest.mark.parametrize(
+    "code, message",
+    [
+        # an odd-component count off by one: the witness no longer attains nu
+        (
+            "from streamcert import graph, provers\n"
+            "provers.count_odd_components_excluding = lambda g, u: 1\n"
+            "try:\n"
+            "    provers.prove_mm_atmost(graph.path_graph(4), 2)\n",
+            "witness misses the matching bound",
+        ),
+        # an independence number one too high: vc + is no longer equals n
+        (
+            "from streamcert import graph, harness\n"
+            "value = harness.parameter_value\n"
+            "harness.parameter_value = lambda g, p: value(g, p) + (p == 'is')\n"
+            "try:\n"
+            "    harness._attach('k4', graph.complete_graph(4))\n",
+            "cover/IS complementarity violated",
+        ),
+    ],
+    ids=["witness", "complementarity"],
+)
+def test_invariant_checks_fire_under_python_dash_O(code, message):
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    # an independence number one too high: vc + is no longer equals n
-    code = (
-        "from streamcert import graph, harness\n"
-        "value = harness.parameter_value\n"
-        "harness.parameter_value = lambda g, p: value(g, p) + (p == 'is')\n"
-        "try:\n"
-        "    harness._attach('k4', graph.complete_graph(4))\n"
-        "except AssertionError as exc:\n"
-        "    print(exc)\n"
-    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-O", "-c", code + "except AssertionError as exc:\n    print(exc)\n"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "cover/IS complementarity violated\n"
+    assert run.stdout == message + "\n"
 
 
 def test_scaling_all_schemes_small_sizes():

@@ -338,6 +338,19 @@ def test_diameter_crosses_source_blocks():
     assert decode_blob(prove_diam_atleast(g, 4), "diam_atleast", n, 4)[n - 2] == 0
 
 
+def test_diameter_on_a_long_path_crosses_source_blocks():
+    # a path from 1100 down the even ids to 2, through 1, then up the odd ids
+    # to 1099: node 1 sits in the middle (eccentricity 550), so past k = 550
+    # the prover's source comes from the sieve, at k = 1099 (the diameter)
+    # from the second block; levels reach depth 1099, far beyond the
+    # low-diameter graphs above
+    n = 1100
+    order = [*range(n, 1, -2), 1, *range(3, n, 2)]
+    g = Graph.from_edges(n, zip(order, order[1:]))
+    _check_diameter_against_reference(g, [0, 550, n - 1, n])
+    assert decode_blob(prove_diam_atleast(g, n - 1), "diam_atleast", n, n - 1)[n - 1] == 0
+
+
 # -- chromatic number --------------------------------------------------------------------
 
 def test_chromatic_examples():

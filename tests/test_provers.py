@@ -495,28 +495,3 @@ def test_forest_search_raises_on_a_matching_that_is_not_maximum(monkeypatch):
     monkeypatch.setattr(provers, "maximum_matching", lambda g: {2: 3, 3: 2})
     with pytest.raises(ValueError):
         gallai_edmonds_witness(path_graph(4))
-
-
-def test_witness_check_fires_under_python_dash_O():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    # an odd-component count off by one: the witness no longer attains nu
-    code = (
-        "from streamcert import graph, provers\n"
-        "provers.count_odd_components_excluding = lambda g, u: 1\n"
-        "try:\n"
-        "    provers.prove_mm_atmost(graph.path_graph(4), 2)\n"
-        "except AssertionError as exc:\n"
-        "    print(exc)\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "witness misses the matching bound\n"
