@@ -204,7 +204,7 @@ def _cmd_scale(args) -> int:
         ) from None
     if len(set(sizes)) < len(sizes):
         raise CliError(f"--sizes must not repeat a size, got {args.sizes!r}")
-    low = harness.SCALING_MIN_N[args.scheme]
+    low = harness.SCALING_FAMILIES[args.scheme].min_n
     if min(sizes) < low:
         raise CliError(f"--sizes for {args.scheme} must be >= {low}, got {min(sizes)}")
     report = harness.run_space_scaling(args.scheme, sizes)

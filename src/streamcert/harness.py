@@ -19,21 +19,14 @@ import random
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import gadgets
 from .certs import (
     CertificateBlob,
     deserialize_certificate,
     encode_coloring,
-    encode_core_subset,
-    encode_distance_labels,
-    encode_equality,
-    encode_mm_coloring,
-    encode_mm_list,
     encode_node_set,
-    encode_peel_order,
-    encode_tutte_berge,
     serialize_certificate,
 )
 from .graph import (
@@ -497,87 +490,61 @@ class ScalingReport:
         return out
 
 
-#: smallest n at which each scheme's scaling family is a valid graph with a
-#: legal claim: a cycle needs 3 nodes, the independent set {2, 3} and the
-#: triangle {1, 2, 3} need 3, and the equality families' star needs an edge
-SCALING_MIN_N: dict[str, int] = {
-    "mm_atleast_list": 1,
-    "mm_atleast_coloring": 1,
-    "mm_atmost": 1,
-    "deg_atmost": 1,
-    "deg_atleast": 3,
-    "diam_atleast": 1,
-    "coloring_atmost": 1,
-    "is_atleast": 3,
-    "clique_atleast": 3,
-    "vc_atmost": 1,
-    "mm_equal": 2,
-    "deg_equal": 2,
+class ScalingFamily(NamedTuple):
+    """A scheme's space-scaling family: ``instance`` maps n >= ``min_n`` to
+    a legal (graph, k, expected certificate bits). The bits are written out
+    here, not read from the codec, so that the size check compares the codec
+    with a second account of its formula. ``witness`` maps n to a closed-form
+    certificate for the NP schemes, whose provers refuse n > 24; every other
+    scheme's certificate is its prover's."""
+
+    min_n: int
+    instance: Callable[[int], tuple[Graph, int, int]]
+    witness: Callable[[int], CertificateBlob] | None = None
+
+
+#: one scaling family per scheme. A cycle, the independent set {2, 3} and the
+#: triangle {1, 2, 3} need 3 nodes, and so do the 2-colouring of a path and
+#: the cover {1} of a star before they match their provers' witnesses; the
+#: equality families' star needs an edge
+SCALING_FAMILIES: dict[str, ScalingFamily] = {
+    "mm_atleast_list": ScalingFamily(1, lambda n: (
+        matching_graph(n), min(4, n // 2), (1 + 2 * min(4, n // 2)) * id_bits(n))),
+    "mm_atleast_coloring": ScalingFamily(1, lambda n: (matching_graph(n), n // 2, 0)),
+    "mm_atmost": ScalingFamily(1, lambda n: (path_graph(n), (n + 1) // 2, n)),
+    "deg_atmost": ScalingFamily(1, lambda n: (path_graph(n), 1, n * ceil_log2(n))),
+    "deg_atleast": ScalingFamily(3, lambda n: (cycle_graph(n), 2, n)),
+    "diam_atleast": ScalingFamily(1, lambda n: (path_graph(n), n - 1, n * ceil_log2(n + 1))),
+    "coloring_atmost": ScalingFamily(
+        3, lambda n: (path_graph(n), 2, n),
+        lambda n: encode_coloring({v: 1 + v % 2 for v in range(1, n + 1)}, n, 2)),
+    "is_atleast": ScalingFamily(
+        3, lambda n: (star_graph(n), 2, 3 * id_bits(n)),
+        lambda n: encode_node_set("is_atleast", [2, 3], n)),
+    "clique_atleast": ScalingFamily(
+        3, lambda n: (Graph.from_edges(n, [(1, 2), (1, 3), (2, 3)] + [
+            (v, v + 1) for v in range(3, n)]), 3, 4 * id_bits(n)),
+        lambda n: encode_node_set("clique_atleast", [1, 2, 3], n)),
+    "vc_atmost": ScalingFamily(
+        3, lambda n: (star_graph(n), 1, 2 * id_bits(n)),
+        lambda n: encode_node_set("vc_atmost", [1], n)),
+    "mm_equal": ScalingFamily(2, lambda n: (star_graph(n), 1, n + 3 * id_bits(n))),
+    "deg_equal": ScalingFamily(2, lambda n: (star_graph(n), 1, n * ceil_log2(n) + n)),
 }
 
 
 def _scaling_instance(scheme: str, n: int) -> tuple[Graph, int, CertificateBlob, int]:
-    """A legal instance at size n with a closed-form honest certificate.
-
-    Returns (graph, k, certificate, expected certificate bits). Certificates
-    are built directly (the exponential provers are capped at small n); each
-    is the same object the honest prover would emit for these families.
-    Raises ValueError below the family's ``SCALING_MIN_N``.
+    """A legal instance at size n from the scheme's ``SCALING_FAMILIES`` row:
+    (graph, k, certificate, expected certificate bits). The certificate is
+    the row's closed-form witness if it has one, else the honest prover's.
+    Raises ValueError below the family's smallest n.
     """
-    low = SCALING_MIN_N.get(scheme)
-    if low is not None and n < low:
-        raise ValueError(f"{scheme} scaling family needs n >= {low}, got {n}")
-    L = id_bits(n)
-    if scheme == "mm_atleast_list":
-        g, k = matching_graph(n), min(4, n // 2)
-        cert = encode_mm_list(list(g.edges)[:k], n)
-        return g, k, cert, (1 + 2 * k) * L
-    if scheme == "mm_atleast_coloring":
-        g, k = matching_graph(n), n // 2
-        cert = encode_mm_coloring({v: 1 for v in range(1, n + 1)}, 1, n)
-        return g, k, cert, 0
-    if scheme == "mm_atmost":
-        g, k = path_graph(n), (n + 1) // 2
-        return g, k, encode_tutte_berge(frozenset(), n), n
-    if scheme == "deg_atmost":
-        g, k = path_graph(n), 1
-        cert = encode_peel_order({v: v for v in range(1, n + 1)}, n)
-        return g, k, cert, n * ceil_log2(n)
-    if scheme == "deg_atleast":
-        g, k = cycle_graph(n), 2
-        cert = encode_core_subset(range(1, n + 1), n)
-        return g, k, cert, n
-    if scheme == "diam_atleast":
-        g, k = path_graph(n), n - 1
-        cert = encode_distance_labels({v: v - 1 for v in range(1, n + 1)}, n, k)
-        return g, k, cert, n * ceil_log2(k + 2)
-    if scheme == "coloring_atmost":
-        g, k = path_graph(n), 2
-        cert = encode_coloring({v: 1 + (v % 2) for v in range(1, n + 1)}, n, k)
-        return g, k, cert, n
-    if scheme == "is_atleast":
-        g, k = star_graph(n), 2
-        return g, k, encode_node_set("is_atleast", [2, 3], n), 3 * L
-    if scheme == "clique_atleast":
-        edges = [(1, 2), (1, 3), (2, 3)] + [(v, v + 1) for v in range(3, n)]
-        g, k = Graph.from_edges(n, edges), 3
-        return g, k, encode_node_set("clique_atleast", [1, 2, 3], n), 4 * L
-    if scheme == "vc_atmost":
-        g, k = star_graph(n), 1
-        return g, k, encode_node_set("vc_atmost", [1], n), 2 * L
-    if scheme == "mm_equal":
-        g, k = star_graph(n), 1
-        le = encode_tutte_berge(frozenset({1}), n)
-        ge = encode_mm_list([(1, 2)], n)
-        return g, k, encode_equality("mm_equal", le, ge), n + 3 * L
-    if scheme == "deg_equal":
-        g, k = star_graph(n), 1
-        le = encode_peel_order(
-            {v: (v - 1 if v > 1 else n) for v in range(1, n + 1)}, n
-        )
-        ge = encode_core_subset(range(1, n + 1), n)
-        return g, k, encode_equality("deg_equal", le, ge), n * ceil_log2(n) + n
-    raise ValueError(f"no scaling family for {scheme!r}")
+    family = SCALING_FAMILIES[scheme]
+    if n < family.min_n:
+        raise ValueError(f"{scheme} scaling family needs n >= {family.min_n}, got {n}")
+    g, k, bits = family.instance(n)
+    cert = family.witness(n) if family.witness else SCHEMES[scheme].prover(g, k)
+    return g, k, cert, bits
 
 
 def run_space_scaling(scheme: str, sizes: Iterable[int]) -> ScalingReport:

@@ -62,17 +62,31 @@ def edmonds_search(adj, mate: list[int], roots, excluded=frozenset()) -> list[bo
     flip; it raises ValueError, since a caller that roots a tree at every
     exposed node has passed a matching that is not maximum.
 
-    A contraction relabels only the nodes of the blossoms it merges, and
-    queues the ones that turn outer in id order, so apart from three fresh
-    n-sized lists a search costs what its forest touches.
+    It grows its forest in three fresh n-sized lists (see ``_grow_forest``).
     """
     n = len(mate) - 1
     outer = [False] * (n + 1)
-    parent = [0] * (n + 1)
-    base = list(range(n + 1))
+    if _grow_forest(adj, mate, roots, excluded, outer, [0] * (n + 1), list(range(n + 1)), []):
+        return None
+    return outer
+
+
+def _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue) -> bool:
+    """The search of ``edmonds_search`` on caller-owned forest lists, which
+    must hold outer False, parent 0 and base[v] = v on entry; returns True
+    iff it augmented ``mate``.
+
+    ``queue`` (empty on entry) ends up holding every node that turned outer,
+    and every write to the three lists lands on a queued node or on its mate
+    as ``mate`` stands afterwards: a tree node never queued is inner, the
+    mate of a queued node, and each edge an augmentation matches has a
+    queued end. A contraction relabels only the nodes of the blossoms it
+    merges, and queues the ones that turn outer in id order, so a search
+    costs what its forest touches.
+    """
     for root in roots:
         outer[root] = True
-    queue = deque(roots)
+    queue.extend(roots)
     # the nodes of each contracted blossom, by base; a base not listed here
     # is its node alone
     members: dict[int, list[int]] = {}
@@ -102,8 +116,7 @@ def edmonds_search(adj, mate: list[int], roots, excluded=frozenset()) -> list[bo
             child = mate[x]
             x = parent[mate[x]]
 
-    while queue:
-        v = queue.popleft()
+    for v in queue:  # a list grown while it is walked: the BFS order
         for to in adj[v]:
             if base[v] == base[to] or mate[v] == to or to in excluded:
                 continue
@@ -139,10 +152,10 @@ def edmonds_search(adj, mate: list[int], roots, excluded=frozenset()) -> list[bo
                         mate[x] = px
                         mate[px] = x
                         x = nxt
-                    return None
+                    return True
                 outer[mate[to]] = True
                 queue.append(mate[to])
-    return outer
+    return False
 
 
 def maximum_matching(g: Graph) -> dict[int, int]:
@@ -152,7 +165,8 @@ def maximum_matching(g: Graph) -> dict[int, int]:
     each node still exposed, in id order, over sorted adjacency lists, so the
     output is a deterministic function of the edge set (not of the stored
     order). A search from an exposed node that finds no augmenting path rules
-    that node out for good (Edmonds 1965), so the result is maximum.
+    that node out for good (Edmonds 1965), so the result is maximum. The
+    searches share one set of forest lists, each resetting what it wrote.
     """
     n = g.n
     adj = {v: sorted(ns) for v, ns in g.adjacency().items()}
@@ -161,9 +175,14 @@ def maximum_matching(g: Graph) -> dict[int, int]:
         if mate[u] == 0 and mate[v] == 0:
             mate[u] = v
             mate[v] = u
+    outer, parent, base = [False] * (n + 1), [0] * (n + 1), list(range(n + 1))
     for v in range(1, n + 1):
-        if mate[v] == 0:
-            edmonds_search(adj, mate, (v,))
+        if mate[v] == 0 and adj[v]:  # an isolated node's search finds nothing
+            queue: list[int] = []
+            _grow_forest(adj, mate, (v,), (), outer, parent, base, queue)
+            for u in queue:  # index 0, an exposed node's mate, keeps its entry state
+                for x in (u, mate[u]):
+                    outer[x], parent[x], base[x] = False, 0, x
     return {v: mate[v] for v in range(1, n + 1) if mate[v] != 0}
 
 

@@ -40,8 +40,10 @@ A new scheme touches four places, one per layer:
      ``space_bound`` overridden when the scheme registers more than the
      shared allowance;
   3. ``schemes.SCHEMES``: its parameter, direction and prover;
-  4. ``harness._scaling_instance``: its closed-form scaling family, and
-     ``harness.SCALING_MIN_N``: the family's smallest legal n.
+  4. ``harness.SCALING_FAMILIES``: its scaling family's row, the smallest
+     legal n and a map from n to a graph, a k and the expected certificate
+     bits; the prover builds the certificate, except for an NP scheme, whose
+     row adds a closed-form witness.
 """
 
 from __future__ import annotations

@@ -209,56 +209,117 @@ def test_reject_exit_code_with_transplanted_cert(tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["scale", "--scheme", "mm_atmost", "--sizes", "x"],
-        ["scale", "--scheme", "mm_atmost", "--sizes=-3"],
-        ["scale", "--scheme", "mm_atmost", "--sizes", "0"],
-        ["scale", "--scheme", "clique_atleast", "--sizes", "2"],
-        ["scale", "--scheme", "is_atleast", "--sizes", "64,2"],
-        ["oracle", "matching", "--graph", "C2"],
-        ["verify", "--scheme", "mm_atmost", "--graph", "K4", "--k", "-1",
-         "--cert", "CERT"],
-        ["fuzz", "--scheme", "mm_atmost", "--graph", "K4", "--k", "1",
-         "--trials", "-5", "--mode", "bit_flip"],
-        ["scale", "--scheme", "mm_atmost", "--sizes", "64,64"],
-        ["verify", "--k", "abc"],
-        ["frobnicate"],
-        ["gadget", "holzer", "--p", "0"],
-        ["gadget", "disj_matching", "--n", "-2"],
-        ["gadget", "disj_degeneracy", "--n", "-1"],
-        ["gadget", "disj_degeneracy", "--n", "2", "--check", "sample",
-         "--count", "-3"],
-        ["gadget", "bitgadget_vc", "--n", "3"],
-        ["gadget", "bitgadget_vc", "--n", "3", "--check", "sample"],
-        ["gadget", "disj_matching", "--n", "3"],
-        ["prove", "--scheme", "mm_atmost", "--graph", "P4", "--k", "2",
-         "--out", "UNWRITABLE"],
-        ["prove", "--scheme", "nope", "--graph", "P4", "--k", "2", "--out", "CERT"],
-        ["verify", "--scheme", "nope", "--graph", "P4", "--k", "2", "--cert", "CERT"],
-        ["fuzz", "--scheme", "nope", "--graph", "K4", "--k", "1"],
-        ["scale", "--scheme", "nope"],
-        ["gadget", "nope"],
-        ["gadget", "perm", "--r", "7", "--check", "sample", "--count", "1"],
-        ["gadget", "bitvc", "--n", "4", "--check", "sample", "--count", "1"],
-        # input spaces whose decimal form is past Python's int-to-str limit
-        ["gadget", "diam8", "--n", "8000"],
-        ["gadget", "bitvc", "--n", "512"],
-        # the unreachable node's label k + 1 does not fit a u32 field
-        ["prove", "--scheme", "diam_atleast", "--graph", "E2", "--k", "4294967295",
-         "--out", "CERT"],
-    ],
-)
-def test_bad_input_exits_with_parse_error(argv, tmp_path, capsys):
-    # exit 1 means "reject" and exit 2 "not certifiable"; bad input must
-    # surface as neither, nor as a traceback
+#: argv lists that are bad input: each exits 3 with an ``error:`` line
+BAD_INPUT_ARGVS = [
+    ["scale", "--scheme", "mm_atmost", "--sizes", "x"],
+    ["scale", "--scheme", "mm_atmost", "--sizes=-3"],
+    ["scale", "--scheme", "mm_atmost", "--sizes", "0"],
+    ["scale", "--scheme", "clique_atleast", "--sizes", "2"],
+    ["scale", "--scheme", "is_atleast", "--sizes", "64,2"],
+    ["oracle", "matching", "--graph", "C2"],
+    ["verify", "--scheme", "mm_atmost", "--graph", "K4", "--k", "-1",
+     "--cert", "CERT"],
+    ["fuzz", "--scheme", "mm_atmost", "--graph", "K4", "--k", "1",
+     "--trials", "-5", "--mode", "bit_flip"],
+    ["scale", "--scheme", "mm_atmost", "--sizes", "64,64"],
+    ["verify", "--k", "abc"],
+    ["frobnicate"],
+    ["gadget", "holzer", "--p", "0"],
+    ["gadget", "disj_matching", "--n", "-2"],
+    ["gadget", "disj_degeneracy", "--n", "-1"],
+    ["gadget", "disj_degeneracy", "--n", "2", "--check", "sample",
+     "--count", "-3"],
+    ["gadget", "bitgadget_vc", "--n", "3"],
+    ["gadget", "bitgadget_vc", "--n", "3", "--check", "sample"],
+    ["gadget", "disj_matching", "--n", "3"],
+    ["prove", "--scheme", "mm_atmost", "--graph", "P4", "--k", "2",
+     "--out", "UNWRITABLE"],
+    ["prove", "--scheme", "nope", "--graph", "P4", "--k", "2", "--out", "CERT"],
+    ["verify", "--scheme", "nope", "--graph", "P4", "--k", "2", "--cert", "CERT"],
+    ["fuzz", "--scheme", "nope", "--graph", "K4", "--k", "1"],
+    ["scale", "--scheme", "nope"],
+    ["gadget", "nope"],
+    ["gadget", "perm", "--r", "7", "--check", "sample", "--count", "1"],
+    ["gadget", "bitvc", "--n", "4", "--check", "sample", "--count", "1"],
+    # input spaces whose decimal form is past Python's int-to-str limit
+    ["gadget", "diam8", "--n", "8000"],
+    ["gadget", "bitvc", "--n", "512"],
+    # the unreachable node's label k + 1 does not fit a u32 field
+    ["prove", "--scheme", "diam_atleast", "--graph", "E2", "--k", "4294967295",
+     "--out", "CERT"],
+    # below the family's smallest n, where its closed-form cover is the prover's
+    ["scale", "--scheme", "vc_atmost", "--sizes", "2"],
+]
+
+
+def _bind_paths(argv, tmp_path):
+    """argv with CERT bound to an empty certificate file and UNWRITABLE to a
+    path in a missing directory."""
     cert = tmp_path / "empty.cert"
     cert.write_bytes(b"")
     paths = {"CERT": str(cert), "UNWRITABLE": str(tmp_path / "missing-dir" / "x.cert")}
-    argv = [paths.get(arg, arg) for arg in argv]
-    assert main(argv) == 3
+    return [paths.get(arg, arg) for arg in argv]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT_ARGVS)
+def test_bad_input_exits_with_parse_error(argv, tmp_path, capsys):
+    # exit 1 means "reject" and exit 2 "not certifiable"; bad input must
+    # surface as neither, nor as a traceback
+    assert main(_bind_paths(argv, tmp_path)) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _sweep_argvs(tmp_path):
+    """Bad input, each subcommand's refusals, and prove / verify / fuzz of
+    every scheme on edge-case graphs, then scale at n = 1 for every scheme.
+    Each verify reads the certificate its prove wrote, or an empty file when
+    the prove refused."""
+    from streamcert.schemes import SCHEMES
+
+    yield from BAD_INPUT_ARGVS
+    yield ["prove", "--scheme", "coloring_atmost", "--graph", "C5", "--k", "2",
+           "--out", str(tmp_path / "c5.cert")]
+    yield ["verify", "--scheme", "mm_atmost", "--graph", "K4", "--k", "1", "--cert", "CERT"]
+    yield ["oracle", "chromatic", "--graph", "E25"]
+    yield ["gadget", "disj_matching", "--n", "2", "--check", "sample", "--count", "0"]
+    yield ["fuzz", "--scheme", "mm_atmost", "--graph", "K4", "--k", "2"]
+    yield ["scale", "--scheme", "mm_atmost", "--sizes", "1,1"]
+    graphs = []
+    for name, text in (("n0", "0 0 0\n"), ("n1", "1 0 1\n"), ("k2to32", "2 1 4294967296\n1 2\n")):
+        path = tmp_path / f"{name}.graph"
+        path.write_text(text)
+        graphs.append([str(path)])
+    graphs += [[builtin, "--k", "1"] for builtin in ("E1", "P1", "K1")]
+    for scheme in SCHEMES:
+        for i, graph in enumerate(graphs):
+            cert = tmp_path / f"{scheme}-{i}.cert"
+            cert.write_bytes(b"")
+            yield ["prove", "--scheme", scheme, "--graph", *graph, "--out", str(cert)]
+            yield ["verify", "--scheme", scheme, "--graph", *graph, "--cert", str(cert)]
+            yield ["fuzz", "--scheme", scheme, "--graph", *graph, "--trials", "3"]
+        yield ["scale", "--scheme", scheme, "--sizes", "1"]
+
+
+def test_exit_codes_hold_their_contract_over_a_sweep(tmp_path, capsys):
+    # exit 1 is a reject, which only ``verify`` reports, and no call may
+    # escape ``main`` with an exception
+    offenders = []
+    calls = 0
+    for argv in _sweep_argvs(tmp_path):
+        argv = _bind_paths(argv, tmp_path)
+        calls += 1
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:
+            offenders.append((argv, repr(exc)))
+            continue
+        out = capsys.readouterr().out
+        if code not in (0, 1, 2, 3, 4):
+            offenders.append((argv, code))
+        elif code == 1 and not (argv[0] == "verify" and "verdict=reject" in out):
+            offenders.append((argv, code))
+    assert calls > 200
+    assert not offenders, offenders[:5]
 
 
 @pytest.mark.parametrize(

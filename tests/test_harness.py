@@ -147,12 +147,12 @@ def test_scaling_all_schemes_small_sizes():
 def test_scaling_families_are_legal_from_their_minimum_n():
     from streamcert.certs import decode_blob
     from streamcert.graph import validate_graph
-    from streamcert.harness import SCALING_MIN_N, _scaling_instance
+    from streamcert.harness import SCALING_FAMILIES, _scaling_instance
     from streamcert.oracles import parameter_value
 
-    assert set(SCALING_MIN_N) == set(SCHEMES)
-    for scheme, low in SCALING_MIN_N.items():
-        info = SCHEMES[scheme]
+    assert set(SCALING_FAMILIES) == set(SCHEMES)
+    for scheme, family in SCALING_FAMILIES.items():
+        info, low = SCHEMES[scheme], family.min_n
         for n in range(low, low + 4):
             g, k, cert, _ = _scaling_instance(scheme, n)
             validate_graph(g)
@@ -164,6 +164,22 @@ def test_scaling_families_are_legal_from_their_minimum_n():
             _scaling_instance(scheme, low - 1)
 
 
+def test_scaling_closed_forms_are_their_provers_certificates():
+    # the four NP schemes' witnesses are written out because their provers
+    # refuse n > 24; up to there the two must agree byte for byte
+    from streamcert.certs import serialize_certificate
+    from streamcert.harness import SCALING_FAMILIES
+
+    closed = {s: f for s, f in SCALING_FAMILIES.items() if f.witness is not None}
+    assert set(closed) == {"coloring_atmost", "is_atleast", "clique_atleast", "vc_atmost"}
+    for scheme, family in closed.items():
+        for n in range(family.min_n, 25):
+            g, k, _ = family.instance(n)
+            honest = SCHEMES[scheme].prover(g, k)
+            witness = family.witness(n)
+            assert serialize_certificate(witness) == serialize_certificate(honest), (scheme, n)
+
+
 def test_scaling_slope_is_sublinear_for_log_space_schemes():
     report = run_space_scaling("diam_atleast", [256, 1024, 4096, 16384])
     assert report.loglog_slope < 0.5  # peak bits grow like log n, not n
@@ -173,6 +189,24 @@ def test_scaling_report_lines():
     report = run_space_scaling("vc_atmost", [64, 128])
     lines = report.lines()
     assert len(lines) == 3 and lines[-1].startswith("scheme=vc_atmost loglog_slope=")
+
+
+#: sha256 of the space-scaling report lines of all 12 schemes at
+#: PINNED_SCALING_SIZES, recorded while each scaling certificate was built by
+#: hand with ``encode_*`` calls; odd n are left out, where ``mm_atmost``'s
+#: prover gives a Tutte-Berge witness with a lower peak than the hand-built one
+PINNED_SCALING_SIZES = (4, 6, 8, 16, 256, 1024, 4096, 16384)
+PINNED_SCALING_SHA256 = "8b0ffb75578242f454596a1ac094db585adb46a9950e8bc84b2f48ca2c5ace6e"
+
+
+def test_scaling_report_lines_pinned():
+    import hashlib
+
+    digest = hashlib.sha256()
+    for scheme in SCHEMES:
+        for line in run_space_scaling(scheme, PINNED_SCALING_SIZES).lines():
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_SCALING_SHA256
 
 
 def test_soundness_reports_byte_identical(corpus):

@@ -515,3 +515,31 @@ def test_edmonds_search_outcomes_pinned():
             outcome = str(exc)
         digest.update(f"{mate} {outcome}\n".encode())
     assert digest.hexdigest() == PINNED_EDMONDS_SEARCH_SHA256
+
+
+def test_forest_writes_land_on_queued_nodes_and_their_mates():
+    # ``maximum_matching`` resets its shared forest lists from this set alone
+    from streamcert.oracles import _grow_forest
+
+    augmented = 0
+    for adj, mate, roots, excluded in _edmonds_search_calls():
+        n = len(mate) - 1
+        outer, parent, base, queue = [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), []
+        try:
+            augmented += _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue)
+        except ValueError:
+            continue
+        written = {v for v in range(n + 1) if outer[v] or parent[v] or base[v] != v}
+        assert written <= set(queue) | {mate[u] for u in queue}
+    assert augmented > 1000
+
+
+def test_maximum_matching_is_linear_on_sparse_graphs():
+    # one search per exposed node, each touching only its own small tree
+    import time
+
+    for g in (star_graph(16384), empty_graph(16384)):
+        start = time.perf_counter()
+        mate = maximum_matching(g)
+        assert time.perf_counter() - start < 2.0
+        assert len(mate) == (2 if g.m else 0)
