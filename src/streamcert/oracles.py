@@ -60,9 +60,12 @@ def edmonds_search(adj, mate: list[int], roots, excluded=frozenset()) -> list[bo
     (Edmonds, *Paths, Trees, and Flowers*, 1965). An edge between the outer
     nodes of two trees closes an augmenting path that this search does not
     flip; it raises ValueError, since a caller that roots a tree at every
-    exposed node has passed a matching that is not maximum.
+    exposed node, as the Gallai-Edmonds witness does, has passed a matching
+    that is not maximum.
 
-    It grows its forest in three fresh n-sized lists (see ``_grow_forest``).
+    This is the one-shot form: it grows its forest in three fresh n-sized
+    lists. Callers that search many times (``maximum_matching``, the lex-min
+    greedy) run ``_grow_forest`` on lists they share between searches.
     """
     n = len(mate) - 1
     outer = [False] * (n + 1)
@@ -71,10 +74,12 @@ def edmonds_search(adj, mate: list[int], roots, excluded=frozenset()) -> list[bo
     return outer
 
 
-def _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue) -> bool:
+def _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue, meet=False) -> bool:
     """The search of ``edmonds_search`` on caller-owned forest lists, which
     must hold outer False, parent 0 and base[v] = v on entry; returns True
-    iff it augmented ``mate``.
+    iff it augmented ``mate``. With ``meet``, an edge between the outer
+    nodes of two trees does not raise: the path from one root through that
+    edge to the other root augments, and it is flipped.
 
     ``queue`` (empty on entry) ends up holding every node that turned outer,
     and every write to the three lists lands on a queued node or on its mate
@@ -116,6 +121,16 @@ def _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue) -> bool
             child = mate[x]
             x = parent[mate[x]]
 
+    def flip(x: int, px: int) -> None:
+        """Match x to the outer node px, then flip the matched edges on the
+        alternating path from px back to its root."""
+        while x != 0:
+            nxt = mate[px]
+            mate[x] = px
+            mate[px] = x
+            x = nxt
+            px = parent[x]
+
     for v in queue:  # a list grown while it is walked: the BFS order
         for to in adj[v]:
             if base[v] == base[to] or mate[v] == to or to in excluded:
@@ -123,7 +138,13 @@ def _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue) -> bool
             if outer[to]:
                 anchor = lca(v, to)
                 if anchor == 0:
-                    raise ValueError("matching is not maximum: two alternating trees meet")
+                    if not meet:
+                        raise ValueError("matching is not maximum: two alternating trees meet")
+                    # flip root..v and to..root, each from the meeting edge
+                    tail = mate[to]
+                    flip(to, v)
+                    flip(tail, parent[tail])
+                    return True
                 blossom: set[int] = set()
                 mark_blossom(v, anchor, to, blossom)
                 mark_blossom(to, anchor, v, blossom)
@@ -144,14 +165,7 @@ def _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue) -> bool
             elif parent[to] == 0:
                 parent[to] = v
                 if mate[to] == 0:
-                    # augment: flip matched edges along the found path
-                    x = to
-                    while x != 0:
-                        px = parent[x]
-                        nxt = mate[px]
-                        mate[x] = px
-                        mate[px] = x
-                        x = nxt
+                    flip(to, v)
                     return True
                 outer[mate[to]] = True
                 queue.append(mate[to])
@@ -161,7 +175,7 @@ def _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue) -> bool
 def maximum_matching(g: Graph) -> dict[int, int]:
     """Maximum cardinality matching; returns the mate map (absent = exposed).
 
-    Greedy seed in lexicographic edge order, then one ``edmonds_search`` from
+    Greedy seed in lexicographic edge order, then one forest search from
     each node still exposed, in id order, over sorted adjacency lists, so the
     output is a deterministic function of the edge set (not of the stored
     order). A search from an exposed node that finds no augmenting path rules
@@ -169,9 +183,13 @@ def maximum_matching(g: Graph) -> dict[int, int]:
     searches share one set of forest lists, each resetting what it wrote.
     """
     n = g.n
-    adj = {v: sorted(ns) for v, ns in g.adjacency().items()}
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
     mate = [0] * (n + 1)
+    # lex order appends each node's smaller neighbors, then its larger ones,
+    # each in increasing order: every adjacency list comes out sorted
     for u, v in sorted(g.edges):
+        adj[u].append(v)
+        adj[v].append(u)
         if mate[u] == 0 and mate[v] == 0:
             mate[u] = v
             mate[v] = u

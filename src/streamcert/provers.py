@@ -5,9 +5,9 @@ exact algorithms in ``oracles`` and refuses (NotCertifiable) from that witness
 alone when it falls short of the claimed bound: no prover asks a second
 oracle first. The equality provers only combine the two one-sided proofs,
 since the <=k one refuses above k and the >=k one below k; ``mm_equal``
-builds both from one maximum matching. All tie-breaks are
-by smallest node id / lexicographic edge order so certificates are
-byte-reproducible across runs.
+builds both from one maximum matching, and ``deg_equal`` from one peel. All
+tie-breaks are by smallest node id / lexicographic edge order so
+certificates are byte-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .certs import (
 )
 from .graph import Graph
 from .oracles import (
+    _grow_forest,
     bfs_distances,
     count_odd_components_excluding,
     covered_sources,
@@ -60,49 +61,102 @@ def _maximum_mate_list(g: Graph) -> tuple[list[int], int]:
     return mate, len(matching) // 2
 
 
-def _lex_min_greedy(g: Graph, mate: list[int], nu: int) -> Iterator[tuple[int, int]]:
+def _lex_min_greedy(
+    g: Graph, adj: dict[int, list[int]], mate: list[int], nu: int
+) -> Iterator[tuple[int, int]]:
     """The edges of the lexicographically smallest maximum matching, in lex
-    order, grown from ``mate``, a maximum matching of size ``nu`` (consumed).
+    order, grown from ``mate``, a maximum matching of size ``nu`` (consumed),
+    over ``adj``, the adjacency of g.
 
     Greedy over edges in lex order, keeping an edge iff the partial choice
     still extends to a maximum matching of the whole graph. Throughout, M is a
     maximum matching of G - used, and an edge uv with both ends free extends
     iff nu(G - used - u - v) = |M| - 1. M without its edges at u and v has
     that size when uv is in M or only one of u, v is matched. If u, v are
-    matched to u', v', it has |M| - 2 edges, and u', v' are exposed; every
-    other exposed node was exposed under M, and a path between two of them
-    would augment M, so uv extends iff a search from u' or from v' in
-    G - used - u - v augments. Either way, the matching left over is maximum
-    in G - used - u - v and serves as the next M. Each edge is yielded as it
-    is kept, so a caller that needs only the first k stops the greedy there.
+    matched to u', v', it has |M| - 2 edges, u', v' are exposed, and uv
+    extends iff this matching has an augmenting path in G - used - u - v.
+
+    One forest search, rooted at both u' and v', decides that. Every other
+    exposed node was exposed under M, and a path between two of them would
+    augment M, so every augmenting path has u' or v' as an end. The search
+    flips a path when a tree reaches an exposed node outside the forest, or
+    when the two trees meet (the path u'..v'), and if it stops with neither,
+    no path exists. Often no search is needed, since both ends of a path have
+    a neighbor in G - used - u - v. If u' has none, a path must join v' to a
+    node that M leaves exposed and that has one; if v' has none as well, or
+    no exposed node has one, uv does not extend. Counts of the neighbors
+    outside used, and the set of exposed nodes that have some, keep that test
+    cheap: a scan of the set stops at the first node that qualifies, and
+    drops the stale entries it meets on the way.
+
+    Either way, the matching left over is maximum in G - used - u - v and
+    serves as the next M. Each edge is yielded as it is kept, so a caller
+    that needs only the first k stops the greedy there. The searches share
+    one set of forest lists, each resetting what it wrote.
     """
-    adj = g.adjacency()
-    chosen = 0
+    n = g.n
+    outer, parent, base = [False] * (n + 1), [0] * (n + 1), list(range(n + 1))
+    # free[x] counts the neighbors of x outside used; exposed holds every node
+    # outside used that M leaves exposed and that has such a neighbor, and
+    # sheds the nodes that no longer qualify as a scan meets them
+    free = [0] + [len(adj[x]) for x in range(1, n + 1)]
+    exposed = {x for x in range(1, n + 1) if not mate[x] and free[x]}
     used: set[int] = set()
+
+    def reaches(x: int, u: int, v: int) -> bool:
+        """x has a neighbor in G - used - u - v."""
+        return free[x] > 2 or free[x] > (u in adj[x]) + (v in adj[x])
+
+    def exposed_reaches(u: int, v: int) -> bool:
+        """Some node that M leaves exposed in G - used has a neighbor in
+        G - used - u - v."""
+        shed, hit = [], False
+        for x in exposed:
+            if mate[x] or not free[x]:
+                shed.append(x)
+            elif reaches(x, u, v):
+                hit = True
+                break
+        exposed.difference_update(shed)
+        return hit
+
+    chosen = 0
     for u, v in sorted(g.edges):
         if chosen == nu:
             return
         if u in used or v in used:
             continue
         mu, mv = mate[u], mate[v]
+        search = mu and mv and mu != v
+        if search:
+            ends = reaches(mu, u, v) + reaches(mv, u, v)
+            if ends == 0 or ends == 1 and not exposed_reaches(u, v):
+                continue  # no augmenting path: uv does not extend
         mate[u] = mate[v] = mate[mu] = mate[mv] = 0  # mate[0] stays 0
         used.update((u, v))
-        if (
-            mu == v
-            or not (mu and mv)
-            or edmonds_search(adj, mate, (mu,), used) is None
-            or edmonds_search(adj, mate, (mv,), used) is None
-        ):
-            chosen += 1
-            yield u, v
-        else:  # uv does not extend: restore M
-            used.difference_update((u, v))
-            mate[u], mate[mu], mate[v], mate[mv] = mu, u, mv, v
+        if search:
+            queue: list[int] = []
+            found = _grow_forest(adj, mate, (mu, mv), used, outer, parent, base, queue, meet=True)
+            for x in queue:  # index 0, an exposed node's mate, keeps its entry state
+                for y in (x, mate[x]):
+                    outer[y], parent[y], base[y] = False, 0, y
+            if not found:  # uv does not extend: restore M
+                used.difference_update((u, v))
+                mate[u], mate[mu], mate[v], mate[mv] = mu, u, mv, v
+                continue
+        chosen += 1
+        for w in adj[u]:
+            free[w] -= 1
+        for w in adj[v]:
+            free[w] -= 1
+        exposed.difference_update((u, v))
+        exposed.update(x for x in (mu, mv) if free[x] and not mate[x] and x not in used)
+        yield u, v
 
 
 def lex_min_maximum_matching(g: Graph) -> list[tuple[int, int]]:
     """The lexicographically smallest maximum matching (as a sorted edge list)."""
-    return list(_lex_min_greedy(g, *_maximum_mate_list(g)))
+    return list(_lex_min_greedy(g, g.adjacency(), *_maximum_mate_list(g)))
 
 
 def prove_mm_atleast_list(g: Graph, k: int) -> CertificateBlob:
@@ -111,7 +165,7 @@ def prove_mm_atleast_list(g: Graph, k: int) -> CertificateBlob:
     mate, nu = _maximum_mate_list(g)
     if nu < k:
         raise NotCertifiable(f"maximum matching below {k}")
-    return encode_mm_list(list(islice(_lex_min_greedy(g, mate, nu), k)), g.n)
+    return encode_mm_list(list(islice(_lex_min_greedy(g, g.adjacency(), mate, nu), k)), g.n)
 
 
 def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:
@@ -122,12 +176,12 @@ def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:
     if nu < k:
         raise NotCertifiable(f"maximum matching below {k}")
     matched = [(v, mate[v]) for v in range(1, g.n + 1) if v < mate[v]][:k]
-    delta = g.max_degree()
+    adj = g.adjacency()
+    delta = max(map(len, adj.values()), default=0)
     if delta <= 1:
         # the whole graph is a matching; one color satisfies the verifier
         return encode_mm_coloring({v: 1 for v in range(1, g.n + 1)}, 1, g.n)
     domain = 2 * delta - 1
-    adj = g.adjacency()
     colors: dict[int, int] = {}
     for u, v in matched:
         banned = {
@@ -143,9 +197,12 @@ def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:
     return encode_mm_coloring(colors, domain, g.n)
 
 
-def _witness_from(g: Graph, mate: list[int], nu: int) -> frozenset[int]:
+def _witness_from(
+    g: Graph, adj: dict[int, list[int]], mate: list[int], nu: int
+) -> frozenset[int]:
     """A minimizer U of (|U| - odd(V\\U) + |V|) / 2 that attains 2 * nu, from
-    ``mate``, a maximum matching of size ``nu`` (left as it is).
+    ``mate``, a maximum matching of size ``nu`` (left as it is), over ``adj``,
+    the adjacency of g.
 
     U is the neighborhood (outside D) of D, the nodes missed by at least one
     maximum matching. D is the set of outer nodes of the Edmonds forest grown
@@ -154,7 +211,6 @@ def _witness_from(g: Graph, mate: list[int], nu: int) -> frozenset[int]:
     raises if two of its trees meet, since the matching was then not maximum.
     """
     exposed = [v for v in range(1, g.n + 1) if mate[v] == 0]
-    adj = g.adjacency()
     outer = edmonds_search(adj, mate, exposed)
     witness = frozenset(
         w for v in range(1, g.n + 1) if outer[v] for w in adj[v] if not outer[w]
@@ -169,7 +225,7 @@ def gallai_edmonds_witness(g: Graph) -> tuple[frozenset[int], int]:
     """A minimizer U of (|U| - odd(V\\U) + |V|) / 2, and the maximum matching
     size nu that it attains (see ``_witness_from``)."""
     mate, nu = _maximum_mate_list(g)
-    return _witness_from(g, mate, nu), nu
+    return _witness_from(g, g.adjacency(), mate, nu), nu
 
 
 def prove_mm_atmost(g: Graph, k: int) -> CertificateBlob:
@@ -181,12 +237,30 @@ def prove_mm_atmost(g: Graph, k: int) -> CertificateBlob:
 
 # -- degeneracy ------------------------------------------------------------------
 
-def prove_deg_atmost(g: Graph, k: int) -> CertificateBlob:
+def _peel_ranks(g: Graph, k: int) -> tuple[list[int], dict[int, int]]:
+    """The peel order and each node's rank in it (from 1); refuses a
+    degeneracy above k."""
     order, degeneracy = peel_order(g)
     if degeneracy > k:
         raise NotCertifiable(f"degeneracy above {k}")
-    pi = {v: i for i, v in enumerate(order, start=1)}
-    return encode_peel_order(pi, g.n)
+    return order, {v: i for i, v in enumerate(order, start=1)}
+
+
+def _peel_core(
+    adj: dict[int, list[int]], order: list[int], pi: dict[int, int], k: int
+) -> list[int]:
+    """The k-core, read off a peel ``order`` with ranks ``pi``: the nodes
+    still left when a removal first has degree k or more (if none does, no
+    node). Each node still left then has at least k neighbors left, and each
+    node removed before had fewer, so by induction none of them was in the
+    k-core."""
+    return next(
+        (order[pi[v] - 1:] for v in order if sum(pi[w] > pi[v] for w in adj[v]) >= k), []
+    )
+
+
+def prove_deg_atmost(g: Graph, k: int) -> CertificateBlob:
+    return encode_peel_order(_peel_ranks(g, k)[1], g.n)
 
 
 def prove_deg_atleast(g: Graph, k: int) -> CertificateBlob:
@@ -272,7 +346,8 @@ def prove_mm_equal(g: Graph, k: int) -> CertificateBlob:
     refusals in their order: the witness reads the matching, then the lex-min
     greedy consumes it, keeping all nu = k of its edges."""
     mate, nu = _maximum_mate_list(g)
-    witness = _witness_from(g, mate, nu)
+    adj = g.adjacency()
+    witness = _witness_from(g, adj, mate, nu)
     if nu > k:
         raise NotCertifiable(f"maximum matching above {k}")
     if nu < k:
@@ -280,9 +355,17 @@ def prove_mm_equal(g: Graph, k: int) -> CertificateBlob:
     return encode_equality(
         "mm_equal",
         encode_tutte_berge(witness, g.n),
-        encode_mm_list(list(_lex_min_greedy(g, mate, nu)), g.n),
+        encode_mm_list(list(_lex_min_greedy(g, adj, mate, nu)), g.n),
     )
 
 
 def prove_deg_equal(g: Graph, k: int) -> CertificateBlob:
-    return encode_equality("deg_equal", prove_deg_atmost(g, k), prove_deg_atleast(g, k))
+    """Both halves from one peel, with the one-sided provers' refusals in
+    their order."""
+    order, pi = _peel_ranks(g, k)
+    core = _peel_core(g.adjacency(), order, pi, k)
+    if k >= 1 and not core:
+        raise NotCertifiable(f"degeneracy below {k}")
+    return encode_equality(
+        "deg_equal", encode_peel_order(pi, g.n), encode_core_subset(core, g.n)
+    )

@@ -517,21 +517,60 @@ def test_edmonds_search_outcomes_pinned():
     assert digest.hexdigest() == PINNED_EDMONDS_SEARCH_SHA256
 
 
-def test_forest_writes_land_on_queued_nodes_and_their_mates():
-    # ``maximum_matching`` resets its shared forest lists from this set alone
+def _searched_forest(adj, mate, roots, excluded, outer, parent, base, queue, meet=False) -> bool:
+    """One ``_grow_forest`` run on lists in their entry state. Asserts that
+    every write lands on a queued node or its mate (the set its callers
+    reset), and that an augmentation leaves a matching one edge larger.
+    Returns whether it augmented."""
     from streamcert.oracles import _grow_forest
 
-    augmented = 0
+    n = len(mate) - 1
+    size = sum(mate[v] > v for v in range(1, n + 1))
+    augmented = _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue, meet)
+    written = {v for v in range(n + 1) if outer[v] or parent[v] or base[v] != v}
+    assert written <= set(queue) | {mate[u] for u in queue}
+    assert mate[0] == 0
+    for v in range(1, n + 1):
+        assert not mate[v] or (mate[mate[v]] == v and mate[v] in adj[v])
+    assert sum(mate[v] > v for v in range(1, n + 1)) == size + augmented
+    return augmented
+
+
+def test_forest_writes_land_on_queued_nodes_and_their_mates(monkeypatch):
+    # ``maximum_matching`` and the lex-min greedy reset their shared forest
+    # lists from this set alone
+    from streamcert import provers
+    from streamcert.provers import lex_min_maximum_matching
+
+    def fresh(n):
+        return [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), []
+
+    augmented = met = 0
     for adj, mate, roots, excluded in _edmonds_search_calls():
         n = len(mate) - 1
-        outer, parent, base, queue = [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), []
+        before = list(mate)
         try:
-            augmented += _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue)
+            augmented += _searched_forest(adj, mate, roots, excluded, *fresh(n))
         except ValueError:
-            continue
-        written = {v for v in range(n + 1) if outer[v] or parent[v] or base[v] != v}
-        assert written <= set(queue) | {mate[u] for u in queue}
-    assert augmented > 1000
+            # two trees met: with ``meet`` the search flips the path between them
+            assert _searched_forest(adj, before, roots, excluded, *fresh(n), meet=True)
+            met += 1
+    assert augmented > 1000 and met > 1500
+
+    # the greedy's two-root searches, on the lists it shares between them
+    searches = []
+
+    def checked(adj, mate, roots, excluded, outer, parent, base, queue, meet):
+        assert not any(outer) and not any(parent) and base == list(range(len(base)))
+        found = _searched_forest(adj, mate, roots, excluded, outer, parent, base, queue, meet)
+        searches.append(found and all(mate[r] for r in roots))  # the trees met
+        return found
+
+    monkeypatch.setattr(provers, "_grow_forest", checked)
+    for seed in range(600):
+        lex_min_maximum_matching(gnp_random_graph(10 + seed % 70, (0.05, 0.1, 0.2)[seed % 3], seed))
+    # 3,081 searches; 1,368 of them flip a path between the two roots
+    assert len(searches) > 2500 and sum(searches) > 1000
 
 
 def test_maximum_matching_is_linear_on_sparse_graphs():

@@ -23,10 +23,13 @@ from streamcert.oracles import (
     k_core,
     oracle_degeneracy,
     oracle_max_matching,
+    peel_order,
 )
 from streamcert.provers import (
     NotCertifiable,
+    _lex_min_greedy,
     _maximum_mate_list,
+    _peel_core,
     gallai_edmonds_witness,
     lex_min_maximum_matching,
     prove_clique_atleast,
@@ -200,6 +203,21 @@ def test_deg_atleast_emits_k_core():
     g = Graph.from_edges(6, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)])
     cert = prove_deg_atleast(g, 2)
     assert decode_blob(cert, "deg_atleast", 6, 2) == k_core(g, 2) == frozenset({1, 2, 3})
+
+
+def test_k_core_read_off_the_peel():
+    def one_sided(g, k):
+        return encode_equality("deg_equal", prove_deg_atmost(g, k), prove_deg_atleast(g, k))
+
+    for g in _differential_graphs():
+        order, degeneracy = peel_order(g)
+        pi = {v: i for i, v in enumerate(order, start=1)}
+        adj = g.adjacency()
+        for k in range(degeneracy + 2):
+            assert frozenset(_peel_core(adj, order, pi, k)) == k_core(g, k), (g, k)
+        # the prover from one peel: its certificate, or its refusal in order
+        for k in range(max(degeneracy - 1, 0), degeneracy + 2):
+            assert _outcome(prove_deg_equal, g, k) == _outcome(one_sided, g, k), (g, k)
 
 
 # -- diameter ---------------------------------------------------------------------------
@@ -466,6 +484,66 @@ def test_matching_provers_agree_with_their_definitions():
         assert {v for v in range(1, g.n + 1) if outer[v]} == missable, g
         expected = frozenset(w for v in missable for w in adj[v] if w not in missable)
         assert gallai_edmonds_witness(g)[0] == expected, g
+
+
+def _two_search_greedy(g, mate, nu):
+    """The lex-min greedy as it stood with up to two single-root searches per
+    candidate, one from each freed mate, and no stranded-mate test."""
+    from streamcert.oracles import edmonds_search
+
+    adj = g.adjacency()
+    chosen, used = [], set()
+    for u, v in sorted(g.edges):
+        if len(chosen) == nu:
+            break
+        if u in used or v in used:
+            continue
+        mu, mv = mate[u], mate[v]
+        mate[u] = mate[v] = mate[mu] = mate[mv] = 0
+        used.update((u, v))
+        if (
+            mu == v
+            or not (mu and mv)
+            or edmonds_search(adj, mate, (mu,), used) is None
+            or edmonds_search(adj, mate, (mv,), used) is None
+        ):
+            chosen.append((u, v))
+        else:
+            used.difference_update((u, v))
+            mate[u], mate[mu], mate[v], mate[mv] = mu, u, mv, v
+    return chosen
+
+
+def test_lex_min_greedy_matches_the_two_search_greedy():
+    import itertools
+
+    def graphs():
+        for n in range(7):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            for mask in range(1 << len(pairs)):
+                yield Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+        for seed in range(300):
+            yield gnp_random_graph(7 + seed % 53, (0.04, 0.08, 0.15, 0.3)[seed % 4], seed)
+
+    for g in graphs():
+        mate, nu = _maximum_mate_list(g)
+        expected = _two_search_greedy(g, list(mate), nu)
+        assert list(_lex_min_greedy(g, g.adjacency(), mate, nu)) == expected, g
+
+
+def test_lex_min_greedy_search_count(monkeypatch):
+    # a search guard that does not time: one search per candidate, and none
+    # for a stranded mate (442 searches with two single-root searches per
+    # candidate)
+    from streamcert import provers
+
+    calls = []
+    search = provers._grow_forest
+    monkeypatch.setattr(
+        provers, "_grow_forest", lambda *args, **kw: calls.append(1) or search(*args, **kw)
+    )
+    lex_min_maximum_matching(gnp_random_graph(1000, 8 / 1000, 1000))
+    assert len(calls) <= 218
 
 
 def test_forest_search_raises_on_a_matching_that_is_not_maximum(monkeypatch):
