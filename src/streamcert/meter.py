@@ -24,10 +24,6 @@ def id_bits(n: int) -> int:
     return ceil_log2(n + 1)
 
 
-class UnknownComponent(KeyError):
-    pass
-
-
 @dataclass(frozen=True)
 class SpaceReport:
     peak_state_bits: int
@@ -51,11 +47,10 @@ class SpaceMeter:
         return name
 
     def resize(self, name: str, new_width_bits: int) -> None:
-        if name not in self._widths:
-            raise UnknownComponent(name)
+        old_width_bits = self._widths[name]
         if new_width_bits < 0:
             raise ValueError("component width must be non-negative")
-        self._live += new_width_bits - self._widths[name]
+        self._live += new_width_bits - old_width_bits
         self._widths[name] = new_width_bits
         self._peak = max(self._peak, self._live)
 

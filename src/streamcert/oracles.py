@@ -61,16 +61,16 @@ def edmonds_search(adj, mate: list[int], roots, excluded=frozenset()) -> list[bo
     nodes of two trees closes an augmenting path that this search does not
     flip; it raises ValueError, since a caller that roots a tree at every
     exposed node, as the Gallai-Edmonds witness does, has passed a matching
-    that is not maximum.
-
-    This is the one-shot form: it grows its forest in three fresh n-sized
-    lists. Callers that search many times (``maximum_matching``, the lex-min
-    greedy) run ``_grow_forest`` on lists they share between searches.
+    that is not maximum. It changes no argument but ``mate``, and grows its
+    forest in fresh lists through ``_grow_forest``, which leaves them as it
+    found them.
     """
     n = len(mate) - 1
-    outer = [False] * (n + 1)
-    if _grow_forest(adj, mate, roots, excluded, outer, [0] * (n + 1), list(range(n + 1)), []):
+    outer, queue = [False] * (n + 1), []
+    if _grow_forest(adj, mate, roots, excluded, outer, [0] * (n + 1), list(range(n + 1)), queue):
         return None
+    for v in queue:  # every node that turned outer, its mark cleared on return
+        outer[v] = True
     return outer
 
 
@@ -81,13 +81,15 @@ def _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue, meet=Fa
     nodes of two trees does not raise: the path from one root through that
     edge to the other root augments, and it is flipped.
 
-    ``queue`` (empty on entry) ends up holding every node that turned outer,
-    and every write to the three lists lands on a queued node or on its mate
-    as ``mate`` stands afterwards: a tree node never queued is inner, the
-    mate of a queued node, and each edge an augmentation matches has a
-    queued end. A contraction relabels only the nodes of the blossoms it
-    merges, and queues the ones that turn outer in id order, so a search
-    costs what its forest touches.
+    ``queue`` (empty on entry) ends up holding every node that turned outer.
+    The search leaves the three lists as it found them: every write lands on
+    a queued node or on its mate as ``mate`` stands afterwards (a tree node
+    never queued is inner, the mate of a queued node, and each edge an
+    augmentation matches has a queued end), and those are reset before it
+    returns. So a caller can share one set of lists between searches. A
+    contraction relabels only the nodes of the blossoms it merges, and
+    queues the ones that turn outer in id order, so a search costs what its
+    forest touches.
     """
     for root in roots:
         outer[root] = True
@@ -131,45 +133,50 @@ def _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue, meet=Fa
             x = nxt
             px = parent[x]
 
-    for v in queue:  # a list grown while it is walked: the BFS order
-        for to in adj[v]:
-            if base[v] == base[to] or mate[v] == to or to in excluded:
-                continue
-            if outer[to]:
-                anchor = lca(v, to)
-                if anchor == 0:
-                    if not meet:
-                        raise ValueError("matching is not maximum: two alternating trees meet")
-                    # flip root..v and to..root, each from the meeting edge
-                    tail = mate[to]
-                    flip(to, v)
-                    flip(tail, parent[tail])
-                    return True
-                blossom: set[int] = set()
-                mark_blossom(v, anchor, to, blossom)
-                mark_blossom(to, anchor, v, blossom)
-                # the anchor's own nodes keep their base and are outer already
-                blossom.discard(anchor)
-                merged = members.setdefault(anchor, [anchor])
-                newly_outer = []
-                for b in blossom:
-                    for i in members.pop(b, (b,)):
-                        base[i] = anchor
-                        merged.append(i)
-                        if not outer[i]:
-                            outer[i] = True
-                            newly_outer.append(i)
-                # in id order, as a scan of every node would queue them
-                newly_outer.sort()
-                queue.extend(newly_outer)
-            elif parent[to] == 0:
-                parent[to] = v
-                if mate[to] == 0:
-                    flip(to, v)
-                    return True
-                outer[mate[to]] = True
-                queue.append(mate[to])
-    return False
+    try:
+        for v in queue:  # a list grown while it is walked: the BFS order
+            for to in adj[v]:
+                if base[v] == base[to] or mate[v] == to or to in excluded:
+                    continue
+                if outer[to]:
+                    anchor = lca(v, to)
+                    if anchor == 0:
+                        if not meet:
+                            raise ValueError("matching is not maximum: two alternating trees meet")
+                        # flip root..v and to..root, each from the meeting edge
+                        tail = mate[to]
+                        flip(to, v)
+                        flip(tail, parent[tail])
+                        return True
+                    blossom: set[int] = set()
+                    mark_blossom(v, anchor, to, blossom)
+                    mark_blossom(to, anchor, v, blossom)
+                    # the anchor's own nodes keep their base and are outer already
+                    blossom.discard(anchor)
+                    merged = members.setdefault(anchor, [anchor])
+                    newly_outer = []
+                    for b in blossom:
+                        for i in members.pop(b, (b,)):
+                            base[i] = anchor
+                            merged.append(i)
+                            if not outer[i]:
+                                outer[i] = True
+                                newly_outer.append(i)
+                    # in id order, as a scan of every node would queue them
+                    newly_outer.sort()
+                    queue.extend(newly_outer)
+                elif parent[to] == 0:
+                    parent[to] = v
+                    if mate[to] == 0:
+                        flip(to, v)
+                        return True
+                    outer[mate[to]] = True
+                    queue.append(mate[to])
+        return False
+    finally:
+        for x in queue:  # index 0, an exposed node's mate, keeps its entry state
+            for y in (x, mate[x]):
+                outer[y], parent[y], base[y] = False, 0, y
 
 
 def maximum_matching(g: Graph) -> dict[int, int]:
@@ -180,7 +187,7 @@ def maximum_matching(g: Graph) -> dict[int, int]:
     output is a deterministic function of the edge set (not of the stored
     order). A search from an exposed node that finds no augmenting path rules
     that node out for good (Edmonds 1965), so the result is maximum. The
-    searches share one set of forest lists, each resetting what it wrote.
+    searches share one set of forest lists, which each leaves clean.
     """
     n = g.n
     adj: list[list[int]] = [[] for _ in range(n + 1)]
@@ -196,11 +203,7 @@ def maximum_matching(g: Graph) -> dict[int, int]:
     outer, parent, base = [False] * (n + 1), [0] * (n + 1), list(range(n + 1))
     for v in range(1, n + 1):
         if mate[v] == 0 and adj[v]:  # an isolated node's search finds nothing
-            queue: list[int] = []
-            _grow_forest(adj, mate, (v,), (), outer, parent, base, queue)
-            for u in queue:  # index 0, an exposed node's mate, keeps its entry state
-                for x in (u, mate[u]):
-                    outer[x], parent[x], base[x] = False, 0, x
+            _grow_forest(adj, mate, (v,), (), outer, parent, base, [])
     return {v: mate[v] for v in range(1, n + 1) if mate[v] != 0}
 
 
@@ -317,19 +320,26 @@ def oracle_degeneracy(g: Graph) -> int:
 
 
 def k_core(g: Graph, k: int) -> frozenset[int]:
-    """Maximal induced subgraph with minimum degree >= k (possibly empty)."""
-    adj = {v: set(ns) for v, ns in g.adjacency().items()}
-    queue = deque(v for v, ns in adj.items() if len(ns) < k)
-    dead: set[int] = set(queue)
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            adj[w].discard(v)
-            if w not in dead and len(adj[w]) < k:
-                dead.add(w)
-                queue.append(w)
-        adj[v].clear()
-    return frozenset(v for v in range(1, g.n + 1) if v not in dead)
+    """Maximal induced subgraph with minimum degree >= k (possibly empty).
+
+    Removes every node of degree below k, counting down the degrees of its
+    neighbors still present, until none is left below k: O(n + m) (Batagelj
+    & Zaversnik, *An O(m) Algorithm for Cores Decomposition of Networks*,
+    2003)."""
+    adj = g.adjacency()
+    degree = [0] + [len(adj[v]) for v in range(1, g.n + 1)]
+    stack = [v for v in range(1, g.n + 1) if degree[v] < k]
+    removed = bytearray(g.n + 1)
+    for v in stack:
+        removed[v] = 1
+    while stack:
+        for w in adj[stack.pop()]:
+            if not removed[w]:
+                degree[w] -= 1
+                if degree[w] < k:
+                    removed[w] = 1
+                    stack.append(w)
+    return frozenset(v for v in range(1, g.n + 1) if not removed[v])
 
 
 # -- diameter -------------------------------------------------------------------

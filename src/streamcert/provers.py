@@ -5,9 +5,9 @@ exact algorithms in ``oracles`` and refuses (NotCertifiable) from that witness
 alone when it falls short of the claimed bound: no prover asks a second
 oracle first. The equality provers only combine the two one-sided proofs,
 since the <=k one refuses above k and the >=k one below k; ``mm_equal``
-builds both from one maximum matching, and ``deg_equal`` from one peel. All
-tie-breaks are by smallest node id / lexicographic edge order so
-certificates are byte-reproducible across runs.
+builds both from one maximum matching. All tie-breaks are by smallest node
+id / lexicographic edge order so certificates are byte-reproducible across
+runs.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _lex_min_greedy(
     Either way, the matching left over is maximum in G - used - u - v and
     serves as the next M. Each edge is yielded as it is kept, so a caller
     that needs only the first k stops the greedy there. The searches share
-    one set of forest lists, each resetting what it wrote.
+    one set of forest lists, which each leaves clean.
     """
     n = g.n
     outer, parent, base = [False] * (n + 1), [0] * (n + 1), list(range(n + 1))
@@ -134,16 +134,12 @@ def _lex_min_greedy(
                 continue  # no augmenting path: uv does not extend
         mate[u] = mate[v] = mate[mu] = mate[mv] = 0  # mate[0] stays 0
         used.update((u, v))
-        if search:
-            queue: list[int] = []
-            found = _grow_forest(adj, mate, (mu, mv), used, outer, parent, base, queue, meet=True)
-            for x in queue:  # index 0, an exposed node's mate, keeps its entry state
-                for y in (x, mate[x]):
-                    outer[y], parent[y], base[y] = False, 0, y
-            if not found:  # uv does not extend: restore M
-                used.difference_update((u, v))
-                mate[u], mate[mu], mate[v], mate[mv] = mu, u, mv, v
-                continue
+        if search and not _grow_forest(
+            adj, mate, (mu, mv), used, outer, parent, base, [], meet=True
+        ):  # uv does not extend: restore M
+            used.difference_update((u, v))
+            mate[u], mate[mu], mate[v], mate[mv] = mu, u, mv, v
+            continue
         chosen += 1
         for w in adj[u]:
             free[w] -= 1
@@ -237,30 +233,11 @@ def prove_mm_atmost(g: Graph, k: int) -> CertificateBlob:
 
 # -- degeneracy ------------------------------------------------------------------
 
-def _peel_ranks(g: Graph, k: int) -> tuple[list[int], dict[int, int]]:
-    """The peel order and each node's rank in it (from 1); refuses a
-    degeneracy above k."""
+def prove_deg_atmost(g: Graph, k: int) -> CertificateBlob:
     order, degeneracy = peel_order(g)
     if degeneracy > k:
         raise NotCertifiable(f"degeneracy above {k}")
-    return order, {v: i for i, v in enumerate(order, start=1)}
-
-
-def _peel_core(
-    adj: dict[int, list[int]], order: list[int], pi: dict[int, int], k: int
-) -> list[int]:
-    """The k-core, read off a peel ``order`` with ranks ``pi``: the nodes
-    still left when a removal first has degree k or more (if none does, no
-    node). Each node still left then has at least k neighbors left, and each
-    node removed before had fewer, so by induction none of them was in the
-    k-core."""
-    return next(
-        (order[pi[v] - 1:] for v in order if sum(pi[w] > pi[v] for w in adj[v]) >= k), []
-    )
-
-
-def prove_deg_atmost(g: Graph, k: int) -> CertificateBlob:
-    return encode_peel_order(_peel_ranks(g, k)[1], g.n)
+    return encode_peel_order({v: i for i, v in enumerate(order, start=1)}, g.n)
 
 
 def prove_deg_atleast(g: Graph, k: int) -> CertificateBlob:
@@ -360,12 +337,4 @@ def prove_mm_equal(g: Graph, k: int) -> CertificateBlob:
 
 
 def prove_deg_equal(g: Graph, k: int) -> CertificateBlob:
-    """Both halves from one peel, with the one-sided provers' refusals in
-    their order."""
-    order, pi = _peel_ranks(g, k)
-    core = _peel_core(g.adjacency(), order, pi, k)
-    if k >= 1 and not core:
-        raise NotCertifiable(f"degeneracy below {k}")
-    return encode_equality(
-        "deg_equal", encode_peel_order(pi, g.n), encode_core_subset(core, g.n)
-    )
+    return encode_equality("deg_equal", prove_deg_atmost(g, k), prove_deg_atleast(g, k))

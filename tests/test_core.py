@@ -18,7 +18,7 @@ from streamcert.graph import (
     star_graph,
     validate_graph,
 )
-from streamcert.meter import SpaceMeter, UnknownComponent, ceil_log2, id_bits
+from streamcert.meter import SpaceMeter, ceil_log2, id_bits
 from streamcert.stream import ORDER_BATTERY, OrderSpecError, make_stream
 
 TRIANGLE = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
@@ -170,8 +170,10 @@ def test_meter_constant_run():
 
 def test_meter_unknown_component():
     m = SpaceMeter()
-    with pytest.raises(UnknownComponent):
+    with pytest.raises(KeyError):
         m.resize("ghost", 3)
+    with pytest.raises(KeyError):  # the name is looked up before the width is checked
+        m.resize("ghost", -1)
 
 
 def test_meter_rejects_negative_width():

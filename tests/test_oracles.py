@@ -519,16 +519,15 @@ def test_edmonds_search_outcomes_pinned():
 
 def _searched_forest(adj, mate, roots, excluded, outer, parent, base, queue, meet=False) -> bool:
     """One ``_grow_forest`` run on lists in their entry state. Asserts that
-    every write lands on a queued node or its mate (the set its callers
-    reset), and that an augmentation leaves a matching one edge larger.
-    Returns whether it augmented."""
+    it leaves them in that state (outer all False, parent all 0, base[v] = v)
+    and that an augmentation leaves a matching one edge larger. Returns
+    whether it augmented."""
     from streamcert.oracles import _grow_forest
 
     n = len(mate) - 1
     size = sum(mate[v] > v for v in range(1, n + 1))
     augmented = _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue, meet)
-    written = {v for v in range(n + 1) if outer[v] or parent[v] or base[v] != v}
-    assert written <= set(queue) | {mate[u] for u in queue}
+    assert not any(outer) and not any(parent) and base == list(range(n + 1))
     assert mate[0] == 0
     for v in range(1, n + 1):
         assert not mate[v] or (mate[mate[v]] == v and mate[v] in adj[v])
@@ -536,9 +535,9 @@ def _searched_forest(adj, mate, roots, excluded, outer, parent, base, queue, mee
     return augmented
 
 
-def test_forest_writes_land_on_queued_nodes_and_their_mates(monkeypatch):
-    # ``maximum_matching`` and the lex-min greedy reset their shared forest
-    # lists from this set alone
+def test_forest_search_leaves_its_lists_clean(monkeypatch):
+    # ``maximum_matching`` and the lex-min greedy share one set of forest
+    # lists across their searches, and never reset them
     from streamcert import provers
     from streamcert.provers import lex_min_maximum_matching
 

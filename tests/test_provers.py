@@ -23,13 +23,11 @@ from streamcert.oracles import (
     k_core,
     oracle_degeneracy,
     oracle_max_matching,
-    peel_order,
 )
 from streamcert.provers import (
     NotCertifiable,
     _lex_min_greedy,
     _maximum_mate_list,
-    _peel_core,
     gallai_edmonds_witness,
     lex_min_maximum_matching,
     prove_clique_atleast,
@@ -205,17 +203,34 @@ def test_deg_atleast_emits_k_core():
     assert decode_blob(cert, "deg_atleast", 6, 2) == k_core(g, 2) == frozenset({1, 2, 3})
 
 
-def test_k_core_read_off_the_peel():
+def _set_based_k_core(g, k):
+    """The k-core by a peel over a dict of neighbor sets with a FIFO queue:
+    a second, independent route for ``k_core``."""
+    from collections import deque
+
+    adj = {v: set(ns) for v, ns in g.adjacency().items()}
+    queue = deque(v for v, ns in adj.items() if len(ns) < k)
+    dead = set(queue)
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            adj[w].discard(v)
+            if w not in dead and len(adj[w]) < k:
+                dead.add(w)
+                queue.append(w)
+        adj[v].clear()
+    return frozenset(v for v in range(1, g.n + 1) if v not in dead)
+
+
+def test_k_core_and_deg_equal_against_their_references():
     def one_sided(g, k):
         return encode_equality("deg_equal", prove_deg_atmost(g, k), prove_deg_atleast(g, k))
 
     for g in _differential_graphs():
-        order, degeneracy = peel_order(g)
-        pi = {v: i for i, v in enumerate(order, start=1)}
-        adj = g.adjacency()
+        degeneracy = oracle_degeneracy(g)
         for k in range(degeneracy + 2):
-            assert frozenset(_peel_core(adj, order, pi, k)) == k_core(g, k), (g, k)
-        # the prover from one peel: its certificate, or its refusal in order
+            assert k_core(g, k) == _set_based_k_core(g, k), (g, k)
+        # the prover: its certificate, or its refusal, "above k" before "below k"
         for k in range(max(degeneracy - 1, 0), degeneracy + 2):
             assert _outcome(prove_deg_equal, g, k) == _outcome(one_sided, g, k), (g, k)
 
