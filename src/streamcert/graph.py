@@ -3,7 +3,8 @@
 Nodes are the contiguous integers 1..n; the vertex set is known up front and
 never streamed. Edges are unordered pairs stored normalized as (min, max).
 The stored edge *sequence* is preserved so that a graph loaded from a file
-keeps its as-given stream order.
+keeps its as-given stream order; the neighbour lists of ``adjacency`` are
+sorted, built once per graph and shared, and must not be changed.
 """
 
 from __future__ import annotations
@@ -59,22 +60,20 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> dict[int, list[int]]:
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
         adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return adj
+        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
-    def degrees(self) -> dict[int, int]:
-        deg = {v: 0 for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Each node's sorted neighbours, built once and shared: do not change."""
+        return self._adjacency
 
     def max_degree(self) -> int:
-        return max(self.degrees().values(), default=0)
+        return max(map(len, self._adjacency.values()), default=0)
 
 
 def validate_graph(g: Graph) -> None:

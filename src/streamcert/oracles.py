@@ -183,20 +183,16 @@ def maximum_matching(g: Graph) -> dict[int, int]:
     """Maximum cardinality matching; returns the mate map (absent = exposed).
 
     Greedy seed in lexicographic edge order, then one forest search from
-    each node still exposed, in id order, over sorted adjacency lists, so the
-    output is a deterministic function of the edge set (not of the stored
-    order). A search from an exposed node that finds no augmenting path rules
-    that node out for good (Edmonds 1965), so the result is maximum. The
-    searches share one set of forest lists, which each leaves clean.
+    each node still exposed, in id order, so the output is a deterministic
+    function of the edge set (not of the stored order). A search from an
+    exposed node that finds no augmenting path rules that node out for good
+    (Edmonds 1965), so the result is maximum. The searches share one set of
+    forest lists, which each leaves clean.
     """
     n = g.n
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    adj = g.adjacency()
     mate = [0] * (n + 1)
-    # lex order appends each node's smaller neighbors, then its larger ones,
-    # each in increasing order: every adjacency list comes out sorted
     for u, v in sorted(g.edges):
-        adj[u].append(v)
-        adj[v].append(u)
         if mate[u] == 0 and mate[v] == 0:
             mate[u] = v
             mate[v] = u
@@ -349,7 +345,7 @@ def k_core(g: Graph, k: int) -> frozenset[int]:
 BFS_BLOCK = 1024
 
 
-def bfs_distances(adj: dict[int, list[int]], source: int) -> dict[int, int]:
+def bfs_distances(adj: dict[int, tuple[int, ...]], source: int) -> dict[int, int]:
     dist = {source: 0}
     queue = deque([source])
     while queue:
@@ -366,7 +362,7 @@ def source_blocks(n: int) -> Iterator[range]:
     return (range(lo, min(lo + BFS_BLOCK, n + 1)) for lo in range(1, n + 1, BFS_BLOCK))
 
 
-def covered_sources(adj: dict[int, list[int]], sources: range) -> Iterator[int]:
+def covered_sources(adj: dict[int, tuple[int, ...]], sources: range) -> Iterator[int]:
     """Bit-parallel BFS from every source at once, over a connected graph:
     for depth 0, 1, 2, ... the bitmask (bit i for ``sources[i]``) of the
     sources whose BFS has reached every node within that depth, i.e. whose

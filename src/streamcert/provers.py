@@ -61,12 +61,9 @@ def _maximum_mate_list(g: Graph) -> tuple[list[int], int]:
     return mate, len(matching) // 2
 
 
-def _lex_min_greedy(
-    g: Graph, adj: dict[int, list[int]], mate: list[int], nu: int
-) -> Iterator[tuple[int, int]]:
+def _lex_min_greedy(g: Graph, mate: list[int], nu: int) -> Iterator[tuple[int, int]]:
     """The edges of the lexicographically smallest maximum matching, in lex
-    order, grown from ``mate``, a maximum matching of size ``nu`` (consumed),
-    over ``adj``, the adjacency of g.
+    order, grown from ``mate``, a maximum matching of size ``nu`` (consumed).
 
     Greedy over edges in lex order, keeping an edge iff the partial choice
     still extends to a maximum matching of the whole graph. Throughout, M is a
@@ -94,7 +91,7 @@ def _lex_min_greedy(
     that needs only the first k stops the greedy there. The searches share
     one set of forest lists, which each leaves clean.
     """
-    n = g.n
+    n, adj = g.n, g.adjacency()
     outer, parent, base = [False] * (n + 1), [0] * (n + 1), list(range(n + 1))
     # free[x] counts the neighbors of x outside used; exposed holds every node
     # outside used that M leaves exposed and that has such a neighbor, and
@@ -152,7 +149,7 @@ def _lex_min_greedy(
 
 def lex_min_maximum_matching(g: Graph) -> list[tuple[int, int]]:
     """The lexicographically smallest maximum matching (as a sorted edge list)."""
-    return list(_lex_min_greedy(g, g.adjacency(), *_maximum_mate_list(g)))
+    return list(_lex_min_greedy(g, *_maximum_mate_list(g)))
 
 
 def prove_mm_atleast_list(g: Graph, k: int) -> CertificateBlob:
@@ -161,7 +158,7 @@ def prove_mm_atleast_list(g: Graph, k: int) -> CertificateBlob:
     mate, nu = _maximum_mate_list(g)
     if nu < k:
         raise NotCertifiable(f"maximum matching below {k}")
-    return encode_mm_list(list(islice(_lex_min_greedy(g, g.adjacency(), mate, nu), k)), g.n)
+    return encode_mm_list(list(islice(_lex_min_greedy(g, mate, nu), k)), g.n)
 
 
 def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:
@@ -172,8 +169,7 @@ def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:
     if nu < k:
         raise NotCertifiable(f"maximum matching below {k}")
     matched = [(v, mate[v]) for v in range(1, g.n + 1) if v < mate[v]][:k]
-    adj = g.adjacency()
-    delta = max(map(len, adj.values()), default=0)
+    adj, delta = g.adjacency(), g.max_degree()
     if delta <= 1:
         # the whole graph is a matching; one color satisfies the verifier
         return encode_mm_coloring({v: 1 for v in range(1, g.n + 1)}, 1, g.n)
@@ -193,12 +189,9 @@ def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:
     return encode_mm_coloring(colors, domain, g.n)
 
 
-def _witness_from(
-    g: Graph, adj: dict[int, list[int]], mate: list[int], nu: int
-) -> frozenset[int]:
+def _witness_from(g: Graph, mate: list[int], nu: int) -> frozenset[int]:
     """A minimizer U of (|U| - odd(V\\U) + |V|) / 2 that attains 2 * nu, from
-    ``mate``, a maximum matching of size ``nu`` (left as it is), over ``adj``,
-    the adjacency of g.
+    ``mate``, a maximum matching of size ``nu`` (left as it is).
 
     U is the neighborhood (outside D) of D, the nodes missed by at least one
     maximum matching. D is the set of outer nodes of the Edmonds forest grown
@@ -206,6 +199,7 @@ def _witness_from(
     theorem; Lovasz & Plummer, *Matching Theory*, 1986); the forest search
     raises if two of its trees meet, since the matching was then not maximum.
     """
+    adj = g.adjacency()
     exposed = [v for v in range(1, g.n + 1) if mate[v] == 0]
     outer = edmonds_search(adj, mate, exposed)
     witness = frozenset(
@@ -221,7 +215,7 @@ def gallai_edmonds_witness(g: Graph) -> tuple[frozenset[int], int]:
     """A minimizer U of (|U| - odd(V\\U) + |V|) / 2, and the maximum matching
     size nu that it attains (see ``_witness_from``)."""
     mate, nu = _maximum_mate_list(g)
-    return _witness_from(g, g.adjacency(), mate, nu), nu
+    return _witness_from(g, mate, nu), nu
 
 
 def prove_mm_atmost(g: Graph, k: int) -> CertificateBlob:
@@ -249,7 +243,7 @@ def prove_deg_atleast(g: Graph, k: int) -> CertificateBlob:
 
 # -- diameter --------------------------------------------------------------------
 
-def _far_source(adj: dict[int, list[int]], n: int, k: int) -> int | None:
+def _far_source(adj: dict[int, tuple[int, ...]], n: int, k: int) -> int | None:
     """In a connected graph, the smallest id whose BFS reaches depth k >= 1
     (its eccentricity is at least k), or None: the lowest source that
     ``covered_sources`` leaves uncovered at depth k - 1, in the first block
@@ -323,8 +317,7 @@ def prove_mm_equal(g: Graph, k: int) -> CertificateBlob:
     refusals in their order: the witness reads the matching, then the lex-min
     greedy consumes it, keeping all nu = k of its edges."""
     mate, nu = _maximum_mate_list(g)
-    adj = g.adjacency()
-    witness = _witness_from(g, adj, mate, nu)
+    witness = _witness_from(g, mate, nu)
     if nu > k:
         raise NotCertifiable(f"maximum matching above {k}")
     if nu < k:
@@ -332,7 +325,7 @@ def prove_mm_equal(g: Graph, k: int) -> CertificateBlob:
     return encode_equality(
         "mm_equal",
         encode_tutte_berge(witness, g.n),
-        encode_mm_list(list(_lex_min_greedy(g, adj, mate, nu)), g.n),
+        encode_mm_list(list(_lex_min_greedy(g, mate, nu)), g.n),
     )
 
 

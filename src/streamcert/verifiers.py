@@ -23,7 +23,9 @@ node subset) finds a false claim that passes in these schemes and in no
 other: ``mm_atleast_list`` and ``clique_atleast`` (an edge counted twice),
 ``deg_atleast`` (both counters stepped twice), and ``mm_equal`` and
 ``deg_equal`` through those halves. In the others a repeat changes nothing
-or only moves toward a reject.
+or only moves toward a reject. The edge counters of ``mm_atleast_list`` and
+``clique_atleast`` stop at k and k(k-1)/2: a hit past that rejects at once,
+with the reason ``_finalize`` would give, so no count outgrows its width.
 
 Every verifier registers a fixed scratch allowance (8 registers of
 ceil(log2(n+2)) bits, for loop indices and edge endpoints) plus its declared
@@ -178,10 +180,13 @@ class MMListVerifier(StreamingVerifier):
         self._count = 0
 
     def _consume(self, edges) -> None:
-        cert_edges = self._cert_edges
+        cert_edges, k = self._cert_edges, self.k
         count = self._count
         for u, v in edges:
             if (u, v) in cert_edges:
+                if count == k:
+                    self._count = count
+                    return self.reject(R_MISSING_EDGE)
                 count += 1
         self._count = count
 
@@ -448,10 +453,13 @@ class CliqueAtLeastVerifier(_NodeSetVerifier):
             self._count = 0
 
     def _consume(self, edges) -> None:
-        members = self._members
+        members, pairs = self._members, self.k * (self.k - 1) // 2
         count = self._count
         for u, v in edges:
             if u in members and v in members:
+                if count == pairs:
+                    self._count = count
+                    return self.reject(R_CLIQUE_COUNT)
                 count += 1
         self._count = count
 

@@ -394,6 +394,42 @@ def test_provers_are_deterministic():
             assert first == second
 
 
+def test_outputs_depend_on_the_edge_set_alone():
+    import random
+
+    from streamcert.graph import parse_graph_file
+    from streamcert.oracles import PARAMETERS
+    from streamcert.schemes import legal_thresholds
+
+    cases = 0
+    for seed in range(150):
+        g = gnp_random_graph(3 + seed % 14, (0.15, 0.3, 0.5)[seed % 3], seed)
+        edges = list(g.edges)
+        random.Random(seed).shuffle(edges)
+        twin = Graph.from_edges(
+            g.n, ((v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges))
+        )
+        assert twin.edge_set == g.edge_set
+        values = {name: p.oracle(g) for name, p in PARAMETERS.items()}
+        assert values == {name: p.oracle(twin) for name, p in PARAMETERS.items()}, g
+        for name, info in SCHEMES.items():
+            for k in legal_thresholds(info, values[info.parameter], g.n):
+                assert serialize_certificate(info.prover(g, k)) == serialize_certificate(
+                    info.prover(twin, k)
+                ), (name, g, k)
+                cases += 1
+    assert cases == 3285
+
+    # the neighbour lists are sorted tuples, built once, whatever the stored order
+    shuffled, _ = parse_graph_file("5 6 1\n4 5\n3 1\n2 5\n1 2\n5 1\n3 2\n")
+    for g in (cycle_graph(7), shuffled):
+        adj = g.adjacency()
+        assert adj is g.adjacency()
+        assert all(type(ns) is tuple and list(ns) == sorted(ns) for ns in adj.values())
+    assert cycle_graph(7).adjacency()[7] == (1, 6)
+    assert shuffled.adjacency() == {1: (2, 3, 5), 2: (1, 3, 5), 3: (1, 2), 4: (5,), 5: (1, 2, 4)}
+
+
 # -- matching provers pinned --------------------------------------------------------------
 
 PETERSEN = Graph.from_edges(
@@ -543,7 +579,7 @@ def test_lex_min_greedy_matches_the_two_search_greedy():
     for g in graphs():
         mate, nu = _maximum_mate_list(g)
         expected = _two_search_greedy(g, list(mate), nu)
-        assert list(_lex_min_greedy(g, g.adjacency(), mate, nu)) == expected, g
+        assert list(_lex_min_greedy(g, mate, nu)) == expected, g
 
 
 def test_lex_min_greedy_search_count(monkeypatch):

@@ -404,6 +404,33 @@ def test_feed_streams_nothing_after_a_reject():
     assert verifier.finalize().reason == "monochromatic-edge"
 
 
+@pytest.mark.parametrize(
+    "scheme, n, k, cert, bound, reason",
+    [
+        ("mm_atleast_list", 4, 2, encode_mm_list([(1, 2), (3, 4)], 4), 2, "missing-cert-edge"),
+        (
+            "clique_atleast", 3, 3, encode_node_set("clique_atleast", [1, 2, 3], 3),
+            3, "clique-count-mismatch",
+        ),
+    ],
+)
+def test_edge_counter_stops_at_its_bound(scheme, n, k, cert, bound, reason):
+    # a certificate edge repeated past the counter's bound (outside the
+    # promise) rejects at the first hit beyond it, and nothing after is read
+    from streamcert.stream import EdgeStream
+
+    def edges_then_fail(*edges):
+        yield from edges
+        raise AssertionError("stream item read after a reject")
+
+    stream = EdgeStream(n, k, edges_then_fail(*[(1, 2)] * (bound + 1)))
+    verifier = SCHEME_VERIFIERS[scheme](stream.n, stream.k, cert)
+    verifier.feed(stream.edges)
+    assert verifier.rejected
+    assert verifier.finalize().reason == reason
+    assert verifier._count == bound
+
+
 #: per scheme that can reject mid-stream: (n, k, certificate, first item,
 #: the item that rejects, the reason)
 MID_STREAM_REJECTS = {
