@@ -2,6 +2,9 @@
 
 All solvers here are exhaustive or exact combinatorial algorithms, used to
 decide instance legality, to feed provers, and to check gadget equivalences.
+The provers' searches live here as well, so that only this module knows the
+blossom forest's shared lists and the BFS sieve's source masks: the lex-min
+greedy, the Tutte-Berge witness and the diameter labels' ``far_source``.
 Each exponential search refuses input beyond its size cutoff itself, with
 ``TooLarge``: the Tutte-Berge sweep above ``TUTTE_BERGE_MAX_N`` nodes, and
 ``k_coloring``, ``vertex_cover_at_most``, ``maximum_independent_set`` and
@@ -23,6 +26,7 @@ import heapq
 import math
 from collections import deque
 from collections.abc import Iterator
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from .graph import Graph
@@ -203,6 +207,92 @@ def maximum_matching(g: Graph) -> dict[int, int]:
     return {v: mate[v] for v in range(1, n + 1) if mate[v] != 0}
 
 
+def lex_min_greedy(g: Graph, mate: list[int], nu: int) -> Iterator[tuple[int, int]]:
+    """The edges of the lexicographically smallest maximum matching, in lex
+    order, grown from ``mate``, a maximum matching of size ``nu`` (consumed).
+
+    Greedy over edges in lex order, keeping an edge iff the partial choice
+    still extends to a maximum matching of the whole graph. Throughout, M is a
+    maximum matching of G - used, and an edge uv with both ends free extends
+    iff nu(G - used - u - v) = |M| - 1. M without its edges at u and v has
+    that size when uv is in M or only one of u, v is matched. If u, v are
+    matched to u', v', it has |M| - 2 edges, u', v' are exposed, and uv
+    extends iff this matching has an augmenting path in G - used - u - v.
+
+    One forest search, rooted at both u' and v', decides that. Every other
+    exposed node was exposed under M, and a path between two of them would
+    augment M, so every augmenting path has u' or v' as an end. The search
+    flips a path when a tree reaches an exposed node outside the forest, or
+    when the two trees meet (the path u'..v'), and if it stops with neither,
+    no path exists. Often no search is needed, since both ends of a path have
+    a neighbor in G - used - u - v. If u' has none, a path must join v' to a
+    node that M leaves exposed and that has one; if v' has none as well, or
+    no exposed node has one, uv does not extend. Counts of the neighbors
+    outside used, and the set of exposed nodes that have some, keep that test
+    cheap: a scan of the set stops at the first node that qualifies, and
+    drops the stale entries it meets on the way.
+
+    Either way, the matching left over is maximum in G - used - u - v and
+    serves as the next M. Each edge is yielded as it is kept, so a caller
+    that needs only the first k stops the greedy there. The searches share
+    one set of forest lists, which each leaves clean.
+    """
+    n, adj = g.n, g.adjacency()
+    outer, parent, base = [False] * (n + 1), [0] * (n + 1), list(range(n + 1))
+    # free[x] counts the neighbors of x outside used; exposed holds every node
+    # outside used that M leaves exposed and that has such a neighbor, and
+    # sheds the nodes that no longer qualify as a scan meets them
+    free = [0] + [len(adj[x]) for x in range(1, n + 1)]
+    exposed = {x for x in range(1, n + 1) if not mate[x] and free[x]}
+    used: set[int] = set()
+
+    def reaches(x: int, u: int, v: int) -> bool:
+        """x has a neighbor in G - used - u - v."""
+        return free[x] > 2 or free[x] > (u in adj[x]) + (v in adj[x])
+
+    def exposed_reaches(u: int, v: int) -> bool:
+        """Some node that M leaves exposed in G - used has a neighbor in
+        G - used - u - v."""
+        shed, hit = [], False
+        for x in exposed:
+            if mate[x] or not free[x]:
+                shed.append(x)
+            elif reaches(x, u, v):
+                hit = True
+                break
+        exposed.difference_update(shed)
+        return hit
+
+    chosen = 0
+    for u, v in sorted(g.edges):
+        if chosen == nu:
+            return
+        if u in used or v in used:
+            continue
+        mu, mv = mate[u], mate[v]
+        search = mu and mv and mu != v
+        if search:
+            ends = reaches(mu, u, v) + reaches(mv, u, v)
+            if ends == 0 or ends == 1 and not exposed_reaches(u, v):
+                continue  # no augmenting path: uv does not extend
+        mate[u] = mate[v] = mate[mu] = mate[mv] = 0  # mate[0] stays 0
+        used.update((u, v))
+        if search and not _grow_forest(
+            adj, mate, (mu, mv), used, outer, parent, base, [], meet=True
+        ):  # uv does not extend: restore M
+            used.difference_update((u, v))
+            mate[u], mate[mu], mate[v], mate[mv] = mu, u, mv, v
+            continue
+        chosen += 1
+        for w in adj[u]:
+            free[w] -= 1
+        for w in adj[v]:
+            free[w] -= 1
+        exposed.difference_update((u, v))
+        exposed.update(x for x in (mu, mv) if free[x] and not mate[x] and x not in used)
+        yield u, v
+
+
 def oracle_max_matching(g: Graph) -> int:
     return len(maximum_matching(g)) // 2
 
@@ -256,6 +346,28 @@ def oracle_tutte_berge(g: Graph) -> tuple[int, frozenset[int]]:
             best_mask = mask
     members = frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
     return (best or 0) // 2, members
+
+
+def tutte_berge_witness(g: Graph, mate: list[int], nu: int) -> frozenset[int]:
+    """A minimizer U of (|U| - odd(V\\U) + |V|) / 2 that attains 2 * nu, from
+    ``mate``, a maximum matching of size ``nu`` (left as it is).
+
+    U is the neighborhood (outside D) of D, the nodes missed by at least one
+    maximum matching. D is the set of outer nodes of the Edmonds forest grown
+    from every exposed node of one maximum matching (Gallai-Edmonds structure
+    theorem; Lovasz & Plummer, *Matching Theory*, 1986); the forest search
+    raises if two of its trees meet, since the matching was then not maximum.
+    """
+    adj = g.adjacency()
+    exposed = [v for v in range(1, g.n + 1) if mate[v] == 0]
+    outer = edmonds_search(adj, mate, exposed)
+    witness = frozenset(
+        w for v in range(1, g.n + 1) if outer[v] for w in adj[v] if not outer[w]
+    )
+    odd = count_odd_components_excluding(g, witness)
+    if 2 * nu != len(witness) - odd + g.n:
+        raise AssertionError("witness misses the matching bound")
+    return witness
 
 
 def count_odd_components_excluding(g: Graph, u_set) -> int:
@@ -408,6 +520,25 @@ def covered_sources(adj: dict[int, tuple[int, ...]], sources: range) -> Iterator
         yield full & ~active
 
 
+def far_source(g: Graph, k: int) -> dict[int, int] | None:
+    """The BFS distances from the smallest node (g has one) whose BFS misses
+    a node or reaches depth k, or None when none does. The BFS from node 1
+    comes first; only when node 1 does not qualify, in a connected graph,
+    does the sieve look further: the lowest source that ``covered_sources``
+    leaves uncovered at depth k - 1, in the first block that holds one."""
+    adj = g.adjacency()
+    dist = bfs_distances(adj, 1)
+    if len(dist) < g.n or max(dist.values()) >= k:
+        return dist
+    for sources in source_blocks(g.n):
+        for covered in islice(covered_sources(adj, sources), k):
+            pass
+        far = ((1 << len(sources)) - 1) & ~covered
+        if far:
+            return bfs_distances(adj, sources[(far & -far).bit_length() - 1])
+    return None
+
+
 def oracle_diameter(g: Graph) -> int | float:
     """Max over pairs of BFS distance; +infinity iff disconnected; 0 for n=1.
 
@@ -527,11 +658,8 @@ def vertex_cover_at_most(g: Graph, budget: int) -> list[int] | None:
 
 
 def minimum_vertex_cover(g: Graph) -> list[int]:
-    for budget in range(g.n + 1):
-        cover = vertex_cover_at_most(g, budget)
-        if cover is not None:
-            return sorted(cover)
-    raise AssertionError("V always covers")
+    """The cover found at budget tau = n - alpha (Gallai's identity), sorted."""
+    return sorted(vertex_cover_at_most(g, g.n - len(maximum_independent_set(g))))
 
 
 def _is_branch(adj: dict[int, set[int]], chosen: list[int], best: list[int]) -> list[int]:

@@ -97,8 +97,8 @@ def test_fuzz_instance_against_legal_value():
     [
         # an odd-component count off by one: the witness no longer attains nu
         (
-            "from streamcert import graph, provers\n"
-            "provers.count_odd_components_excluding = lambda g, u: 1\n"
+            "from streamcert import graph, oracles, provers\n"
+            "oracles.count_odd_components_excluding = lambda g, u: 1\n"
             "try:\n"
             "    provers.prove_mm_atmost(graph.path_graph(4), 2)\n",
             "witness misses the matching bound",

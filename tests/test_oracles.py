@@ -23,6 +23,8 @@ from streamcert.graph import (
 from streamcert.oracles import (
     BFS_BLOCK,
     TooLarge,
+    _grow_forest,
+    far_source,
     k_core,
     k_coloring,
     maximum_clique,
@@ -316,6 +318,18 @@ def test_diameter_matches_all_pairs_bfs_on_every_small_graph():
             _check_diameter_against_reference(g, range(n + 2))
 
 
+def test_far_source_is_the_first_node_whose_bfs_misses_a_node_or_reaches_depth_k():
+    # every labelled graph with 1 <= n <= 5, the disconnected ones too
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+            dists = _reference_distances(g)
+            for k in range(n + 2):
+                expected = next((d for d in dists if len(d) < n or max(d.values()) >= k), None)
+                assert far_source(g, k) == expected, (g, k)
+
+
 def test_diameter_matches_all_pairs_bfs_on_seeded_graphs():
     for seed, n in enumerate((8, 13, 21, 55, 120, 200)):
         for degree in (1.5, 3, 8):
@@ -521,9 +535,8 @@ def _searched_forest(adj, mate, roots, excluded, outer, parent, base, queue, mee
     """One ``_grow_forest`` run on lists in their entry state. Asserts that
     it leaves them in that state (outer all False, parent all 0, base[v] = v)
     and that an augmentation leaves a matching one edge larger. Returns
-    whether it augmented."""
-    from streamcert.oracles import _grow_forest
-
+    whether it augmented. It runs the search bound at import, which a test
+    may patch in ``oracles`` to check each call."""
     n = len(mate) - 1
     size = sum(mate[v] > v for v in range(1, n + 1))
     augmented = _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue, meet)
@@ -538,8 +551,9 @@ def _searched_forest(adj, mate, roots, excluded, outer, parent, base, queue, mee
 def test_forest_search_leaves_its_lists_clean(monkeypatch):
     # ``maximum_matching`` and the lex-min greedy share one set of forest
     # lists across their searches, and never reset them
-    from streamcert import provers
-    from streamcert.provers import lex_min_maximum_matching
+    from streamcert import oracles
+    from streamcert.oracles import lex_min_greedy
+    from streamcert.provers import _maximum_mate_list
 
     def fresh(n):
         return [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), []
@@ -565,9 +579,17 @@ def test_forest_search_leaves_its_lists_clean(monkeypatch):
         searches.append(found and all(mate[r] for r in roots))  # the trees met
         return found
 
-    monkeypatch.setattr(provers, "_grow_forest", checked)
-    for seed in range(600):
-        lex_min_maximum_matching(gnp_random_graph(10 + seed % 70, (0.05, 0.1, 0.2)[seed % 3], seed))
+    # the starting matchings first, so that only the greedy's searches are checked
+    starts = [
+        (g, *_maximum_mate_list(g))
+        for g in (
+            gnp_random_graph(10 + seed % 70, (0.05, 0.1, 0.2)[seed % 3], seed)
+            for seed in range(600)
+        )
+    ]
+    monkeypatch.setattr(oracles, "_grow_forest", checked)
+    for g, mate, nu in starts:
+        list(lex_min_greedy(g, mate, nu))
     # 3,081 searches; 1,368 of them flip a path between the two roots
     assert len(searches) > 2500 and sum(searches) > 1000
 

@@ -21,12 +21,12 @@ from streamcert.graph import (
 from streamcert.oracles import (
     count_odd_components_excluding,
     k_core,
+    lex_min_greedy,
     oracle_degeneracy,
     oracle_max_matching,
 )
 from streamcert.provers import (
     NotCertifiable,
-    _lex_min_greedy,
     _maximum_mate_list,
     gallai_edmonds_witness,
     lex_min_maximum_matching,
@@ -579,22 +579,49 @@ def test_lex_min_greedy_matches_the_two_search_greedy():
     for g in graphs():
         mate, nu = _maximum_mate_list(g)
         expected = _two_search_greedy(g, list(mate), nu)
-        assert list(_lex_min_greedy(g, mate, nu)) == expected, g
+        assert list(lex_min_greedy(g, mate, nu)) == expected, g
 
 
 def test_lex_min_greedy_search_count(monkeypatch):
     # a search guard that does not time: one search per candidate, and none
     # for a stranded mate (442 searches with two single-root searches per
     # candidate)
-    from streamcert import provers
+    from streamcert import oracles
 
+    g = gnp_random_graph(1000, 8 / 1000, 1000)
+    mate, nu = _maximum_mate_list(g)  # before the patch: its searches are not counted
     calls = []
-    search = provers._grow_forest
+    search = oracles._grow_forest
     monkeypatch.setattr(
-        provers, "_grow_forest", lambda *args, **kw: calls.append(1) or search(*args, **kw)
+        oracles, "_grow_forest", lambda *args, **kw: calls.append(1) or search(*args, **kw)
     )
-    lex_min_maximum_matching(gnp_random_graph(1000, 8 / 1000, 1000))
+    list(lex_min_greedy(g, mate, nu))
     assert len(calls) <= 218
+
+
+def test_provers_import_no_search_internals():
+    # each search, with the forest lists or sieve masks it shares, is known
+    # to ``oracles`` alone; dunders such as __builtins__ are shared by every
+    # module
+    from streamcert import oracles, provers
+
+    oracle_values = list(vars(oracles).values())
+    shared = [
+        name
+        for name, value in vars(provers).items()
+        if name.startswith("_")
+        and not name.startswith("__")
+        and any(value is other for other in oracle_values)
+    ]
+    assert shared == []
+    for name in (
+        "edmonds_search",
+        "covered_sources",
+        "source_blocks",
+        "bfs_distances",
+        "count_odd_components_excluding",
+    ):
+        assert not hasattr(provers, name), name
 
 
 def test_forest_search_raises_on_a_matching_that_is_not_maximum(monkeypatch):
