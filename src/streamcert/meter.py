@@ -36,7 +36,7 @@ class SpaceMeter:
         self._live = 0
         self._peak = 0
 
-    def register(self, name: str, width_bits: int) -> str:
+    def register(self, name: str, width_bits: int) -> None:
         if width_bits < 0:
             raise ValueError("component width must be non-negative")
         if name in self._widths:
@@ -44,7 +44,6 @@ class SpaceMeter:
         self._widths[name] = width_bits
         self._live += width_bits
         self._peak = max(self._peak, self._live)
-        return name
 
     def resize(self, name: str, new_width_bits: int) -> None:
         old_width_bits = self._widths[name]

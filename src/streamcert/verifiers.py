@@ -1,18 +1,21 @@
 """Space-metered one-pass streaming verifiers, one per scheme.
 
-Shared run contract: the constructor validates certificate decodability and
-may set a sticky reject; ``feed``, the only way to push stream items, hands
-them to the class's ``_consume``, one loop over the items that returns at
-the first reject, and passes nothing when the verifier rejected at init, so
+Shared run contract: every reject goes through ``reject``, which sets a
+sticky reason. The constructor validates certificate decodability and may
+reject; ``feed``, the only way to push stream items, hands them to the
+class's ``_consume``, one loop over the items that returns at the first
+reject, and passes nothing when the verifier rejected at init, so
 ``run_verifier`` streams nothing to such a verifier; ``feed`` may be called
 again with the items that follow, since each ``_consume`` writes its state
-back; ``finalize`` returns the Verdict, the same one on every call.
-Rejection is sticky, so the items a rejected verifier skips cannot change
-its verdict. A verifier that rejects at init has read no item, so its
-verdict and peak depend on the certificate, n and k alone, never on the
-stream or its order. The certificate is random-access read-only memory and
-is never charged to the meter; decoded views of it held by the Python
-object are caches over that read-only memory, not verifier state.
+back. ``finalize`` runs the class's ``_finalize`` end check, which rejects
+through ``reject`` too, when nothing rejected before it, and then builds the
+one Verdict from the reason, the same one on every call. Rejection is
+sticky, so the items a rejected verifier skips cannot change its verdict.
+A verifier that rejects at init has read no item, so its verdict and peak
+depend on the certificate, n and k alone, never on the stream or its order.
+The certificate is random-access read-only memory and is never charged to
+the meter; decoded views of it held by the Python object are caches over
+that read-only memory, not verifier state.
 
 Stream promise: the items are the edges of a simple graph on 1..n, each
 exactly once, with no self-loops. The verifiers do not check it, and a
@@ -23,9 +26,10 @@ node subset) finds a false claim that passes in these schemes and in no
 other: ``mm_atleast_list`` and ``clique_atleast`` (an edge counted twice),
 ``deg_atleast`` (both counters stepped twice), and ``mm_equal`` and
 ``deg_equal`` through those halves. In the others a repeat changes nothing
-or only moves toward a reject. The edge counters of ``mm_atleast_list`` and
-``clique_atleast`` stop at k and k(k-1)/2: a hit past that rejects at once,
-with the reason ``_finalize`` would give, so no count outgrows its width.
+or only moves toward a reject. The counters of ``mm_atleast_list``,
+``clique_atleast`` and ``deg_atmost`` stop at k, k(k-1)/2 and k: a hit past
+that rejects at once, with the reason the end check would give, so no count
+outgrows its width.
 
 Every verifier registers a fixed scratch allowance (8 registers of
 ceil(log2(n+2)) bits, for loop indices and edge endpoints) plus its declared
@@ -38,9 +42,10 @@ A new scheme touches four places, one per layer:
      codec of u32 fields is one ``certs.U32Layout`` row, which holds its bit
      formula and serves as its decoder and its encoder's packer;
   2. ``SCHEME_VERIFIERS`` here: its verifier class (``_setup`` from the
-     decoded certificate, the ``_consume`` edge loop, ``_finalize``), with
-     ``space_bound`` overridden when the scheme registers more than the
-     shared allowance;
+     decoded certificate, the ``_consume`` edge loop, and the ``_finalize``
+     end check if it has one, each rejecting only through ``reject``, since
+     ``finalize`` builds the one Verdict), with ``space_bound`` overridden
+     when the scheme registers more than the shared allowance;
   3. ``schemes.SCHEMES``: its parameter, direction and prover;
   4. ``harness.SCALING_FAMILIES``: its scaling family's row, the smallest
      legal n and a map from n to a graph, a k and the expected certificate
@@ -112,8 +117,7 @@ class StreamingVerifier:
         try:
             decoded = decode_blob(cert, self.scheme, n, k)
         except MalformedCertificate:
-            self._reject_reason = R_MALFORMED
-            return
+            return self.reject(R_MALFORMED)
         self._setup(decoded)
 
     def _setup(self, decoded) -> None:
@@ -125,8 +129,9 @@ class StreamingVerifier:
         so no item after it is read."""
         raise NotImplementedError
 
-    def _finalize(self) -> Verdict:
-        return ACCEPT
+    def _finalize(self) -> None:
+        """The end-of-stream check, run once and only when nothing rejected
+        before it: a failed check calls ``reject``."""
 
     @property
     def rejected(self) -> bool:
@@ -144,10 +149,10 @@ class StreamingVerifier:
 
     def finalize(self) -> Verdict:
         if self._verdict is None:
-            if self._reject_reason is not None:
-                self._verdict = Verdict("reject", self._reject_reason)
-            else:
-                self._verdict = self._finalize()
+            if self._reject_reason is None:
+                self._finalize()
+            reason = self._reject_reason
+            self._verdict = ACCEPT if reason is None else Verdict("reject", reason)
         return self._verdict
 
     def peak_state_bits(self) -> int:
@@ -190,10 +195,9 @@ class MMListVerifier(StreamingVerifier):
                 count += 1
         self._count = count
 
-    def _finalize(self) -> Verdict:
+    def _finalize(self) -> None:
         if self._count != self.k:
-            return Verdict("reject", R_MISSING_EDGE)
-        return ACCEPT
+            self.reject(R_MISSING_EDGE)
 
 
 class MMColoringVerifier(StreamingVerifier):
@@ -221,10 +225,9 @@ class MMColoringVerifier(StreamingVerifier):
                 set_count += 2
         self._set_count = set_count
 
-    def _finalize(self) -> Verdict:
+    def _finalize(self) -> None:
         if self._set_count < 2 * self.k:
-            return Verdict("reject", R_FEW_MONO)
-        return ACCEPT
+            self.reject(R_FEW_MONO)
 
     @classmethod
     def space_bound(cls, n: int, k: int) -> int:
@@ -267,7 +270,7 @@ class MMAtMostVerifier(StreamingVerifier):
                 forest_size += 1
         self._forest_size = forest_size
 
-    def _finalize(self) -> Verdict:
+    def _finalize(self) -> None:
         self.meter.resize("forest_edges", 2 * self._forest_size * self._id_width)
         # the stored forest is no longer needed once components are settled;
         # its freed budget covers the size-counting array
@@ -281,9 +284,8 @@ class MMAtMostVerifier(StreamingVerifier):
                     parent[v] = v = parent[parent[v]]
                 sizes[v] += 1
         odd = sum(1 for s in sizes if s % 2 == 1)
-        if 2 * self.k >= len(self._u_set) - odd + self.n:
-            return ACCEPT
-        return Verdict("reject", R_TUTTE_BERGE)
+        if 2 * self.k < len(self._u_set) - odd + self.n:
+            self.reject(R_TUTTE_BERGE)
 
     @classmethod
     def space_bound(cls, n: int, k: int) -> int:
@@ -293,10 +295,10 @@ class MMAtMostVerifier(StreamingVerifier):
 
 
 class DegAtMostVerifier(StreamingVerifier):
-    """Per-vertex counters saturating at k+1; each edge increments the
-    endpoint earlier in the certified order; accept iff no counter
-    exceeds k. Sound: then every subgraph's earliest vertex in the certified
-    permutation has degree <= k in it, so the degeneracy is <= k."""
+    """Per-vertex counters; each edge increments the endpoint earlier in the
+    certified order, and an increment past k rejects at once; accept iff no
+    counter exceeds k. Sound: then every subgraph's earliest vertex in the
+    certified permutation has degree <= k in it, so the degeneracy is <= k."""
 
     scheme = "deg_atmost"
 
@@ -318,13 +320,9 @@ class DegAtMostVerifier(StreamingVerifier):
         pi, count, k = self._pi, self._count, self.k
         for u, v in edges:
             w = u if pi[u] < pi[v] else v
-            if count[w] <= k:
-                count[w] += 1
-
-    def _finalize(self) -> Verdict:
-        if any(c > self.k for c in self._count):
-            return Verdict("reject", R_COUNTER_OVER)
-        return ACCEPT
+            if count[w] == k:
+                return self.reject(R_COUNTER_OVER)
+            count[w] += 1
 
     @classmethod
     def space_bound(cls, n: int, k: int) -> int:
@@ -360,11 +358,10 @@ class DegAtLeastVerifier(StreamingVerifier):
                 if count[v] < k:
                     count[v] += 1
 
-    def _finalize(self) -> Verdict:
+    def _finalize(self) -> None:
         count, k = self._count, self.k
         if any(count[v] < k for v in self._members):
-            return Verdict("reject", R_COUNTER_SHORT)
-        return ACCEPT
+            self.reject(R_COUNTER_SHORT)
 
     @classmethod
     def space_bound(cls, n: int, k: int) -> int:
@@ -448,7 +445,7 @@ class CliqueAtLeastVerifier(_NodeSetVerifier):
 
     def _setup(self, members) -> None:
         super()._setup(members)
-        if self._reject_reason is None:
+        if not self.rejected:
             self.meter.register("pair_counter", 2 * ceil_log2(self.n + 1))
             self._count = 0
 
@@ -463,10 +460,9 @@ class CliqueAtLeastVerifier(_NodeSetVerifier):
                 count += 1
         self._count = count
 
-    def _finalize(self) -> Verdict:
+    def _finalize(self) -> None:
         if self._count != self.k * (self.k - 1) // 2:
-            return Verdict("reject", R_CLIQUE_COUNT)
-        return ACCEPT
+            self.reject(R_CLIQUE_COUNT)
 
 
 class VCAtMostVerifier(_NodeSetVerifier):
@@ -490,6 +486,8 @@ class EqualityVerifier(StreamingVerifier):
 
     #: the (<=k, >=k) verifier classes run side by side
     sub_verifiers: tuple[type[StreamingVerifier], type[StreamingVerifier]]
+    #: the two halves, built by ``_setup``; None when the certificate is malformed
+    _le = _ge = None
 
     def _setup(self, decoded) -> None:
         le_blob, ge_blob = decoded
@@ -509,16 +507,16 @@ class EqualityVerifier(StreamingVerifier):
         self._le.feed(edges)
         self._ge.feed(edges)
 
-    def _finalize(self) -> Verdict:
+    def _finalize(self) -> None:
         le = self._le.finalize()
         ge = self._ge.finalize()
-        if le.accepted and ge.accepted:
-            return ACCEPT
-        side, bad = ("le", le) if not le.accepted else ("ge", ge)
-        return Verdict("reject", f"{side}:{bad.reason}")
+        if not le.accepted:
+            self.reject(f"le:{le.reason}")
+        elif not ge.accepted:
+            self.reject(f"ge:{ge.reason}")
 
     def peak_state_bits(self) -> int:
-        if self._reject_reason is not None and not hasattr(self, "_le"):
+        if self._le is None:
             return self.meter.peak_bits
         return self._le.peak_state_bits() + self._ge.peak_state_bits()
 

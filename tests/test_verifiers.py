@@ -286,6 +286,20 @@ def test_node_set_rejects_duplicates_and_size():
     assert verdict.reason == "wrong-set-size"
 
 
+def test_duplicate_node_check_bears_on_soundness():
+    # [1, 1, 3] names two distinct nodes, yet has k = 3 entries: without the
+    # duplicate check it would pass as an independent set of size 3
+    from streamcert.oracles import parameter_value
+    from streamcert.stream import ORDER_BATTERY
+
+    g = path_graph(4)
+    assert parameter_value(g, "is") == 2
+    cert = encode_node_set("is_atleast", [1, 1, 3], 4)
+    for order in ORDER_BATTERY:
+        verdict, _ = run_verifier("is_atleast", make_stream(g, 3, order), cert)
+        assert not verdict.accepted, order
+
+
 # -- equality combinator -----------------------------------------------------------------------
 
 def test_equality_matching_example():
@@ -444,6 +458,9 @@ MID_STREAM_REJECTS = {
     ),
     "is_atleast": (4, 2, encode_node_set("is_atleast", [1, 2], 4), (3, 4), (1, 2), "edge-inside-set"),
     "vc_atmost": (4, 1, encode_node_set("vc_atmost", [1], 4), (1, 2), (3, 4), "uncovered-edge"),
+    "deg_atmost": (
+        3, 1, encode_peel_order({1: 1, 2: 2, 3: 3}, 3), (1, 2), (1, 3), "counter-exceeded",
+    ),
 }
 
 
@@ -567,3 +584,83 @@ def test_clique_all_triples_of_c5_reject():
         for order in ("given", "rev", "lex"):
             verdict, _ = run_verifier("clique_atleast", make_stream(g, 3, order), cert)
             assert not verdict.accepted
+
+
+#: every ``self.reject`` call in ``verifiers.py``, as (class, method, reason
+#: constant or f-string prefix); a new reject site must be listed here
+REJECT_SITES = sorted([
+    ("StreamingVerifier", "__init__", "R_MALFORMED"),
+    ("MMListVerifier", "_setup", "R_CERT_SIZE"),
+    ("MMListVerifier", "_setup", "R_NOT_MATCHING"),
+    ("MMListVerifier", "_consume", "R_MISSING_EDGE"),
+    ("MMListVerifier", "_finalize", "R_MISSING_EDGE"),
+    ("MMColoringVerifier", "_consume", "R_FLAG_CONFLICT"),
+    ("MMColoringVerifier", "_finalize", "R_FEW_MONO"),
+    ("MMAtMostVerifier", "_finalize", "R_TUTTE_BERGE"),
+    ("DegAtMostVerifier", "_setup", "R_NOT_PERMUTATION"),
+    ("DegAtMostVerifier", "_consume", "R_COUNTER_OVER"),
+    ("DegAtLeastVerifier", "_setup", "R_EMPTY_SUBSET"),
+    ("DegAtLeastVerifier", "_finalize", "R_COUNTER_SHORT"),
+    ("DiamAtLeastVerifier", "_setup", "R_NO_ANCHOR"),
+    ("DiamAtLeastVerifier", "_consume", "R_SHORTCUT"),
+    ("ColoringAtMostVerifier", "_setup", "R_COLOR_RANGE"),
+    ("ColoringAtMostVerifier", "_consume", "R_MONO_EDGE"),
+    ("_NodeSetVerifier", "_setup", "R_DUPLICATE_NODE"),
+    ("_NodeSetVerifier", "_setup", "R_WRONG_SIZE"),
+    ("_NodeSetVerifier", "_setup", "R_WRONG_SIZE"),
+    ("ISAtLeastVerifier", "_consume", "R_EDGE_IN_SET"),
+    ("CliqueAtLeastVerifier", "_consume", "R_CLIQUE_COUNT"),
+    ("CliqueAtLeastVerifier", "_finalize", "R_CLIQUE_COUNT"),
+    ("VCAtMostVerifier", "_consume", "R_UNCOVERED"),
+    ("EqualityVerifier", "_finalize", "le:"),
+    ("EqualityVerifier", "_finalize", "ge:"),
+])
+
+
+def test_every_reject_goes_through_reject():
+    """``Verdict`` is built only by ``finalize`` and for ``ACCEPT``, no
+    ``_finalize`` returns a value, the sticky reason is written only by
+    ``reject`` (and set to None at init), and every ``self.reject`` call is
+    one of ``REJECT_SITES``."""
+    import ast
+    from pathlib import Path
+
+    import streamcert.verifiers as verifiers
+
+    tree = ast.parse(Path(verifiers.__file__).read_text())
+    verdict_sites, reason_writes, sites = [], [], []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            if any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "Verdict"
+                   for c in ast.walk(node)):
+                verdict_sites.append(("<module>", node.targets[0].id))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            where = (node.name, fn.name)
+            for sub in ast.walk(fn):
+                if fn.name == "_finalize" and isinstance(sub, ast.Return):
+                    assert sub.value is None, where
+                if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "Verdict":
+                    verdict_sites.append(where)
+                if isinstance(sub, (ast.Assign, ast.AnnAssign)):
+                    targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+                    if any(getattr(t, "attr", None) == "_reject_reason" for t in targets):
+                        reason_writes.append((*where, ast.unparse(sub.value)))
+                func = getattr(sub, "func", None)
+                if (
+                    isinstance(sub, ast.Call)
+                    and isinstance(func, ast.Attribute)
+                    and func.attr == "reject"
+                    and getattr(func.value, "id", None) == "self"
+                ):
+                    (arg,) = sub.args
+                    reason = arg.id if isinstance(arg, ast.Name) else arg.values[0].value
+                    sites.append((*where, reason))
+    assert sorted(verdict_sites) == [("<module>", "ACCEPT"), ("StreamingVerifier", "finalize")]
+    assert sorted(reason_writes) == [
+        ("StreamingVerifier", "__init__", "None"), ("StreamingVerifier", "reject", "reason")
+    ]
+    assert sorted(sites) == REJECT_SITES
