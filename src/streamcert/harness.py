@@ -257,13 +257,18 @@ def _run_trials(
     name, n = entry.name, entry.graph.n
     streams = [(order, make_stream(entry.graph, k, order)) for order in orders]
     verifier_cls = SCHEME_VERIFIERS[scheme]
+    new_record = tuple.__new__
     for cert_id, cert in certs:
         verifier = verifier_cls(n, k, cert)
         if verifier.rejected:
             reason, peak = verifier.finalize().reason, verifier.peak_state_bits()
             bits = cert.semantic_bits
+            # built by tuple.__new__, in C: TrialRecord's own __new__ is Python
+            # code, and these records are most of a fuzz campaign's
             records += [
-                TrialRecord(scheme, name, k, order, cert_id, "reject", reason, peak, bits)
+                new_record(
+                    TrialRecord, (scheme, name, k, order, cert_id, "reject", reason, peak, bits)
+                )
                 for order, _ in streams
             ]
             continue

@@ -31,6 +31,8 @@ class SpaceReport:
 
 
 class SpaceMeter:
+    __slots__ = ("_widths", "_live", "_peak")
+
     def __init__(self) -> None:
         self._widths: dict[str, int] = {}
         self._live = 0
@@ -43,7 +45,8 @@ class SpaceMeter:
             raise ValueError(f"component {name!r} already registered")
         self._widths[name] = width_bits
         self._live += width_bits
-        self._peak = max(self._peak, self._live)
+        if self._live > self._peak:
+            self._peak = self._live
 
     def resize(self, name: str, new_width_bits: int) -> None:
         old_width_bits = self._widths[name]
@@ -51,7 +54,8 @@ class SpaceMeter:
             raise ValueError("component width must be non-negative")
         self._live += new_width_bits - old_width_bits
         self._widths[name] = new_width_bits
-        self._peak = max(self._peak, self._live)
+        if self._live > self._peak:
+            self._peak = self._live
 
     @property
     def peak_bits(self) -> int:

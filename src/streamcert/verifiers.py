@@ -8,8 +8,9 @@ reject, and passes nothing when the verifier rejected at init, so
 ``run_verifier`` streams nothing to such a verifier; ``feed`` may be called
 again with the items that follow, since each ``_consume`` writes its state
 back. ``finalize`` runs the class's ``_finalize`` end check, which rejects
-through ``reject`` too, when nothing rejected before it, and then builds the
-one Verdict from the reason, the same one on every call. Rejection is
+through ``reject`` too, when nothing rejected before it, and then returns
+the one Verdict of the reason, the same one on every call and for every
+verifier that rejects for that reason. Rejection is
 sticky, so the items a rejected verifier skips cannot change its verdict.
 A verifier that rejects at init has read no item, so its verdict and peak
 depend on the certificate, n and k alone, never on the stream or its order.
@@ -56,6 +57,7 @@ A new scheme touches four places, one per layer:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .certs import CertificateBlob, MalformedCertificate, decode_blob, encode_equality
 from .meter import SpaceMeter, SpaceReport, ceil_log2
@@ -98,6 +100,7 @@ class Verdict:
 ACCEPT = Verdict("accept", R_OK)
 
 
+@cache
 def scratch_bits(n: int) -> int:
     return 8 * ceil_log2(n + 2)
 
@@ -147,12 +150,19 @@ class StreamingVerifier:
         if self._reject_reason is None:
             self._consume(edges)
 
+    #: the Verdict of each reject reason, and ACCEPT for None, shared by
+    #: every verifier: a Verdict is frozen, and the reasons are a finite set
+    #: (``R_*`` and their ``le:`` and ``ge:`` forms)
+    _verdicts: dict[str | None, Verdict] = {None: ACCEPT}
+
     def finalize(self) -> Verdict:
         if self._verdict is None:
             if self._reject_reason is None:
                 self._finalize()
             reason = self._reject_reason
-            self._verdict = ACCEPT if reason is None else Verdict("reject", reason)
+            if reason not in self._verdicts:
+                self._verdicts[reason] = Verdict("reject", reason)
+            self._verdict = self._verdicts[reason]
         return self._verdict
 
     def peak_state_bits(self) -> int:

@@ -183,14 +183,26 @@ def test_meter_rejects_negative_width():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=20))
-def test_meter_monotone_peak(widths):
+@given(st.lists(
+    st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=50)),
+    min_size=1, max_size=20,
+))
+def test_meter_monotone_peak(steps):
+    """Interleaved ``register`` and ``resize`` calls, a step per (component,
+    width): the peak is always the running maximum of the live sum."""
     m = SpaceMeter()
-    m.register("c", 0)
-    peaks = []
-    for w in widths:
-        m.resize("c", w)
+    widths: dict[str, int] = {}
+    live_sums, peaks = [], []
+    for slot, w in steps:
+        name = f"c{slot}"
+        if name in widths:
+            m.resize(name, w)
+        else:
+            m.register(name, w)
+        widths[name] = w
+        live_sums.append(sum(widths.values()))
         peaks.append(m.peak_bits)
+        assert m.peak_bits == max(live_sums)
     assert peaks == sorted(peaks)
 
 

@@ -340,9 +340,9 @@ def test_thresholds_pinned():
 
 def test_fuzz_instance_matches_a_fresh_run_per_certificate_and_order(monkeypatch):
     """Each record of ``fuzz_instance`` and of ``run_completeness`` equals
-    the one a fresh ``run_verifier`` gives for its (certificate, order),
-    whether the certificate rejects at init or not, and every certificate
-    that survives init is streamed under every order."""
+    the one a fresh ``run_verifier`` gives for its (certificate, order), and
+    is a ``TrialRecord``, whether the certificate rejects at init or not,
+    and every certificate that survives init is streamed under every order."""
     from streamcert import harness
     from streamcert.harness import TrialRecord, _fuzz_certificates
     from streamcert.schemes import illegal_thresholds, legal_thresholds
@@ -388,6 +388,7 @@ def test_fuzz_instance_matches_a_fresh_run_per_certificate_and_order(monkeypatch
                     certs = _fuzz_certificates(info, entry, k, policy)
                     expected, expected_replays, live = fresh_runs(scheme, entry, k, certs)
                     assert records == expected, (scheme, mode, entry.name, k)
+                    assert all(type(r) is TrialRecord for r in records)
                     assert replayed == expected_replays, (scheme, mode, entry.name, k)
                     survivors += len(live)
                     if info.direction == "eq":
@@ -405,6 +406,7 @@ def test_fuzz_instance_matches_a_fresh_run_per_certificate_and_order(monkeypatch
                 expected += records
                 expected_replays += replays
         assert report.records == tuple(expected), scheme
+        assert all(type(r) is TrialRecord for r in report.records)
         assert replayed == expected_replays, scheme
         honest += len(expected)
     assert survivors > 0

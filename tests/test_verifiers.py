@@ -418,6 +418,46 @@ def test_feed_streams_nothing_after_a_reject():
     assert verifier.finalize().reason == "monochromatic-edge"
 
 
+def test_verifiers_that_reject_for_one_reason_share_one_verdict():
+    """Two verifiers that reject for the same reason return equal verdicts,
+    one shared object, for a base reason at init and mid-stream and for the
+    equality combinator's ``le:`` and ``ge:`` forms; a Verdict is frozen,
+    which is what makes sharing it safe."""
+    import dataclasses
+
+    from streamcert.certs import encode_equality
+
+    g = path_graph(4)
+
+    def verdicts(scheme, k, certs):
+        return [run_verifier(scheme, make_stream(g, k, "given"), cert)[0] for cert in certs]
+
+    peel = prove_deg_atmost(g, 1)
+    dead_le, dead_ge = CertificateBlob("deg_atmost", b"", 1), CertificateBlob("deg_atleast", b"", 1)
+    cases = {
+        "malformed-certificate": verdicts("deg_atmost", 1, [dead_le, encode_tutte_berge({1}, 4)]),
+        "monochromatic-edge": verdicts("coloring_atmost", 2, [
+            encode_coloring({1: 1, 2: 1, 3: 2, 4: 1}, 4, 2),  # (1, 2) is monochromatic
+            encode_coloring({1: 2, 2: 1, 3: 1, 4: 2}, 4, 2),  # (2, 3) is monochromatic
+        ]),
+        "le:malformed-certificate": verdicts("deg_equal", 1, [
+            encode_equality("deg_equal", dead_le, encode_core_subset({1, 2}, 4)),
+            encode_equality("deg_equal", dead_le, encode_core_subset({3, 4}, 4)),
+        ]),
+        "ge:malformed-certificate": verdicts("deg_equal", 1, [
+            encode_equality("deg_equal", peel, dead_ge),
+            encode_equality("deg_equal", peel, CertificateBlob("deg_atleast", b"\x07", 1)),
+        ]),
+    }
+    for reason, (first, second) in cases.items():
+        assert first.reason == reason and not first.accepted
+        assert first == second and first is second, reason
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.reason = "ok"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.decision = "accept"
+
+
 @pytest.mark.parametrize(
     "scheme, n, k, cert, bound, reason",
     [
@@ -630,10 +670,11 @@ def test_every_reject_goes_through_reject():
     tree = ast.parse(Path(verifiers.__file__).read_text())
     verdict_sites, reason_writes, sites = [], [], []
     for node in tree.body:
-        if isinstance(node, ast.Assign):
+        if isinstance(node, (ast.Assign, ast.FunctionDef)):  # a constant or a helper
             if any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "Verdict"
                    for c in ast.walk(node)):
-                verdict_sites.append(("<module>", node.targets[0].id))
+                name = node.name if isinstance(node, ast.FunctionDef) else node.targets[0].id
+                verdict_sites.append(("<module>", name))
         if not isinstance(node, ast.ClassDef):
             continue
         for fn in node.body:
