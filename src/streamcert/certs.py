@@ -90,10 +90,10 @@ def _unpack_bitvector(data: bytes, n: int) -> frozenset[int]:
 @dataclass(frozen=True, slots=True)
 class U32Layout:
     """A codec whose payload is a run of u32 fields: ``heads`` head fields
-    (0, or 1 for a count or a colour domain, at least ``head_min``; a row
-    without one reads its head as 0), then ``body(head, n)`` body fields,
-    each in ``span(head, n, k)`` unless ``span`` is None. ``bits(head, n, k)``
-    is the codec formula and ``shape(body, head)`` the decoded value.
+    (0, or 1 for a count or a colour domain; a row without one reads its head
+    as 0), then ``body(head, n)`` body fields, each in ``span(head, n, k)``
+    unless ``span`` is None. ``bits(head, n, k)`` is the codec formula and
+    ``shape(body, head)`` the decoded value.
 
     Called as ``decode(payload, n, k)``, a layout is its codec's decoder;
     ``blob`` is its encoders' packer.
@@ -104,7 +104,6 @@ class U32Layout:
     span: Callable[[int, int, int], tuple[int, int]] | None
     bits: Callable[[int, int, int], int]
     shape: Callable[[array, int], object]
-    head_min: int = 0
 
     def __call__(self, payload: bytes, n: int, k: int):
         start = 4 * self.heads
@@ -113,8 +112,6 @@ class U32Layout:
         size = start + 4 * self.body(head, n)
         if len(payload) != size:
             raise MalformedCertificate(f"payload of {len(payload)} bytes, layout needs {size}")
-        if head < self.head_min:
-            raise MalformedCertificate(f"head field {head} below {self.head_min}")
         body = array(_U32, payload[start:])
         if _SWAP:
             body.byteswap()
@@ -158,7 +155,9 @@ _MM_LIST = U32Layout(  # a count, then its edges as id pairs
     shape=lambda ids, count: tuple(zip(ids[::2], ids[1::2])),
 )
 _MM_COLORING = U32Layout(  # a colour domain, then a colour per node
-    heads=1, head_min=1, body=_per_node, span=lambda domain, n, k: (1, domain),
+    # the span refuses every colour of a zero domain; at n = 0 the empty
+    # colouring is vacuous, and its verifier accepts it only at k = 0
+    heads=1, body=_per_node, span=lambda domain, n, k: (1, domain),
     bits=lambda domain, n, k: n * ceil_log2(max(domain, 1)),
     shape=lambda colors, domain: (domain, [0, *colors]),
 )
@@ -306,14 +305,13 @@ def decode_blob(blob: CertificateBlob, scheme: str, n: int, k: int):
     """Decode and fully validate a blob against a scheme's codec.
 
     Raises MalformedCertificate on a wrong tag, structural defects, or a
-    declared semantic size off the codec formula.
+    declared semantic size off the codec formula, the one size rule: the
+    bits may exceed the payload's (``coloring_atmost`` at k > 2^32).
     """
     if blob.scheme != scheme:
         raise MalformedCertificate(
             f"certificate tagged {blob.scheme!r}, expected {scheme!r}"
         )
-    if blob.semantic_bits > 8 * len(blob.payload):
-        raise MalformedCertificate("declared bits exceed payload capacity")
     _, decode = CODECS[scheme]
     obj, expected_bits = decode(blob.payload, n, k)
     if blob.semantic_bits != expected_bits:

@@ -42,11 +42,12 @@ A new scheme touches four places, one per layer:
   1. ``certs.CODECS``: its tag byte and decoder (plus an ``encode_*``); a
      codec of u32 fields is one ``certs.U32Layout`` row, which holds its bit
      formula and serves as its decoder and its encoder's packer;
-  2. ``SCHEME_VERIFIERS`` here: its verifier class (``_setup`` from the
-     decoded certificate, the ``_consume`` edge loop, and the ``_finalize``
-     end check if it has one, each rejecting only through ``reject``, since
-     ``finalize`` builds the one Verdict), with ``space_bound`` overridden
-     when the scheme registers more than the shared allowance;
+  2. its verifier class here, which registers in ``SCHEME_VERIFIERS`` by
+     setting ``scheme`` (``_setup`` from the decoded certificate, the
+     ``_consume`` edge loop, and the ``_finalize`` end check if it has one,
+     each rejecting only through ``reject``, since ``finalize`` builds the
+     one Verdict), with ``space_bound`` overridden when the scheme registers
+     more than the shared allowance;
   3. ``schemes.SCHEMES``: its parameter, direction and prover;
   4. ``harness.SCALING_FAMILIES``: its scaling family's row, the smallest
      legal n and a map from n to a graph, a k and the expected certificate
@@ -179,7 +180,13 @@ class StreamingVerifier:
 class MMListVerifier(StreamingVerifier):
     """Accept iff the certificate is a matching of size exactly k and exactly
     k streamed edges belong to it. Sound: with each edge streamed once, the
-    k disjoint pairs are all edges, a k-edge matching, so nu >= k."""
+    k disjoint pairs are all edges, a k-edge matching, so nu >= k.
+
+    The size check bears on soundness: more than k pairs can share the 2k
+    distinct endpoints the matching check asks for, and then k hits need not
+    be disjoint. Without it, for k = 2 the pairs (1,2), (2,3), (3,4) would
+    count 2 hits on the stream (1,2), (2,3), whose nu is 1. Fewer than k
+    pairs fail the matching check, and could not reach the count k anyway."""
 
     scheme = "mm_atleast_list"
 
@@ -545,22 +552,11 @@ class DegEqualVerifier(EqualityVerifier):
     sub_verifiers = (DegAtMostVerifier, DegAtLeastVerifier)
 
 
+#: every class above whose ``scheme`` is set, in definition order
 SCHEME_VERIFIERS: dict[str, type[StreamingVerifier]] = {
     cls.scheme: cls
-    for cls in (
-        MMListVerifier,
-        MMColoringVerifier,
-        MMAtMostVerifier,
-        DegAtMostVerifier,
-        DegAtLeastVerifier,
-        DiamAtLeastVerifier,
-        ColoringAtMostVerifier,
-        ISAtLeastVerifier,
-        CliqueAtLeastVerifier,
-        VCAtMostVerifier,
-        MMEqualVerifier,
-        DegEqualVerifier,
-    )
+    for cls in globals().values()
+    if isinstance(cls, type) and issubclass(cls, StreamingVerifier) and cls.scheme
 }
 
 

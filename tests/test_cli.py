@@ -397,3 +397,38 @@ def test_coloring_of_the_empty_graph_with_no_colors(tmp_path):
     args = ["--scheme", "coloring_atmost", "--graph", "E0", "--k", "0"]
     assert main(["prove", *args, "--out", cert]) == 0
     assert main(["verify", *args, "--cert", cert]) == 0
+
+
+def test_prove_verify_coloring_beyond_u32_k(tmp_path, capsys):
+    # 4 colours of 33 bits: the certificate declares more bits than its
+    # four u32 fields hold, and only the codec formula decides its size
+    graph = tmp_path / "p4.graph"
+    graph.write_text(format_graph_file(path_graph(4), 2**32 + 1))
+    cert = str(tmp_path / "p4.cert")
+    args = ["--scheme", "coloring_atmost", "--graph", str(graph)]
+    assert main(["prove", *args, "--out", cert]) == 0
+    assert "semantic_bits=132" in capsys.readouterr().out
+    assert main(["verify", *args, "--cert", cert]) == 0
+    assert "verdict=accept" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--scheme", "mm_atmost", "--graph", "P4", "--cert", "CERT"],
+         "need an explicit --k"),
+        (["prove", "--scheme", "mm_atmost", "--graph", "MISSING", "--out", "CERT"],
+         "cannot read graph"),
+        (["verify", "--scheme", "mm_atmost", "--graph", "P4", "--k", "1", "--cert", "MISSING"],
+         "cannot read certificate"),
+        (["gadget", "holzer"], "needs --p"),
+    ],
+    ids=["builtin-without-k", "unreadable-graph", "unreadable-certificate", "gadget-without-size"],
+)
+def test_input_refusals_exit_with_parse_error(argv, message, tmp_path, capsys):
+    cert = tmp_path / "empty.cert"
+    cert.write_bytes(b"")
+    paths = {"CERT": str(cert), "MISSING": str(tmp_path / "missing")}
+    assert main([paths.get(arg, arg) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

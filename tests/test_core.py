@@ -226,3 +226,19 @@ def test_graph_file_errors():
         parse_graph_file("2 1 -1\n1 2\n")  # negative threshold
     with pytest.raises(GraphParseError):
         parse_graph_file("2 2 0\n1 2\n1 2\n")  # duplicate edge
+
+
+@pytest.mark.parametrize("spec", ["shuffle:x", "split:1:x"])
+def test_stream_refuses_non_integer_seeds(spec):
+    with pytest.raises(OrderSpecError, match="bad"):
+        make_stream(TRIANGLE, 1, spec)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2 1\n1 2\n", "2 1 0\n1\n", "2 1 0\n1 x\n"],
+    ids=["two-field-header", "one-field-edge", "non-integer-edge"],
+)
+def test_graph_file_refusals(text):
+    with pytest.raises(GraphParseError, match="header must be|bad edge line"):
+        parse_graph_file(text)

@@ -320,3 +320,26 @@ def test_split_stream_matches_shuffled_verdict(family, inputs):
             }
             assert len(verdicts) == 1
             assert verdicts == ({"accept"} if legal else {"reject"})
+
+
+@pytest.mark.parametrize(
+    "refusal,error,message",
+    [
+        (lambda: disj_matching_family(4).build({1, 5}, {2, 3}), BadSizes, "outside"),
+        (lambda: disj_degeneracy_family(3).build({4}, set()), BadSizes, "outside"),
+        (lambda: disj_diameter8_family(2).build(set(), {3}), BadSizes, "outside"),
+        (lambda: bitgadget_vc_family(2).build((0, 0, 0), (0, 0, 0, 0)), BadSizes, "length 4"),
+        (lambda: perm_coloring_family(3).build((1, 1, 2), (1, 2, 3)), BadSizes, "permutations"),
+        (
+            lambda: check_gadget_equivalence(perm_coloring_family(3), "bogus"),
+            ValueError, "unknown instance space",
+        ),
+    ],
+    ids=[
+        "disj_matching-outside", "disj_degeneracy-outside", "disj_diameter8-outside",
+        "bitgadget_vc-length", "perm_coloring-not-a-permutation", "unknown-instance-space",
+    ],
+)
+def test_gadget_input_refusals(refusal, error, message):
+    with pytest.raises(error, match=message):
+        refusal()

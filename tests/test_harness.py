@@ -516,3 +516,22 @@ def test_one_edge_variant_skip_agrees_with_exhaustive_search(scheme):
             assert got == _brute_one_edge_variant(info, g, k), (entry.name, k)
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "refusal,message",
+    [
+        (lambda: build_corpus(["paths:2..4", "bogus:1..2"], seed=0), "unknown corpus family"),
+        (
+            lambda: fuzz_instance(
+                "mm_atmost", build_corpus(["paths:4"], seed=0).entries[0], 1,
+                FuzzPolicy("bogus", 3, seed=0),
+            ),
+            "unknown fuzz mode",
+        ),
+    ],
+    ids=["corpus-family", "fuzz-mode"],
+)
+def test_harness_input_refusals(refusal, message):
+    with pytest.raises(ValueError, match=message):
+        refusal()

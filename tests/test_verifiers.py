@@ -300,6 +300,47 @@ def test_duplicate_node_check_bears_on_soundness():
         assert not verdict.accepted, order
 
 
+def test_cert_size_check_bears_on_soundness():
+    # three overlapping pairs on the 4 endpoints of k = 2 pass the matching
+    # check: without the size check, the stream (1,2), (2,3) would count 2
+    # hits although its matching number is 1
+    from streamcert.oracles import parameter_value
+    from streamcert.stream import ORDER_BATTERY
+
+    g = Graph.from_edges(4, [(1, 2), (2, 3)])
+    assert parameter_value(g, "matching") == 1
+    cert = encode_mm_list([(1, 2), (2, 3), (3, 4)], 4)
+    for order in ORDER_BATTERY:
+        verdict, _ = run_verifier("mm_atleast_list", make_stream(g, 2, order), cert)
+        assert verdict.reason == "cert-size-mismatch", order
+
+
+def test_coloring_beyond_u32_k_accepts_its_honest_certificate():
+    # 4 colours of ceil(log2(2^32 + 1)) = 33 bits each: the formula declares
+    # 132 bits, more than the 128 bits of the four u32 fields that hold them
+    from streamcert.provers import prove_coloring_atmost
+    from streamcert.stream import ORDER_BATTERY
+
+    k = 2**32 + 1
+    cert = prove_coloring_atmost(path_graph(4), k)
+    assert cert.semantic_bits == 132 > 8 * len(cert.payload)
+    for order in ORDER_BATTERY:
+        verdict, _ = run_verifier("coloring_atmost", make_stream(path_graph(4), k, order), cert)
+        assert verdict.accepted, (order, verdict)
+
+
+def test_a_zero_colour_domain_is_refused_or_vacuous():
+    # n >= 1: the span 1..0 holds no colour; n = 0: nothing to colour, and
+    # the flag count 0 reaches 2k only at k = 0
+    refused = encode_mm_coloring({1: 1, 2: 1}, 0, 2)
+    verdict, _ = run_verifier("mm_atleast_coloring", make_stream(path_graph(2), 0), refused)
+    assert verdict.reason == "malformed-certificate"
+    vacuous = encode_mm_coloring({}, 0, 0)
+    for k, accepted in ((0, True), (1, False)):
+        verdict, _ = run_verifier("mm_atleast_coloring", make_stream(empty_graph(0), k), vacuous)
+        assert verdict.accepted is accepted, k
+
+
 # -- equality combinator -----------------------------------------------------------------------
 
 def test_equality_matching_example():
@@ -569,6 +610,56 @@ def test_spec_entry_point_checks_echo():
         verify("mm_atleast_list", 4, 1, cert, make_stream(g, 2, "given"))
     verdict, _ = verify("mm_atleast_list", 4, 2, cert, make_stream(g, 2, "given"))
     assert verdict.accepted
+
+
+@pytest.mark.parametrize(
+    "scheme_le,scheme_ge",
+    [("mm_atmost", "deg_atleast"), ("mm_atleast_list", "mm_atmost"), ("mm_atmost", "mm_atmost")],
+)
+def test_verify_equality_refuses_a_pair_with_no_combinator(scheme_le, scheme_ge):
+    g = path_graph(4)
+    certs = (prove_mm_atmost(g, 2), prove_mm_atleast_list(g, 2))
+    with pytest.raises(ValueError, match="no equality combinator"):
+        verify_equality(scheme_le, scheme_ge, 4, 2, certs, make_stream(g, 2))
+
+
+def test_scheme_tables_agree():
+    import streamcert.verifiers as verifiers
+    from streamcert.certs import CODECS
+    from streamcert.schemes import SCHEMES
+    from streamcert.verifiers import MMListVerifier, StreamingVerifier
+
+    assert list(SCHEME_VERIFIERS) == list(SCHEMES) == list(CODECS)
+    classes = [
+        cls for cls in vars(verifiers).values()
+        if isinstance(cls, type) and issubclass(cls, StreamingVerifier) and cls.scheme
+    ]
+    assert len(classes) == 12
+    assert all(SCHEME_VERIFIERS[cls.scheme] is cls for cls in classes)
+
+    class Probe(MMListVerifier):
+        pass
+
+    class Renamed(StreamingVerifier):
+        scheme = "probe"
+
+    assert SCHEME_VERIFIERS["mm_atleast_list"] is MMListVerifier
+    assert Renamed.scheme not in SCHEME_VERIFIERS
+    assert Probe not in SCHEME_VERIFIERS.values()
+
+
+def test_equality_bits_past_the_payload_reject_in_a_half():
+    # the outer count is the halves' sum, so only the halves' formulas can
+    # refuse it: the >= half declares 1,000 bits where its formula gives 15
+    from streamcert.certs import encode_equality
+
+    g = path_graph(4)
+    honest = prove_mm_atleast_list(g, 2)
+    forged = CertificateBlob(honest.scheme, honest.payload, 1000)
+    cert = encode_equality("mm_equal", prove_mm_atmost(g, 2), forged)
+    assert cert.semantic_bits > 8 * len(cert.payload)
+    verdict, _ = run_verifier("mm_equal", make_stream(g, 2), cert)
+    assert verdict.reason == "ge:malformed-certificate"
 
 
 def test_space_bounds_on_random_graphs():
