@@ -13,11 +13,13 @@ optimum searches, the parameter oracles, the provers and the gadget
 predicates) inherits the refusal and does not repeat it.
 
 ``PARAMETERS`` is the one table of the graph parameters a scheme can bound.
-Each name maps to its exact oracle and to whether adding an edge can only
-raise the value (removing one does the reverse). ``parameter_value``, the
-corpus values, the fuzzer's one-edge search and the ``oracle`` subcommand
-all read it, in its order; the exponential searches come last, and the
-subcommand computes in reverse so that they refuse first.
+Each name maps to its exact oracle, to whether adding an edge can only
+raise the value (removing one does the reverse), and, where one is cheaper
+than the optimum, to a threshold test "value >= k". ``parameter_value``,
+``parameter_at_least``, the corpus values, the fuzzer's one-edge search
+(``one_edge_candidates``) and the ``oracle`` subcommand all read it, in its
+order; the exponential searches come last, and the subcommand computes in
+reverse so that they refuse first.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import islice
 from typing import Callable, NamedTuple
 
@@ -353,14 +355,10 @@ def tutte_berge_witness(g: Graph, mate: list[int], nu: int) -> frozenset[int]:
     ``mate``, a maximum matching of size ``nu`` (left as it is).
 
     U is the neighborhood (outside D) of D, the nodes missed by at least one
-    maximum matching. D is the set of outer nodes of the Edmonds forest grown
-    from every exposed node of one maximum matching (Gallai-Edmonds structure
-    theorem; Lovasz & Plummer, *Matching Theory*, 1986); the forest search
-    raises if two of its trees meet, since the matching was then not maximum.
+    maximum matching (``missed_nodes``).
     """
     adj = g.adjacency()
-    exposed = [v for v in range(1, g.n + 1) if mate[v] == 0]
-    outer = edmonds_search(adj, mate, exposed)
+    outer = missed_nodes(g, mate)
     witness = frozenset(
         w for v in range(1, g.n + 1) if outer[v] for w in adj[v] if not outer[w]
     )
@@ -368,6 +366,17 @@ def tutte_berge_witness(g: Graph, mate: list[int], nu: int) -> frozenset[int]:
     if 2 * nu != len(witness) - odd + g.n:
         raise AssertionError("witness misses the matching bound")
     return witness
+
+
+def missed_nodes(g: Graph, mate: list[int]) -> list[bool]:
+    """D, the nodes missed by at least one maximum matching, as marks over
+    0..n, from ``mate``, a maximum matching (left as it is). D is the set of
+    outer nodes of the Edmonds forest grown from every exposed node of one
+    maximum matching (Gallai-Edmonds structure theorem; Lovasz & Plummer,
+    *Matching Theory*, 1986); the forest search raises if two of its trees
+    meet, since the matching was then not maximum."""
+    exposed = [v for v in range(1, g.n + 1) if mate[v] == 0]
+    return edmonds_search(g.adjacency(), mate, exposed)
 
 
 def count_odd_components_excluding(g: Graph, u_set) -> int:
@@ -716,19 +725,41 @@ def maximum_clique(g: Graph) -> list[int]:
 
 # -- the parameter table -----------------------------------------------------------
 
+def degeneracy_at_least(g: Graph, k: int) -> bool:
+    """degeneracy >= k, without the peel: for k >= 1 the degeneracy is the
+    largest k with a nonempty k-core, and every graph passes at k <= 0."""
+    return k <= 0 or bool(k_core(g, k))
+
+
+def chromatic_at_least(g: Graph, k: int) -> bool:
+    """chi >= k: no proper colouring with k - 1 colours. One search at k - 1
+    instead of ``oracle_chromatic``'s climb from 1; ``k_coloring`` has none
+    below 0 colours, and colours the empty graph with 0."""
+    return k_coloring(g, k - 1) is None
+
+
+def vc_at_least(g: Graph, k: int) -> bool:
+    """tau >= k: no vertex cover of size k - 1. One budgeted search instead
+    of ``minimum_vertex_cover``'s independent-set search and its search at
+    budget tau; ``vertex_cover_at_most`` has none below budget 0."""
+    return vertex_cover_at_most(g, k - 1) is None
+
+
 class Parameter(NamedTuple):
     oracle: Callable[[Graph], int | float]
     #: adding an edge can only raise the value (matching, degeneracy, chi, tau
     #: and omega grow with the edge set) or only lower it (alpha, diameter)
     adding_an_edge_raises: bool
+    #: the test value >= k, where one is cheaper than the optimum
+    at_least: Callable[[Graph, int], bool] | None = None
 
 
 PARAMETERS: dict[str, Parameter] = {
     "matching": Parameter(oracle_max_matching, True),
-    "degeneracy": Parameter(oracle_degeneracy, True),
+    "degeneracy": Parameter(oracle_degeneracy, True, degeneracy_at_least),
     "diameter": Parameter(oracle_diameter, False),
-    "chromatic": Parameter(oracle_chromatic, True),
-    "vc": Parameter(lambda g: len(minimum_vertex_cover(g)), True),
+    "chromatic": Parameter(oracle_chromatic, True, chromatic_at_least),
+    "vc": Parameter(lambda g: len(minimum_vertex_cover(g)), True, vc_at_least),
     "is": Parameter(lambda g: len(maximum_independent_set(g)), False),
     "clique": Parameter(lambda g: len(maximum_clique(g)), True),
 }
@@ -738,3 +769,63 @@ def parameter_value(g: Graph, parameter: str) -> int | float:
     if parameter not in PARAMETERS:
         raise ValueError(f"unknown parameter {parameter!r}")
     return PARAMETERS[parameter].oracle(g)
+
+
+def parameter_at_least(g: Graph, parameter: str, k: int) -> bool:
+    """``parameter_value(g, parameter) >= k``, by the row's threshold test
+    where it has one."""
+    row = PARAMETERS[parameter]
+    return row.at_least(g, k) if row.at_least else row.oracle(g) >= k
+
+
+def one_edge_candidates(
+    g: Graph, parameter: str, value: int | float, k: int, adds: bool
+) -> list[tuple[int, int]]:
+    """The edges whose addition to g (``adds``) or removal from it may take
+    the parameter from ``value``, its value on g, to k != value, in lex
+    order: every pair outside g or every edge of g, less those that provably
+    cannot. Adding or removing one edge moves every parameter but the
+    diameter by at most 1, so for those none can when |value - k| > 1 (one
+    chord takes a path's diameter from n - 1 to about n / 2). Otherwise k is
+    one step away, a candidate must change the value, and these cannot:
+
+    - matching, adding uv with u or v outside D (``missed_nodes``): the
+      matching number rises only if some maximum matching misses both ends;
+    - matching, removing an edge outside one maximum matching M: M survives;
+    - degeneracy, adding or removing uv with an end outside the value-core:
+      a (value + 1)-core after adding uv holds uv and, less uv, has minimum
+      degree >= value, so lies in the value-core; and removing an edge
+      outside the value-core leaves that core whole;
+    - clique, adding uv where u and v have fewer than value - 1 common
+      neighbours: a new (value + 1)-clique holds u, v and value - 1 of them.
+
+    The maximum matching is found through this module's ``maximum_matching``
+    global, where a tracer wraps it."""
+    n = g.n
+    if parameter != "diameter" and abs(value - k) > 1:
+        return []
+    if not adds:
+        drops = sorted(g.edges)
+        if parameter == "matching":
+            mate = maximum_matching(g)
+            return [(u, v) for u, v in drops if mate.get(u) == v]
+        if parameter == "degeneracy":
+            core = k_core(g, value)
+            return [(u, v) for u, v in drops if u in core and v in core]
+        return drops
+    nodes: Sequence[int] = range(1, n + 1)
+    if parameter == "matching":
+        mate = [0] * (n + 1)
+        for u, v in maximum_matching(g).items():
+            mate[u] = v
+        missed = missed_nodes(g, mate)
+        nodes = [v for v in nodes if missed[v]]
+    elif parameter == "degeneracy":
+        nodes = sorted(k_core(g, value))
+    pairs = [
+        (u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:] if (u, v) not in g.edge_set
+    ]
+    if parameter == "clique":
+        adj = {v: set(ns) for v, ns in g.adjacency().items()}
+        pairs = [(u, v) for u, v in pairs if len(adj[u] & adj[v]) >= value - 1]
+    return pairs

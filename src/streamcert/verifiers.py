@@ -315,7 +315,12 @@ class DegAtMostVerifier(StreamingVerifier):
     """Per-vertex counters; each edge increments the endpoint earlier in the
     certified order, and an increment past k rejects at once; accept iff no
     counter exceeds k. Sound: then every subgraph's earliest vertex in the
-    certified permutation has degree <= k in it, so the degeneracy is <= k."""
+    certified permutation has degree <= k in it, so the degeneracy is <= k.
+
+    The permutation check bears on that: among tied positions the earlier
+    endpoint is chosen by the item's order, (u, v) charging v. With every
+    position tied, the triangle streamed as (1, 2), (2, 3), (3, 1) charges
+    each node once and would pass "degeneracy <= 1"; its degeneracy is 2."""
 
     scheme = "deg_atmost"
 

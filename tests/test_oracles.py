@@ -22,8 +22,11 @@ from streamcert.graph import (
 )
 from streamcert.oracles import (
     BFS_BLOCK,
+    PARAMETERS,
     TooLarge,
     _grow_forest,
+    chromatic_at_least,
+    degeneracy_at_least,
     far_source,
     k_core,
     k_coloring,
@@ -31,14 +34,18 @@ from streamcert.oracles import (
     maximum_independent_set,
     maximum_matching,
     minimum_vertex_cover,
+    missed_nodes,
+    one_edge_candidates,
     oracle_chromatic,
     oracle_degeneracy,
     oracle_diameter,
     oracle_max_matching,
     oracle_tutte_berge,
+    parameter_at_least,
     parameter_value,
     peel_order,
     source_blocks,
+    vc_at_least,
     vertex_cover_at_most,
 )
 from streamcert.provers import (
@@ -603,3 +610,102 @@ def test_maximum_matching_is_linear_on_sparse_graphs():
         mate = maximum_matching(g)
         assert time.perf_counter() - start < 2.0
         assert len(mate) == (2 if g.m else 0)
+
+
+# -- threshold tests and one-edge moves -------------------------------------------
+
+def _every_small_graph(max_n: int = 5) -> dict[tuple[int, int], Graph]:
+    """Every labelled graph on n <= max_n nodes, keyed by (n, edge mask) over
+    the lex-ordered pairs, its edges stored in lex order."""
+    graphs = {}
+    for n in range(max_n + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            graphs[n, mask] = Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+    return graphs
+
+
+@pytest.fixture(scope="module")
+def small_graph_values():
+    """(graph, {parameter: value}) for every labelled graph with n <= 5."""
+    return {
+        key: (g, {p: parameter_value(g, p) for p in PARAMETERS})
+        for key, g in _every_small_graph().items()
+    }
+
+
+def test_threshold_tests_equal_the_optimum_on_every_small_graph(small_graph_values):
+    # n = 0 and k <= 0 included: k_coloring colours the empty graph with 0
+    # colours before it checks k = 0, and vertex_cover_at_most(g, -1) is None
+    tests = {
+        "degeneracy": degeneracy_at_least,
+        "chromatic": chromatic_at_least,
+        "vc": vc_at_least,
+    }
+    assert {p for p, row in PARAMETERS.items() if row.at_least} == set(tests)
+    for g, values in small_graph_values.values():
+        for k in range(-1, g.n + 3):
+            for p, value in values.items():
+                assert parameter_at_least(g, p, k) == (value >= k), (g, p, k)
+                if p in tests:
+                    assert tests[p](g, k) == (value >= k), (g, p, k)
+
+
+def _one_edge_neighbours(small_graph_values, n, mask):
+    """(pair, added, neighbour's values) for each pair of 1..n flipped in g."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for i, pair in enumerate(pairs):
+        yield pair, not mask >> i & 1, small_graph_values[n, mask ^ 1 << i][1]
+
+
+def test_one_edge_moves_every_parameter_but_the_diameter_by_at_most_one(small_graph_values):
+    diameter_moves = set()
+    for (n, mask), (g, values) in small_graph_values.items():
+        for _, _, after in _one_edge_neighbours(small_graph_values, n, mask):
+            for p, value in values.items():
+                if p == "diameter":
+                    diameter_moves.add(after[p] - value)
+                else:
+                    assert abs(after[p] - value) <= 1, (g, p)
+    assert any(math.isfinite(d) and abs(d) > 1 for d in diameter_moves)
+
+
+def test_a_chord_moves_a_paths_diameter_by_more_than_one():
+    for n in range(5, 12):
+        path = path_graph(n)
+        chorded = Graph(n, path.edges + ((1, n),))
+        assert (oracle_diameter(path), oracle_diameter(chorded)) == (n - 1, n // 2)
+
+
+def test_one_edge_candidates_keep_every_move_that_reaches_k(small_graph_values):
+    # the pruning rules drop only moves that cannot take the value to k
+    kept = dropped = 0
+    for (n, mask), (g, values) in small_graph_values.items():
+        moves = list(_one_edge_neighbours(small_graph_values, n, mask))
+        for p, value in values.items():
+            for k in range(n + 2):
+                if k == value:
+                    continue
+                for adds in (True, False):
+                    candidates = set(one_edge_candidates(g, p, value, k, adds))
+                    for pair, added, after in moves:
+                        if added != adds:
+                            continue
+                        if after[p] == k:
+                            assert pair in candidates, (g, p, k, pair)
+                        kept += pair in candidates
+                        dropped += pair not in candidates
+    assert dropped > kept
+
+
+def test_missed_nodes_are_the_nodes_some_maximum_matching_misses():
+    for seed in range(20):
+        g = gnp_random_graph(8, 0.3, seed)
+        mate = [0] * (g.n + 1)
+        for u, v in maximum_matching(g).items():
+            mate[u] = v
+        missed = missed_nodes(g, mate)
+        nu = oracle_max_matching(g)
+        for v in range(1, g.n + 1):
+            rest = Graph.from_edges(g.n, [e for e in g.edges if v not in e])
+            assert missed[v] == (oracle_max_matching(rest) == nu), (seed, v)

@@ -163,6 +163,22 @@ def test_deg_atmost_rejects_non_permutation():
     assert verdict.reason == "not-a-permutation"
 
 
+def test_not_permutation_check_bears_on_soundness():
+    # with every position tied, each item (u, v) charges its second end: the
+    # triangle streamed as (1, 2), (2, 3), (3, 1) charges 2, 3 and 1 once
+    # each, so without the check "degeneracy <= 1" would pass on a graph of
+    # degeneracy 2. Stored as (min, max), the items would charge 3 twice
+    from streamcert.oracles import parameter_value
+    from streamcert.stream import EdgeStream
+
+    triangle = Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
+    assert parameter_value(triangle, "degeneracy") == 2
+    cert = encode_peel_order({1: 1, 2: 1, 3: 1}, 3)
+    stream = EdgeStream(3, 1, ((1, 2), (2, 3), (3, 1)))
+    verdict, _ = run_verifier("deg_atmost", stream, cert)
+    assert verdict.reason == "not-a-permutation"
+
+
 # -- deg_atleast -----------------------------------------------------------------------
 
 def test_deg_atleast_k4():
