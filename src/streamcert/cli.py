@@ -274,7 +274,3 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

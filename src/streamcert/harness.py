@@ -46,7 +46,7 @@ from .oracles import (
     NP_ORACLE_MAX_N,
     PARAMETERS,
     TooLarge,
-    one_edge_candidates,
+    one_edge_variant,
     parameter_value,
 )
 from .provers import NotCertifiable
@@ -349,44 +349,10 @@ def _nearest_legal_cert(info: SchemeInfo, g: Graph, value: int | float) -> Certi
 def _one_edge_variant(
     info: SchemeInfo, g: Graph, k: int, value: int | float
 ) -> Graph | None:
-    """A graph one edge away from g that is legal at k, if any: candidates
-    are built one at a time in lex order, and the first legal one is returned.
-
-    ``value`` is g's own parameter value, and k is illegal for it. A ge or eq
-    scheme adds an edge (appended to g's edges) and a le scheme removes one.
-    The search is skipped when that move can only carry the parameter
-    further from k. Otherwise ``oracles.one_edge_candidates`` leaves out the
-    candidates that provably cannot reach k, and the rest are tried in order:
-
-    - no candidate when |value - k| > 1, the diameter aside: one edge moves
-      every other parameter by at most 1;
-    - matching, adding uv: u and v both in D, the nodes some maximum
-      matching misses, since a matching one larger that holds uv leaves a
-      maximum matching of g missing both;
-    - matching, removing e: e in one maximum matching, since any other
-      removal leaves that matching whole;
-    - degeneracy, adding or removing uv: both ends in g's value-core, since
-      the core that reaches k holds uv, and a removal outside the value-core
-      leaves it whole;
-    - clique, adding uv: u and v with at least k - 2 common neighbours,
-      since a new k-clique holds uv and k - 2 of them.
-
-    Each survivor is decided by threshold tests (``SchemeInfo.holds``):
-    ``k_core`` for degeneracy, one ``k_coloring`` at k - 1 colours for chi,
-    one ``vertex_cover_at_most`` at budget k - 1 for tau, the optimum for
-    the others."""
-    adds = info.direction in ("ge", "eq")
-    raises = PARAMETERS[info.parameter].adding_an_edge_raises == adds
-    if (value > k) if raises else (value < k):
-        return None
-    for u, v in one_edge_candidates(g, info.parameter, value, k, adds):
-        if adds:
-            candidate = Graph(g.n, g.edges + ((u, v),))
-        else:
-            candidate = Graph(g.n, tuple(e for e in g.edges if e != (u, v)))
-        if info.holds(candidate, k):
-            return candidate
-    return None
+    """A graph one edge away from g that is legal at k, which is illegal at
+    g's own ``value``: ``oracles.one_edge_variant``, where a ge or eq scheme
+    adds an edge and a le scheme removes one."""
+    return one_edge_variant(g, info.parameter, value, k, info.direction != "le")
 
 
 def _fuzz_certificates(

@@ -17,7 +17,7 @@ Each name maps to its exact oracle, to whether adding an edge can only
 raise the value (removing one does the reverse), and, where one is cheaper
 than the optimum, to a threshold test "value >= k". ``parameter_value``,
 ``parameter_at_least``, the corpus values, the fuzzer's one-edge search
-(``one_edge_candidates``) and the ``oracle`` subcommand all read it, in its
+(``one_edge_variant``) and the ``oracle`` subcommand all read it, in its
 order; the exponential searches come last, and the subcommand computes in
 reverse so that they refuse first.
 """
@@ -829,3 +829,25 @@ def one_edge_candidates(
         adj = {v: set(ns) for v, ns in g.adjacency().items()}
         pairs = [(u, v) for u, v in pairs if len(adj[u] & adj[v]) >= value - 1]
     return pairs
+
+
+def one_edge_variant(
+    g: Graph, parameter: str, value: int | float, k: int, adds: bool
+) -> Graph | None:
+    """The first graph one edge away from g, in ``one_edge_candidates``' lex
+    order, on which the parameter crosses from ``value``, its value on g, to
+    k != value: at least k when k > value, at most k when k < value. The move
+    appends a pair to g's edges when ``adds`` is set and removes an edge
+    otherwise; None at once when it can only carry the parameter away from k.
+    One ``parameter_at_least`` test, at k or at k + 1, decides each candidate."""
+    up = k > value
+    if (PARAMETERS[parameter].adding_an_edge_raises == adds) != up:
+        return None
+    for u, v in one_edge_candidates(g, parameter, value, k, adds):
+        if adds:
+            candidate = Graph(g.n, g.edges + ((u, v),))
+        else:
+            candidate = Graph(g.n, tuple(e for e in g.edges if e != (u, v)))
+        if parameter_at_least(candidate, parameter, k if up else k + 1) == up:
+            return candidate
+    return None

@@ -11,7 +11,6 @@ from typing import Callable
 from . import provers
 from .certs import CertificateBlob
 from .graph import Graph
-from .oracles import parameter_at_least
 
 
 @dataclass(frozen=True)
@@ -27,16 +26,6 @@ class SchemeInfo:
         if self.direction == "le":
             return value <= k
         return value == k
-
-    def holds(self, g: Graph, k: int) -> bool:
-        """``legal`` of g's parameter value at k, by threshold tests
-        (``oracles.parameter_at_least``): value >= k, value <= k as not
-        value >= k + 1, or both."""
-        if self.direction == "le":
-            return not parameter_at_least(g, self.parameter, k + 1)
-        return parameter_at_least(g, self.parameter, k) and (
-            self.direction == "ge" or not parameter_at_least(g, self.parameter, k + 1)
-        )
 
 
 SCHEMES: dict[str, SchemeInfo] = {

@@ -545,6 +545,30 @@ def test_one_edge_variant_matches_the_blind_search_on_every_small_graph():
     assert (checked, found) == (45641, 4152)
 
 
+def test_schemes_and_harness_leave_the_one_edge_search_to_oracles():
+    # the direction skip, the pruning and the threshold tests are known to
+    # ``oracles`` alone; the harness reaches them through ``one_edge_variant``
+    from pathlib import Path
+
+    import streamcert
+    from streamcert import harness, oracles, schemes
+    from streamcert.schemes import SchemeInfo
+
+    internals = [oracles.parameter_at_least, oracles.one_edge_candidates] + [
+        value for name, value in vars(oracles).items() if name.endswith("_at_least")
+    ]
+    for module in (schemes, harness):
+        shared = [
+            name for name, value in vars(module).items()
+            if any(value is internal for internal in internals)
+        ]
+        assert shared == [], module.__name__
+    assert not hasattr(SchemeInfo, "holds")
+    for path in Path(streamcert.__file__).parent.glob("*.py"):
+        if path.stem != "oracles":
+            assert "adding_an_edge_raises" not in path.read_text(), path.name
+
+
 @pytest.mark.parametrize(
     "refusal,message",
     [

@@ -36,6 +36,7 @@ from streamcert.oracles import (
     minimum_vertex_cover,
     missed_nodes,
     one_edge_candidates,
+    one_edge_variant,
     oracle_chromatic,
     oracle_degeneracy,
     oracle_diameter,
@@ -696,6 +697,38 @@ def test_one_edge_candidates_keep_every_move_that_reaches_k(small_graph_values):
                         kept += pair in candidates
                         dropped += pair not in candidates
     assert dropped > kept
+
+
+def test_one_edge_variant_is_the_blind_lex_search_on_every_small_graph(small_graph_values):
+    # all 7 parameters, both moves, every k != value in 0..n+1, the diameter
+    # and independent-set moves the fuzzer never requests included: the first
+    # flipped pair in lex order whose neighbour crosses from value to k
+    checked = found = 0
+    for (n, mask), (g, values) in small_graph_values.items():
+        moves = list(_one_edge_neighbours(small_graph_values, n, mask))
+        for p, value in values.items():
+            for k in range(n + 2):
+                if k == value:
+                    continue
+                for adds in (True, False):
+                    pair = next(
+                        (
+                            pair for pair, added, after in moves
+                            if added == adds and (after[p] >= k if k > value else after[p] <= k)
+                        ),
+                        None,
+                    )
+                    if pair is None:
+                        expected = None
+                    elif adds:
+                        expected = Graph(n, g.edges + (pair,))
+                    else:
+                        expected = Graph(n, tuple(e for e in g.edges if e != pair))
+                    got = one_edge_variant(g, p, value, k, adds)
+                    assert got == expected, (g, p, k, adds)
+                    checked += 1
+                    found += got is not None
+    assert (checked, found) == (91724, 9832)
 
 
 def test_missed_nodes_are_the_nodes_some_maximum_matching_misses():
