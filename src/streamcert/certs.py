@@ -14,7 +14,8 @@ sets share a row, and the list form of ``deg_atleast`` is a row behind a form
 byte. Three codecs keep their own code: ``mm_atmost`` is an n-bit membership
 vector; ``deg_atleast`` takes the smaller of its list form and an n-bit
 vector; ``mm_equal`` and ``deg_equal`` embed two certificates and declare the
-sum of their bits.
+sum of their bits. A u32 field holds 0..2^32 - 1, and an encoder given a
+field past that raises FieldPastU32.
 
 Decoders are total over arbitrary byte strings: every structural defect
 (truncation, trailing bytes, out-of-range fields, nonzero padding, declared
@@ -43,6 +44,15 @@ from .meter import ceil_log2, id_bits
 
 class MalformedCertificate(ValueError):
     pass
+
+
+class FieldPastU32(ValueError):
+    """An encoder's field does not fit a u32 (``diam_atleast`` labels an
+    unreachable node k + 1, so k >= 2^32 - 1 cannot be encoded)."""
+
+    def __init__(self, field: int):
+        self.field = field
+        super().__init__(f"field {field} past u32")
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,12 @@ class U32Layout:
         return self.shape(body, head), self.bits(head, n, k)
 
     def blob(self, scheme: str, fields: list[int], n: int, k: int = 0) -> CertificateBlob:
-        """The certificate whose fields, head first, are ``fields``."""
-        packed = array(_U32, fields)
+        """The certificate whose fields, head first, are ``fields``; a field
+        outside 0..2^32 - 1 raises FieldPastU32."""
+        try:
+            packed = array(_U32, fields)
+        except OverflowError:
+            raise FieldPastU32(next(f for f in fields if not 0 <= f <= 0xFFFFFFFF)) from None
         if _SWAP:
             packed.byteswap()
         head = fields[0] if self.heads else 0

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import gadgets, harness, oracles
-from .certs import deserialize_certificate, serialize_certificate
+from .certs import FieldPastU32, deserialize_certificate, serialize_certificate
 from .graph import Graph, GraphParseError, parse_graph_file
 from .provers import NotCertifiable
 from .schemes import SCHEMES
@@ -94,9 +94,9 @@ def _cmd_prove(args) -> int:
     except NotCertifiable as exc:
         print(f"not-certifiable: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIABLE
-    except OverflowError as exc:
+    except FieldPastU32 as exc:
         # a label derived from --k (diam_atleast's k + 1) past the u32 field
-        raise CliError(f"--k {k} gives a certificate field past u32: {exc}") from None
+        raise CliError(f"--k {k} gives a certificate {exc}") from None
     try:
         Path(args.out).write_bytes(serialize_certificate(cert))
     except OSError as exc:

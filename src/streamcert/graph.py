@@ -1,10 +1,28 @@
-"""Undirected graph container, validation, family generators, and text file I/O.
+r"""Undirected graph container, validation, family generators, and text file I/O.
 
 Nodes are the contiguous integers 1..n; the vertex set is known up front and
 never streamed. Edges are unordered pairs stored normalized as (min, max).
 The stored edge *sequence* is preserved so that a graph loaded from a file
 keeps its as-given stream order; the neighbour lists of ``adjacency`` are
 sorted, built once per graph and shared, and must not be changed.
+
+The text format is a header line ``n m k`` (node count, edge count,
+threshold) and then m edge lines ``u v``. Exactly this is accepted:
+
+- tokens are separated by any whitespace (``str.split``);
+- lines end at any ``str.splitlines`` break (``\n``, ``\r\n``, ``\x0b``,
+  ``\x1c``, ``\u2028``, ...);
+- blank lines are skipped, wherever they are;
+- every token is an ``int()`` literal (so ``+5``, ``1_000`` and non-ASCII
+  decimal digits are read as ints);
+- the header has 3 tokens, ``m`` is the number of edge lines, ``k >= 0``, and
+  each edge line has 2 tokens;
+- the graph must pass ``validate_graph``, and an error names the first bad
+  edge in file order.
+
+Parsing, validation, normalization and formatting run their per-edge work
+in C builtins (``map``, ``min``/``max``, ``set``, one ``%``); the line-by-line
+walk runs only to name a bad line.
 """
 
 from __future__ import annotations
@@ -12,6 +30,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, count, starmap
+from operator import lt
 from typing import Iterable
 
 
@@ -37,10 +57,6 @@ class NodeOutOfRange(GraphError):
         super().__init__(f"node {u} out of range")
 
 
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
-
-
 @dataclass(frozen=True)
 class Graph:
     """n nodes (1..n) plus an edge sequence of normalized unordered pairs."""
@@ -50,7 +66,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        return cls(n, tuple(_norm(u, v) for u, v in edges))
+        return cls(n, tuple([(u, v) if u <= v else (v, u) for u, v in edges]))
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -77,17 +93,34 @@ class Graph:
 
 
 def validate_graph(g: Graph) -> None:
-    """Raise SelfLoop / NodeOutOfRange / DuplicateEdge unless all invariants hold."""
+    """Raise SelfLoop / NodeOutOfRange / DuplicateEdge unless all invariants
+    hold; an error names the first bad edge in stored order.
+
+    A graph whose pairs are all normalized passes on C builtins alone; the
+    edge-by-edge scan runs only when that check fails or a pair is stored
+    unnormalized (as ``Graph(n, ...)`` allows), and it alone names the edge.
+    """
     if g.n < 0:
         raise NodeOutOfRange(g.n)
+    edges = g.edges
+    if edges:
+        ids = list(chain.from_iterable(edges))
+        # u < v in every pair rules out self-loops and makes a repeat of a
+        # pair, in either orientation, a repeat in the set
+        if (
+            1 <= min(ids) and max(ids) <= g.n
+            and all(starmap(lt, edges))
+            and len(set(edges)) == len(edges)
+        ):
+            return
     seen: set[tuple[int, int]] = set()
-    for u, v in g.edges:
+    for u, v in edges:
         if u == v:
             raise SelfLoop(u)
         for w in (u, v):
             if not 1 <= w <= g.n:
                 raise NodeOutOfRange(w)
-        e = _norm(u, v)
+        e = (u, v) if u <= v else (v, u)
         if e in seen:
             raise DuplicateEdge(*e)
         seen.add(e)
@@ -166,35 +199,36 @@ class GraphParseError(ValueError):
 
 
 def parse_graph_file(text: str) -> tuple[Graph, int]:
-    """Parse the text format and return (graph, threshold k).
+    """Parse the text format (module docstring) and return (graph, threshold k).
 
     The file's edge order is kept as the graph's as-given stream order.
     """
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
+    lines = text.splitlines()
+    counts = list(map(len, map(str.split, lines)))
+    head = next(compress(count(), counts), None)
+    if head is None:
         raise GraphParseError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 3:
+    if counts[head] != 3:
         raise GraphParseError("header must be: n m k")
+    # every line break is whitespace, so the file's tokens are its lines' tokens
+    tokens = text.split()
     try:
-        n, m, k = (int(x) for x in head)
+        n, m, k = map(int, tokens[:3])
     except ValueError as exc:
         raise GraphParseError(f"bad header: {exc}") from None
-    if m != len(lines) - 1:
-        raise GraphParseError(f"header says {m} edges, file has {len(lines) - 1}")
+    edge_lines = len(counts) - counts.count(0) - 1
+    if m != edge_lines:
+        raise GraphParseError(f"header says {m} edges, file has {edge_lines}")
     if k < 0:
         raise GraphParseError("threshold k must be non-negative")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphParseError(f"bad edge line: {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(f"bad edge line: {ln!r}") from None
-        edges.append((u, v))
-    g = Graph.from_edges(n, edges)
+    if counts.count(2) != edge_lines:
+        raise _bad_edge_line(lines[head + 1:])
+    try:
+        ids = list(map(int, tokens[3:]))
+    except ValueError:
+        raise _bad_edge_line(lines[head + 1:]) from None
+    pairs = iter(ids)
+    g = Graph.from_edges(n, zip(pairs, pairs))
     try:
         validate_graph(g)
     except GraphError as exc:
@@ -202,7 +236,18 @@ def parse_graph_file(text: str) -> tuple[Graph, int]:
     return g, k
 
 
+def _bad_edge_line(lines: list[str]) -> GraphParseError:
+    """The error naming the first of ``lines`` that is not blank and is not
+    two int tokens."""
+    for raw in lines:
+        parts = raw.split()
+        if parts:
+            try:
+                _u, _v = map(int, parts)  # ValueError unless two int tokens
+            except ValueError:
+                return GraphParseError(f"bad edge line: {raw.strip()!r}")
+    raise AssertionError("every edge line is two int tokens")
+
+
 def format_graph_file(g: Graph, k: int) -> str:
-    lines = [f"{g.n} {g.m} {k}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return f"{g.n} {g.m} {k}\n" + ("%s %s\n" * g.m) % tuple(chain.from_iterable(g.edges))

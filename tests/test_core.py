@@ -49,6 +49,40 @@ def test_validate_out_of_range():
         validate_graph(Graph.from_edges(2, [(0, 2)]))
 
 
+#: (n, stored edges, the message validate_graph raises, or None): pairs built
+#: with ``Graph(n, ...)`` may be stored unnormalized, and in every case the
+#: first bad edge in stored order is the one named
+VALIDATION_CASES = [
+    (3, ((2, 1), (3, 2)), None),
+    (3, ((1, 3), (3, 2), (2, 1)), None),
+    (0, (), None),
+    (3, (), None),
+    (-1, (), "node -1 out of range"),
+    (-1, ((1, 2),), "node -1 out of range"),
+    (2, ((1, 2), (2, 1)), "duplicate edge (1, 2)"),
+    (2, ((2, 1), (1, 2)), "duplicate edge (1, 2)"),
+    (3, ((0, 1),), "node 0 out of range"),
+    (3, ((1, 4),), "node 4 out of range"),
+    (3, ((-2, 1),), "node -2 out of range"),
+    (3, ((5, 0),), "node 5 out of range"),
+    (3, ((2, 2),), "self-loop at node 2"),
+    (3, ((1, 2), (3, 3), (0, 1), (1, 2)), "self-loop at node 3"),
+    (3, ((1, 2), (2, 1), (3, 3)), "duplicate edge (1, 2)"),
+    (3, ((2, 3), (4, 1), (1, 1)), "node 4 out of range"),
+    (3, ((1, 2), (2, 3), (3, 1), (0, 0)), "self-loop at node 0"),
+]
+
+
+@pytest.mark.parametrize("n,edges,message", VALIDATION_CASES)
+def test_validate_names_the_first_bad_edge(n, edges, message):
+    if message is None:
+        validate_graph(Graph(n, edges))
+        return
+    with pytest.raises((SelfLoop, NodeOutOfRange, DuplicateEdge)) as err:
+        validate_graph(Graph(n, edges))
+    assert str(err.value) == message
+
+
 def test_graph_normalizes_pairs():
     g = Graph.from_edges(3, [(3, 1), (2, 3)])
     assert g.edges == ((1, 3), (2, 3))
@@ -215,17 +249,25 @@ def test_graph_file_roundtrip():
     assert k == 2 and g2.edges == g.edges and g2.n == 5
 
 
+#: graph files the parser refuses, each with its exact message
+GRAPH_FILE_ERRORS = [
+    ("", "empty graph file"),
+    ("2 1 0\n", "header says 1 edges, file has 0"),  # missing edge line
+    ("2 1 0\n1 1\n", "self-loop at node 1"),
+    ("2 1 -1\n1 2\n", "threshold k must be non-negative"),
+    ("2 2 0\n1 2\n1 2\n", "duplicate edge (1, 2)"),
+    ("2 2 0\n2 1\n1 2\n", "duplicate edge (1, 2)"),
+    ("2 1 x\n1 2\n", "bad header: invalid literal for int() with base 10: 'x'"),
+    ("3 3 0\n1 2\n3 4\n0 0\n", "node 4 out of range"),
+    ("-1 0 0\n", "node -1 out of range"),
+]
+
+
 def test_graph_file_errors():
-    with pytest.raises(GraphParseError):
-        parse_graph_file("")
-    with pytest.raises(GraphParseError):
-        parse_graph_file("2 1 0\n")  # missing edge line
-    with pytest.raises(GraphParseError):
-        parse_graph_file("2 1 0\n1 1\n")  # self loop
-    with pytest.raises(GraphParseError):
-        parse_graph_file("2 1 -1\n1 2\n")  # negative threshold
-    with pytest.raises(GraphParseError):
-        parse_graph_file("2 2 0\n1 2\n1 2\n")  # duplicate edge
+    for text, message in GRAPH_FILE_ERRORS:
+        with pytest.raises(GraphParseError) as err:
+            parse_graph_file(text)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("spec", ["shuffle:x", "split:1:x"])
@@ -235,10 +277,16 @@ def test_stream_refuses_non_integer_seeds(spec):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["2 1\n1 2\n", "2 1 0\n1\n", "2 1 0\n1 x\n"],
-    ids=["two-field-header", "one-field-edge", "non-integer-edge"],
+    "text,message",
+    [
+        ("2 1\n1 2\n", "header must be: n m k"),
+        ("2 1 0\n1\n", "bad edge line: '1'"),
+        ("2 1 0\n1 x\n", "bad edge line: '1 x'"),
+        ("3 2 0\n\n 1\t2 3 \n1 x\n", "bad edge line: '1\\t2 3'"),
+    ],
+    ids=["two-field-header", "one-field-edge", "non-integer-edge", "first-bad-line"],
 )
-def test_graph_file_refusals(text):
-    with pytest.raises(GraphParseError, match="header must be|bad edge line"):
+def test_graph_file_refusals(text, message):
+    with pytest.raises(GraphParseError) as err:
         parse_graph_file(text)
+    assert str(err.value) == message

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from streamcert.certs import decode_blob, encode_equality, serialize_certificate
+from streamcert.certs import FieldPastU32, decode_blob, encode_equality, serialize_certificate
 from streamcert.graph import (
     Graph,
     bounded_degree_graph,
@@ -258,6 +258,16 @@ def test_diam_labels_structure():
         assert 0 in labels[1:]
         assert max(labels[1:]) >= k
         assert all(abs(labels[u] - labels[v]) <= 1 for u, v in g.edges)
+
+
+def test_diam_refuses_a_label_past_u32_by_name():
+    # an unreachable node is labelled k + 1, which fits a u32 field only
+    # while k <= 2^32 - 2
+    with pytest.raises(FieldPastU32) as err:
+        prove_diam_atleast(empty_graph(3), 2**32 - 1)
+    assert err.value.field == 2**32
+    cert = prove_diam_atleast(empty_graph(3), 2**32 - 2)
+    assert decode_blob(cert, "diam_atleast", 3, 2**32 - 2) == [0, 0, 2**32 - 1, 2**32 - 1]
 
 
 # -- coloring ----------------------------------------------------------------------------
