@@ -264,8 +264,11 @@ _INNER = struct.Struct(">BQI")
 
 
 def encode_equality(scheme: str, le_blob: CertificateBlob, ge_blob: CertificateBlob) -> CertificateBlob:
+    """Embed the two halves. A half with no codec (a file's ``invalid`` or
+    ``unknown:<tag>`` blob) goes under tag 0, which no codec uses, so the
+    pair decodes as malformed instead of failing here."""
     payload = b"".join(
-        _INNER.pack(SCHEME_TAGS[b.scheme], b.semantic_bits, len(b.payload)) + b.payload
+        _INNER.pack(SCHEME_TAGS.get(b.scheme, 0), b.semantic_bits, len(b.payload)) + b.payload
         for b in (le_blob, ge_blob)
     )
     return CertificateBlob(

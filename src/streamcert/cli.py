@@ -20,7 +20,7 @@ from pathlib import Path
 from . import gadgets, harness, oracles
 from .certs import FieldPastU32, deserialize_certificate, serialize_certificate
 from .graph import Graph, GraphParseError, parse_graph_file
-from .provers import NotCertifiable
+from .provers import NotCertifiable, gallai_edmonds_witness
 from .schemes import SCHEMES
 from .stream import OrderSpecError, make_stream
 from .verifiers import run_verifier
@@ -124,7 +124,8 @@ def _cmd_oracle(args) -> int:
     # the threshold is irrelevant to oracles; builtins default it to 0
     g, _ = _load_graph(args.graph, args.k, builtin_default_k=0)
     if args.parameter == "tutte_berge":
-        value, witness = oracles.oracle_tutte_berge(g)
+        # the checked Gallai-Edmonds witness that mm_atmost encodes, at any n
+        witness, value = gallai_edmonds_witness(g)
         print(f"tutte_berge={value} witness={sorted(witness)}")
         return EXIT_ACCEPT
     params = oracles.PARAMETERS if args.parameter == "all" else (args.parameter,)

@@ -72,9 +72,6 @@ class Corpus:
     seed: int
     entries: tuple[CorpusEntry, ...]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def _attach(name: str, g: Graph) -> CorpusEntry:
     validate_graph(g)
@@ -346,15 +343,6 @@ def _nearest_legal_cert(info: SchemeInfo, g: Graph, value: int | float) -> Certi
         return None
 
 
-def _one_edge_variant(
-    info: SchemeInfo, g: Graph, k: int, value: int | float
-) -> Graph | None:
-    """A graph one edge away from g that is legal at k, which is illegal at
-    g's own ``value``: ``oracles.one_edge_variant``, where a ge or eq scheme
-    adds an edge and a le scheme removes one."""
-    return one_edge_variant(g, info.parameter, value, k, info.direction != "le")
-
-
 def _fuzz_certificates(
     info: SchemeInfo, entry: CorpusEntry, k: int, policy: FuzzPolicy
 ) -> list[tuple[str, CertificateBlob]]:
@@ -385,7 +373,11 @@ def _fuzz_certificates(
     elif policy.mode == "structured_wrong":
         if base is not None:
             certs.append(("transplant:k", base))
-        variant = _one_edge_variant(info, entry.graph, k, value)
+        # a graph one edge away that is legal at k: a ge or eq scheme adds
+        # an edge, a le scheme removes one
+        variant = one_edge_variant(
+            entry.graph, info.parameter, value, k, info.direction != "le"
+        )
         if variant is not None:
             try:
                 certs.append(("transplant:graph", info.prover(variant, k)))

@@ -5,12 +5,12 @@ decide instance legality, to feed provers, and to check gadget equivalences.
 The provers' searches live here as well, so that only this module knows the
 blossom forest's shared lists and the BFS sieve's source masks: the lex-min
 greedy, the Tutte-Berge witness and the diameter labels' ``far_source``.
-Each exponential search refuses input beyond its size cutoff itself, with
-``TooLarge``: the Tutte-Berge sweep above ``TUTTE_BERGE_MAX_N`` nodes, and
-``k_coloring``, ``vertex_cover_at_most``, ``maximum_independent_set`` and
-``maximum_clique`` above ``NP_ORACLE_MAX_N``. Everything built on them (the
-optimum searches, the parameter oracles, the provers and the gadget
-predicates) inherits the refusal and does not repeat it.
+The exponential searches, ``k_coloring``, ``vertex_cover_at_most``,
+``maximum_independent_set`` and ``maximum_clique``, refuse input above the
+one size cutoff, ``NP_ORACLE_MAX_N``, themselves with ``TooLarge``.
+Everything built on them (the optimum searches, the parameter oracles, the
+provers and the gadget predicates) inherits the refusal and does not repeat
+it.
 
 ``PARAMETERS`` is the one table of the graph parameters a scheme can bound.
 Each name maps to its exact oracle, to whether adding an edge can only
@@ -33,7 +33,6 @@ from typing import Callable, NamedTuple
 
 from .graph import Graph
 
-TUTTE_BERGE_MAX_N = 20
 NP_ORACLE_MAX_N = 24
 
 
@@ -299,56 +298,7 @@ def oracle_max_matching(g: Graph) -> int:
     return len(maximum_matching(g)) // 2
 
 
-# -- Tutte-Berge (exhaustive over U) ------------------------------------------
-
-def _odd_components(neighbor_masks: list[int], remaining: int) -> int:
-    """Odd-size components of the sub-vertex-set given as a bitmask."""
-    odd = 0
-    todo = remaining
-    while todo:
-        low = todo & -todo
-        comp = low
-        frontier = low
-        while frontier:
-            grown = comp
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                grown |= neighbor_masks[b.bit_length() - 1] & remaining
-            frontier = grown & ~comp
-            comp = grown
-        if comp.bit_count() & 1:
-            odd += 1
-        todo &= ~comp
-    return odd
-
-
-def oracle_tutte_berge(g: Graph) -> tuple[int, frozenset[int]]:
-    """min over U of (|U| - odd(V\\U) + |V|) / 2 with a minimizing U.
-
-    Exhaustive over all 2^n subsets; the first subset (in ascending bitmask
-    order) attaining the minimum is returned, so output is deterministic.
-    """
-    n = g.n
-    if n > TUTTE_BERGE_MAX_N:
-        raise TooLarge(n, TUTTE_BERGE_MAX_N)
-    neighbor_masks = [0] * n
-    for u, v in g.edges:
-        neighbor_masks[u - 1] |= 1 << (v - 1)
-        neighbor_masks[v - 1] |= 1 << (u - 1)
-    full = (1 << n) - 1
-    best = None
-    best_mask = 0
-    for mask in range(1 << n):
-        rest = full & ~mask
-        value = mask.bit_count() - _odd_components(neighbor_masks, rest) + n
-        if best is None or value < best:
-            best = value
-            best_mask = mask
-    members = frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
-    return (best or 0) // 2, members
-
+# -- Tutte-Berge witness (Gallai-Edmonds) ----------------------------------
 
 def tutte_berge_witness(g: Graph, mate: list[int], nu: int) -> frozenset[int]:
     """A minimizer U of (|U| - odd(V\\U) + |V|) / 2 that attains 2 * nu, from

@@ -1,0 +1,65 @@
+"""Independent references the tests check ``streamcert`` against.
+
+They share no code with the library's searches, and they may take
+exponential time: each is a definition evaluated by brute force.
+
+- ``oracle_tutte_berge``: the Tutte-Berge minimum over all 2^n node sets
+  U, the reference for the matching number and for the witness that
+  ``prove --scheme mm_atmost`` encodes.
+"""
+
+from __future__ import annotations
+
+from streamcert.graph import Graph
+from streamcert.oracles import TooLarge
+
+TUTTE_BERGE_MAX_N = 20
+
+
+def _odd_components(neighbor_masks: list[int], remaining: int) -> int:
+    """Odd-size components of the sub-vertex-set given as a bitmask."""
+    odd = 0
+    todo = remaining
+    while todo:
+        low = todo & -todo
+        comp = low
+        frontier = low
+        while frontier:
+            grown = comp
+            f = frontier
+            while f:
+                b = f & -f
+                f ^= b
+                grown |= neighbor_masks[b.bit_length() - 1] & remaining
+            frontier = grown & ~comp
+            comp = grown
+        if comp.bit_count() & 1:
+            odd += 1
+        todo &= ~comp
+    return odd
+
+
+def oracle_tutte_berge(g: Graph) -> tuple[int, frozenset[int]]:
+    """min over U of (|U| - odd(V\\U) + |V|) / 2 with a minimizing U.
+
+    Exhaustive over all 2^n subsets; the first subset (in ascending bitmask
+    order) attaining the minimum is returned, so output is deterministic.
+    """
+    n = g.n
+    if n > TUTTE_BERGE_MAX_N:
+        raise TooLarge(n, TUTTE_BERGE_MAX_N)
+    neighbor_masks = [0] * n
+    for u, v in g.edges:
+        neighbor_masks[u - 1] |= 1 << (v - 1)
+        neighbor_masks[v - 1] |= 1 << (u - 1)
+    full = (1 << n) - 1
+    best = None
+    best_mask = 0
+    for mask in range(1 << n):
+        rest = full & ~mask
+        value = mask.bit_count() - _odd_components(neighbor_masks, rest) + n
+        if best is None or value < best:
+            best = value
+            best_mask = mask
+    members = frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
+    return (best or 0) // 2, members

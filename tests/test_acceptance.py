@@ -34,15 +34,13 @@ from streamcert.harness import (
     run_space_scaling,
 )
 from streamcert.meter import ceil_log2
-from streamcert.oracles import (
-    oracle_degeneracy,
-    oracle_max_matching,
-    oracle_tutte_berge,
-)
+from streamcert.oracles import oracle_degeneracy, oracle_max_matching
 from streamcert.provers import NotCertifiable, prove_mm_atleast_coloring
 from streamcert.schemes import BASE_SCHEMES, SCHEMES
 from streamcert.stream import ORDER_BATTERY, SOUNDNESS_ORDERS, make_stream
 from streamcert.verifiers import run_verifier, verify_equality
+
+from reference import oracle_tutte_berge
 
 SEED = 2026
 SCALING_SIZES = (2**8, 2**10, 2**12, 2**14)

@@ -38,9 +38,9 @@ def test_corpus_is_deterministic_and_annotated(corpus):
 
 def test_corpus_spec_examples():
     paths = build_corpus(["paths:2..10"], seed=0)
-    assert len(paths) == 9
+    assert len(paths.entries) == 9
     gnp = build_corpus(["gnp:12:0.3:10"], seed=1)
-    assert len(gnp) == 10 and all(e.graph.n == 12 for e in gnp.entries)
+    assert len(gnp.entries) == 10 and all(e.graph.n == 12 for e in gnp.entries)
     empty = build_corpus(["empty:5"], seed=0)
     assert empty.entries[0].values["matching"] == 0
 
@@ -495,8 +495,7 @@ def _brute_one_edge_variant(info, g, k):
 
 @pytest.mark.parametrize("scheme", list(SCHEMES))
 def test_one_edge_variant_skip_agrees_with_exhaustive_search(scheme):
-    from streamcert.harness import _one_edge_variant
-    from streamcert.oracles import parameter_value
+    from streamcert.oracles import one_edge_variant, parameter_value
 
     info = SCHEMES[scheme]
     corpus = build_corpus(
@@ -512,7 +511,7 @@ def test_one_edge_variant_skip_agrees_with_exhaustive_search(scheme):
         for k in range(g.n + 2):
             if info.legal(value, k):
                 continue
-            got = _one_edge_variant(info, g, k, value)
+            got = one_edge_variant(g, info.parameter, value, k, info.direction != "le")
             assert got == _brute_one_edge_variant(info, g, k), (entry.name, k)
             checked += 1
     assert checked > 0
@@ -524,8 +523,7 @@ def test_one_edge_variant_matches_the_blind_search_on_every_small_graph():
     import itertools
 
     from streamcert.graph import Graph
-    from streamcert.harness import _one_edge_variant
-    from streamcert.oracles import PARAMETERS, parameter_value
+    from streamcert.oracles import PARAMETERS, one_edge_variant, parameter_value
 
     checked = found = 0
     for n in range(6):
@@ -538,7 +536,7 @@ def test_one_edge_variant_matches_the_blind_search_on_every_small_graph():
                 for k in range(n + 2):
                     if info.legal(value, k):
                         continue
-                    got = _one_edge_variant(info, g, k, value)
+                    got = one_edge_variant(g, info.parameter, value, k, info.direction != "le")
                     assert got == _brute_one_edge_variant(info, g, k), (scheme, g, k)
                     checked += 1
                     found += got is not None

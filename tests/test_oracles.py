@@ -41,7 +41,6 @@ from streamcert.oracles import (
     oracle_degeneracy,
     oracle_diameter,
     oracle_max_matching,
-    oracle_tutte_berge,
     parameter_at_least,
     parameter_value,
     peel_order,
@@ -57,6 +56,8 @@ from streamcert.provers import (
     prove_is_atleast,
     prove_vc_atmost,
 )
+
+from reference import oracle_tutte_berge
 
 TRIANGLE = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
 

@@ -7,6 +7,7 @@ import pytest
 
 from streamcert.certs import (
     CertificateBlob,
+    deserialize_certificate,
     encode_coloring,
     encode_core_subset,
     encode_distance_labels,
@@ -391,6 +392,21 @@ def test_equality_space_report_sums_sides():
     )
     assert eq_rep.peak_state_bits == le_rep.peak_state_bits + ge_rep.peak_state_bits
     assert eq_rep.certificate_bits == le.semantic_bits + ge.semantic_bits
+
+
+@pytest.mark.parametrize(
+    "data", [b"xx", b"\xff" + bytes(8)], ids=["too-short-for-a-header", "unknown-tag"]
+)
+def test_equality_half_without_a_codec_rejects_as_malformed(data):
+    # a half read from a file no codec owns, in either slot, rejects the pair
+    g = path_graph(4)
+    le, ge = prove_mm_atmost(g, 2), prove_mm_atleast_list(g, 2)
+    stray = deserialize_certificate(data)
+    for certs in ((stray, ge), (le, stray)):
+        verdict, _ = verify_equality(
+            "mm_atmost", "mm_atleast_list", 4, 2, certs, make_stream(g, 2, "given")
+        )
+        assert verdict.reason == "malformed-certificate", (data, certs)
 
 
 # -- shared contract ----------------------------------------------------------------------------
