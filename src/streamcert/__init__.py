@@ -15,7 +15,7 @@ from .meter import SpaceMeter, SpaceReport
 from .provers import NotCertifiable
 from .schemes import BASE_SCHEMES, SCHEMES
 from .stream import EdgeStream, make_stream
-from .verifiers import Verdict, run_verifier, space_bound, verify_equality
+from .verifiers import Verdict, run_verifier, space_bound
 
 __all__ = [
     "BASE_SCHEMES",
@@ -32,5 +32,4 @@ __all__ = [
     "run_verifier",
     "space_bound",
     "validate_graph",
-    "verify_equality",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import gadgets, harness, oracles
@@ -214,6 +215,7 @@ def _cmd_scale(args) -> int:
     return EXIT_ACCEPT if report.ok else EXIT_COUNTEREXAMPLE
 
 
+@cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="streamcert",

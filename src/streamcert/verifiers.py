@@ -60,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .certs import CertificateBlob, MalformedCertificate, decode_blob, encode_equality
+from .certs import CertificateBlob, MalformedCertificate, decode_blob
 from .meter import SpaceMeter, SpaceReport, ceil_log2
 from .stream import EdgeStream
 
@@ -186,7 +186,9 @@ class MMListVerifier(StreamingVerifier):
     distinct endpoints the matching check asks for, and then k hits need not
     be disjoint. Without it, for k = 2 the pairs (1,2), (2,3), (3,4) would
     count 2 hits on the stream (1,2), (2,3), whose nu is 1. Fewer than k
-    pairs fail the matching check, and could not reach the count k anyway."""
+    pairs fail the matching check, and could not reach the count k anyway.
+    The stop at hit k + 1 cannot fire under the stream promise: each edge
+    arrives once, so k pairs give at most k hits. It only guards the width."""
 
     scheme = "mm_atleast_list"
 
@@ -461,7 +463,9 @@ class ISAtLeastVerifier(_NodeSetVerifier):
 class CliqueAtLeastVerifier(_NodeSetVerifier):
     """Count streamed edges inside the certified set; accept iff the count is
     k(k-1)/2. Sound: k distinct nodes span at most that many distinct edges,
-    so every pair is an edge, and omega >= k."""
+    so every pair is an edge, and omega >= k. The stop past k(k-1)/2 hits
+    cannot fire under the stream promise: each edge arrives once, so k
+    distinct nodes give at most k(k-1)/2 hits. It only guards the width."""
 
     scheme = "clique_atleast"
 
@@ -570,8 +574,6 @@ def space_bound(scheme: str, n: int, k: int) -> int:
     return SCHEME_VERIFIERS[scheme].space_bound(n, k)
 
 
-# -- run drivers ------------------------------------------------------------------
-
 def run_verifier(
     scheme: str, stream: EdgeStream, cert: CertificateBlob
 ) -> tuple[Verdict, SpaceReport]:
@@ -579,32 +581,3 @@ def run_verifier(
     verifier.feed(stream.edges)
     verdict = verifier.finalize()
     return verdict, SpaceReport(verifier.peak_state_bits(), cert.semantic_bits)
-
-
-def verify(
-    scheme: str, n: int, k: int, cert: CertificateBlob, stream: EdgeStream
-) -> tuple[Verdict, SpaceReport]:
-    """Spec entry point: the stream header must echo the requested (n, k)."""
-    if stream.n != n or stream.k != k:
-        raise ValueError(
-            f"stream header (n={stream.n}, k={stream.k}) does not echo "
-            f"the requested (n={n}, k={k})"
-        )
-    return run_verifier(scheme, stream, cert)
-
-
-def verify_equality(
-    scheme_le: str,
-    scheme_ge: str,
-    n: int,
-    k: int,
-    certs: tuple[CertificateBlob, CertificateBlob],
-    stream: EdgeStream,
-) -> tuple[Verdict, SpaceReport]:
-    """Run a <=k and a >=k verifier over one pass; accept iff both accept."""
-    for cls in SCHEME_VERIFIERS.values():
-        if issubclass(cls, EqualityVerifier) and (scheme_le, scheme_ge) == tuple(
-            sub.scheme for sub in cls.sub_verifiers
-        ):
-            return verify(cls.scheme, n, k, encode_equality(cls.scheme, *certs), stream)
-    raise ValueError(f"no equality combinator for ({scheme_le}, {scheme_ge})")

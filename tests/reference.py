@@ -6,9 +6,13 @@ exponential time: each is a definition evaluated by brute force.
 - ``oracle_tutte_berge``: the Tutte-Berge minimum over all 2^n node sets
   U, the reference for the matching number and for the witness that
   ``prove --scheme mm_atmost`` encodes.
+- ``every_small_graph``: every labelled graph on at most ``max_n`` nodes,
+  the domain of the tests that check a claim exhaustively.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from streamcert.graph import Graph
 from streamcert.oracles import TooLarge
@@ -63,3 +67,14 @@ def oracle_tutte_berge(g: Graph) -> tuple[int, frozenset[int]]:
             best_mask = mask
     members = frozenset(i + 1 for i in range(n) if best_mask >> i & 1)
     return (best or 0) // 2, members
+
+
+def every_small_graph(max_n: int) -> dict[tuple[int, int], Graph]:
+    """Every labelled graph on n <= max_n nodes, keyed by (n, edge mask) over
+    the lex-ordered pairs, its edges stored in lex order, in key order."""
+    graphs = {}
+    for n in range(max_n + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            graphs[n, mask] = Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+    return graphs

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from streamcert.certs import decode_blob
+from streamcert.certs import decode_blob, encode_equality
 from streamcert.gadgets import (
     bitgadget_vc_family,
     check_gadget_equivalence,
@@ -38,7 +38,7 @@ from streamcert.oracles import oracle_degeneracy, oracle_max_matching
 from streamcert.provers import NotCertifiable, prove_mm_atleast_coloring
 from streamcert.schemes import BASE_SCHEMES, SCHEMES
 from streamcert.stream import ORDER_BATTERY, SOUNDNESS_ORDERS, make_stream
-from streamcert.verifiers import run_verifier, verify_equality
+from streamcert.verifiers import run_verifier
 
 from reference import oracle_tutte_berge
 
@@ -226,11 +226,12 @@ def test_criterion_6_two_delta_coloring_construction():
 
 
 def test_criterion_7_equality_combinator(corpus):
-    """verify_equality accepts exactly when the oracle value equals k, for
-    k in {value-1, value, value+1}, on all corpus graphs with n <= 12."""
+    """An equality certificate, its two halves packed by encode_equality,
+    is accepted exactly when the oracle value equals k, for k in
+    {value-1, value, value+1}, on all corpus graphs with n <= 12."""
     pairs = {
-        "matching": ("mm_atmost", "mm_atleast_list", oracle_max_matching),
-        "degeneracy": ("deg_atmost", "deg_atleast", oracle_degeneracy),
+        "matching": ("mm_equal", "mm_atmost", "mm_atleast_list", oracle_max_matching),
+        "degeneracy": ("deg_equal", "deg_atmost", "deg_atleast", oracle_degeneracy),
     }
     disagreements = []
     checked = 0
@@ -238,22 +239,21 @@ def test_criterion_7_equality_combinator(corpus):
         g = entry.graph
         if g.n > 12:
             continue
-        for parameter, (le_scheme, ge_scheme, oracle) in pairs.items():
+        for parameter, (scheme, le_scheme, ge_scheme, oracle) in pairs.items():
             value = oracle(g)
             for k in (value - 1, value, value + 1):
                 if k < 0:
                     continue
                 certs = []
-                for scheme in (le_scheme, ge_scheme):
-                    info = SCHEMES[scheme]
+                for half in (le_scheme, ge_scheme):
+                    info = SCHEMES[half]
                     try:
                         certs.append(info.prover(g, k))
                     except NotCertifiable:
                         # transplant the honest certificate from the true value
                         certs.append(info.prover(g, value))
-                verdict, _ = verify_equality(
-                    le_scheme, ge_scheme, g.n, k,
-                    tuple(certs), make_stream(g, k, "given"),
+                verdict, _ = run_verifier(
+                    scheme, make_stream(g, k, "given"), encode_equality(scheme, *certs)
                 )
                 checked += 1
                 if verdict.accepted != (k == value):

@@ -517,32 +517,6 @@ def test_one_edge_variant_skip_agrees_with_exhaustive_search(scheme):
     assert checked > 0
 
 
-def test_one_edge_variant_matches_the_blind_search_on_every_small_graph():
-    # every labelled graph with n <= 5, all 12 schemes, every illegal k in
-    # 0..n+1: the pruned, threshold-decided search returns the blind one's graph
-    import itertools
-
-    from streamcert.graph import Graph
-    from streamcert.oracles import PARAMETERS, one_edge_variant, parameter_value
-
-    checked = found = 0
-    for n in range(6):
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        for mask in range(1 << len(pairs)):
-            g = Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
-            values = {p: parameter_value(g, p) for p in PARAMETERS}
-            for scheme, info in SCHEMES.items():
-                value = values[info.parameter]
-                for k in range(n + 2):
-                    if info.legal(value, k):
-                        continue
-                    got = one_edge_variant(g, info.parameter, value, k, info.direction != "le")
-                    assert got == _brute_one_edge_variant(info, g, k), (scheme, g, k)
-                    checked += 1
-                    found += got is not None
-    assert (checked, found) == (45641, 4152)
-
-
 def test_schemes_and_harness_leave_the_one_edge_search_to_oracles():
     # the direction skip, the pruning and the threshold tests are known to
     # ``oracles`` alone; the harness reaches them through ``one_edge_variant``

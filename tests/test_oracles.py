@@ -57,7 +57,7 @@ from streamcert.provers import (
     prove_vc_atmost,
 )
 
-from reference import oracle_tutte_berge
+from reference import every_small_graph, oracle_tutte_berge
 
 TRIANGLE = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
 
@@ -320,23 +320,19 @@ def _check_diameter_against_reference(g: Graph, ks) -> None:
 
 
 def test_diameter_matches_all_pairs_bfs_on_every_small_graph():
-    for n in range(6):
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        for mask in range(1 << len(pairs)):
-            g = Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
-            _check_diameter_against_reference(g, range(n + 2))
+    for g in every_small_graph(5).values():
+        _check_diameter_against_reference(g, range(g.n + 2))
 
 
 def test_far_source_is_the_first_node_whose_bfs_misses_a_node_or_reaches_depth_k():
     # every labelled graph with 1 <= n <= 5, the disconnected ones too
-    for n in range(1, 6):
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        for mask in range(1 << len(pairs)):
-            g = Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
-            dists = _reference_distances(g)
-            for k in range(n + 2):
-                expected = next((d for d in dists if len(d) < n or max(d.values()) >= k), None)
-                assert far_source(g, k) == expected, (g, k)
+    for g in every_small_graph(5).values():
+        if not g.n:
+            continue
+        dists = _reference_distances(g)
+        for k in range(g.n + 2):
+            expected = next((d for d in dists if len(d) < g.n or max(d.values()) >= k), None)
+            assert far_source(g, k) == expected, (g, k)
 
 
 def test_diameter_matches_all_pairs_bfs_on_seeded_graphs():
@@ -616,23 +612,12 @@ def test_maximum_matching_is_linear_on_sparse_graphs():
 
 # -- threshold tests and one-edge moves -------------------------------------------
 
-def _every_small_graph(max_n: int = 5) -> dict[tuple[int, int], Graph]:
-    """Every labelled graph on n <= max_n nodes, keyed by (n, edge mask) over
-    the lex-ordered pairs, its edges stored in lex order."""
-    graphs = {}
-    for n in range(max_n + 1):
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        for mask in range(1 << len(pairs)):
-            graphs[n, mask] = Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
-    return graphs
-
-
 @pytest.fixture(scope="module")
 def small_graph_values():
     """(graph, {parameter: value}) for every labelled graph with n <= 5."""
     return {
         key: (g, {p: parameter_value(g, p) for p in PARAMETERS})
-        for key, g in _every_small_graph().items()
+        for key, g in every_small_graph(5).items()
     }
 
 

@@ -47,6 +47,8 @@ from streamcert.schemes import SCHEMES
 from streamcert.stream import make_stream
 from streamcert.verifiers import run_verifier
 
+from reference import every_small_graph
+
 TRIANGLE = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
 
 
@@ -387,7 +389,6 @@ def test_honest_certificates_complete_at_every_legal_k_on_every_small_graph():
     # every labelled graph with n <= 5, all 12 schemes, every legal k in
     # 0..n+2 and k = 2^32 + 1: the honest certificate is accepted under lex
     # and rev within the space bound, or the prover refuses by name
-    import itertools
     from collections import Counter
 
     from streamcert.oracles import PARAMETERS, TooLarge, parameter_value
@@ -395,26 +396,23 @@ def test_honest_certificates_complete_at_every_legal_k_on_every_small_graph():
 
     trials = 0
     refused = Counter()
-    for n in range(6):
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        for mask in range(1 << len(pairs)):
-            g = Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
-            values = {p: parameter_value(g, p) for p in PARAMETERS}
-            for scheme, info in SCHEMES.items():
-                for k in (*range(n + 3), 2**32 + 1):
-                    if not info.legal(values[info.parameter], k):
-                        continue
-                    try:
-                        cert = info.prover(g, k)
-                    except (NotCertifiable, TooLarge, FieldPastU32) as exc:
-                        refused[scheme, type(exc).__name__] += 1
-                        continue
-                    bound = space_bound(scheme, n, k)
-                    for order in ("lex", "rev"):
-                        verdict, report = run_verifier(scheme, make_stream(g, k, order), cert)
-                        assert verdict.accepted, (scheme, g, k, order, verdict)
-                        assert report.peak_state_bits <= bound, (scheme, g, k, order)
-                        trials += 1
+    for g in every_small_graph(5).values():
+        values = {p: parameter_value(g, p) for p in PARAMETERS}
+        for scheme, info in SCHEMES.items():
+            for k in (*range(g.n + 3), 2**32 + 1):
+                if not info.legal(values[info.parameter], k):
+                    continue
+                try:
+                    cert = info.prover(g, k)
+                except (NotCertifiable, TooLarge, FieldPastU32) as exc:
+                    refused[scheme, type(exc).__name__] += 1
+                    continue
+                bound = space_bound(scheme, g.n, k)
+                for order in ("lex", "rev"):
+                    verdict, report = run_verifier(scheme, make_stream(g, k, order), cert)
+                    assert verdict.accepted, (scheme, g, k, order, verdict)
+                    assert report.peak_state_bits <= bound, (scheme, g, k, order)
+                    trials += 1
     assert trials == 109_490
     # the empty graph has no node to label 0, and a disconnected graph's
     # unreachable label k + 1 is past u32 at k = 2^32 + 1 (327 graphs)
@@ -617,13 +615,8 @@ def _two_search_greedy(g, mate, nu):
 
 
 def test_lex_min_greedy_matches_the_two_search_greedy():
-    import itertools
-
     def graphs():
-        for n in range(7):
-            pairs = list(itertools.combinations(range(1, n + 1), 2))
-            for mask in range(1 << len(pairs)):
-                yield Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+        yield from every_small_graph(6).values()
         for seed in range(300):
             yield gnp_random_graph(7 + seed % 53, (0.04, 0.08, 0.15, 0.3)[seed % 4], seed)
 

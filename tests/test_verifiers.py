@@ -11,6 +11,7 @@ from streamcert.certs import (
     encode_coloring,
     encode_core_subset,
     encode_distance_labels,
+    encode_equality,
     encode_mm_coloring,
     encode_mm_list,
     encode_node_set,
@@ -33,13 +34,7 @@ from streamcert.provers import (
     prove_mm_atmost,
 )
 from streamcert.stream import make_stream
-from streamcert.verifiers import (
-    SCHEME_VERIFIERS,
-    run_verifier,
-    space_bound,
-    verify,
-    verify_equality,
-)
+from streamcert.verifiers import SCHEME_VERIFIERS, run_verifier, space_bound
 
 TRIANGLE = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
 ORDERS = ("given", "rev", "lex", "shuffle:0", "shuffle:5")
@@ -362,23 +357,19 @@ def test_a_zero_colour_domain_is_refused_or_vacuous():
 
 def test_equality_matching_example():
     g = path_graph(4)
-    certs = (prove_mm_atmost(g, 2), prove_mm_atleast_list(g, 2))
-    verdict, report = verify_equality(
-        "mm_atmost", "mm_atleast_list", 4, 2, certs, make_stream(g, 2, "given")
-    )
+    cert = encode_equality("mm_equal", prove_mm_atmost(g, 2), prove_mm_atleast_list(g, 2))
+    verdict, _ = run_verifier("mm_equal", make_stream(g, 2, "given"), cert)
     assert verdict.accepted
-    # same certificates presented at k=1 must fail
-    verdict, _ = verify_equality(
-        "mm_atmost", "mm_atleast_list", 4, 1, certs, make_stream(g, 1, "given")
-    )
+    # same certificate presented at k=1 must fail
+    verdict, _ = run_verifier("mm_equal", make_stream(g, 1, "given"), cert)
     assert not verdict.accepted
 
 
 def test_equality_degeneracy_example():
-    certs = (prove_deg_atmost(TRIANGLE, 2), prove_deg_atleast(TRIANGLE, 2))
-    verdict, report = verify_equality(
-        "deg_atmost", "deg_atleast", 3, 2, certs, make_stream(TRIANGLE, 2, "given")
+    cert = encode_equality(
+        "deg_equal", prove_deg_atmost(TRIANGLE, 2), prove_deg_atleast(TRIANGLE, 2)
     )
+    verdict, _ = run_verifier("deg_equal", make_stream(TRIANGLE, 2, "given"), cert)
     assert verdict.accepted
 
 
@@ -387,8 +378,8 @@ def test_equality_space_report_sums_sides():
     le, ge = prove_mm_atmost(g, 2), prove_mm_atleast_list(g, 2)
     _, le_rep = run_verifier("mm_atmost", make_stream(g, 2, "given"), le)
     _, ge_rep = run_verifier("mm_atleast_list", make_stream(g, 2, "given"), ge)
-    _, eq_rep = verify_equality(
-        "mm_atmost", "mm_atleast_list", 4, 2, (le, ge), make_stream(g, 2, "given")
+    _, eq_rep = run_verifier(
+        "mm_equal", make_stream(g, 2, "given"), encode_equality("mm_equal", le, ge)
     )
     assert eq_rep.peak_state_bits == le_rep.peak_state_bits + ge_rep.peak_state_bits
     assert eq_rep.certificate_bits == le.semantic_bits + ge.semantic_bits
@@ -402,11 +393,10 @@ def test_equality_half_without_a_codec_rejects_as_malformed(data):
     g = path_graph(4)
     le, ge = prove_mm_atmost(g, 2), prove_mm_atleast_list(g, 2)
     stray = deserialize_certificate(data)
-    for certs in ((stray, ge), (le, stray)):
-        verdict, _ = verify_equality(
-            "mm_atmost", "mm_atleast_list", 4, 2, certs, make_stream(g, 2, "given")
-        )
-        assert verdict.reason == "malformed-certificate", (data, certs)
+    for halves in ((stray, ge), (le, stray)):
+        cert = encode_equality("mm_equal", *halves)
+        verdict, _ = run_verifier("mm_equal", make_stream(g, 2, "given"), cert)
+        assert verdict.reason == "malformed-certificate", (data, halves)
 
 
 # -- shared contract ----------------------------------------------------------------------------
@@ -452,7 +442,6 @@ def test_sticky_rejection_drains_stream():
 def test_repeated_edge_fools_the_documented_schemes():
     # outside the simple-graph promise: one repeated edge passes a false
     # claim in the schemes the module docstring lists
-    from streamcert.certs import encode_equality
     from streamcert.stream import EdgeStream
 
     mm_list = encode_mm_list([(1, 2), (3, 4)], 4)  # one edge, nu = 1 < 2
@@ -497,8 +486,6 @@ def test_verifiers_that_reject_for_one_reason_share_one_verdict():
     equality combinator's ``le:`` and ``ge:`` forms; a Verdict is frozen,
     which is what makes sharing it safe."""
     import dataclasses
-
-    from streamcert.certs import encode_equality
 
     g = path_graph(4)
 
@@ -635,24 +622,27 @@ def test_finalize_is_idempotent(scheme):
     assert "accept" in decisions
 
 
-def test_spec_entry_point_checks_echo():
-    g = path_graph(4)
-    cert = prove_mm_atleast_list(g, 2)
-    with pytest.raises(ValueError):
-        verify("mm_atleast_list", 4, 1, cert, make_stream(g, 2, "given"))
-    verdict, _ = verify("mm_atleast_list", 4, 2, cert, make_stream(g, 2, "given"))
-    assert verdict.accepted
-
-
 @pytest.mark.parametrize(
-    "scheme_le,scheme_ge",
-    [("mm_atmost", "deg_atleast"), ("mm_atleast_list", "mm_atmost"), ("mm_atmost", "mm_atmost")],
+    "scheme_le,scheme_ge,reason",
+    [
+        ("mm_atmost", "deg_atleast", "ge:malformed-certificate"),
+        ("mm_atmost", "mm_atmost", "ge:malformed-certificate"),
+        ("mm_atleast_list", "mm_atmost", "le:malformed-certificate"),
+    ],
+    ids=["mm_atmost-deg_atleast", "mm_atmost-mm_atmost", "mm_atleast_list-mm_atmost"],
 )
-def test_verify_equality_refuses_a_pair_with_no_combinator(scheme_le, scheme_ge):
+def test_equality_half_of_the_wrong_scheme_rejects(scheme_le, scheme_ge, reason):
+    # each half is an honest certificate of its own scheme (P4 has
+    # degeneracy 1), but mm_equal takes only (mm_atmost, mm_atleast_list)
     g = path_graph(4)
-    certs = (prove_mm_atmost(g, 2), prove_mm_atleast_list(g, 2))
-    with pytest.raises(ValueError, match="no equality combinator"):
-        verify_equality(scheme_le, scheme_ge, 4, 2, certs, make_stream(g, 2))
+    honest = {
+        "mm_atmost": prove_mm_atmost(g, 2),
+        "mm_atleast_list": prove_mm_atleast_list(g, 2),
+        "deg_atleast": prove_deg_atleast(g, 1),
+    }
+    cert = encode_equality("mm_equal", honest[scheme_le], honest[scheme_ge])
+    verdict, _ = run_verifier("mm_equal", make_stream(g, 2), cert)
+    assert verdict.reason == reason
 
 
 def test_scheme_tables_agree():
@@ -683,8 +673,6 @@ def test_scheme_tables_agree():
 def test_equality_bits_past_the_payload_reject_in_a_half():
     # the outer count is the halves' sum, so only the halves' formulas can
     # refuse it: the >= half declares 1,000 bits where its formula gives 15
-    from streamcert.certs import encode_equality
-
     g = path_graph(4)
     honest = prove_mm_atleast_list(g, 2)
     forged = CertificateBlob(honest.scheme, honest.payload, 1000)
