@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-Subcommands: prove, verify, oracle, gadget, fuzz, scale.
+Subcommands: prove, verify, oracle, gadget, fuzz, scale. Each takes only
+options it reads: ``gadget`` sets every family's size (its N, p or r) with
+one ``--size``, and ``oracle`` takes no threshold.
 
 Exit codes are a stable contract:
   0  accept / pass
@@ -75,7 +77,7 @@ def _load_graph(
         return g, k_flag
     try:
         text = Path(spec).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read graph {spec!r}: {exc}") from None
     try:
         g, k_file = parse_graph_file(text)
@@ -122,8 +124,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    # the threshold is irrelevant to oracles; builtins default it to 0
-    g, _ = _load_graph(args.graph, args.k, builtin_default_k=0)
+    # the threshold is irrelevant to oracles: a file's header k is ignored
+    g, _ = _load_graph(args.graph, None, builtin_default_k=0)
     if args.parameter == "tutte_berge":
         # the checked Gallai-Edmonds witness that mm_atmost encodes, at any n
         witness, value = gallai_edmonds_witness(g)
@@ -147,14 +149,9 @@ _GADGET_NAMES = {
 
 
 def _cmd_gadget(args) -> int:
-    canonical = _GADGET_NAMES[args.name]
-    row = gadgets.FAMILY_BUILDERS[canonical]
-    param = getattr(args, row.size_flag)
-    if param is None:
-        raise CliError(f"gadget {canonical} needs --{row.size_flag}")
     if args.check == "sample" and args.count < 1:
         raise CliError(f"--count must be >= 1, got {args.count}")
-    family = row.build(param)
+    family = gadgets.FAMILY_BUILDERS[_GADGET_NAMES[args.name]].build(args.size)
     report = gadgets.check_gadget_equivalence(
         family, args.check, count=args.count, seed=args.seed
     )
@@ -241,13 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="run an exact oracle")
     p.add_argument("parameter", choices=(*oracles.PARAMETERS, "tutte_berge", "all"))
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, default=None)
     p.set_defaults(run=_cmd_oracle)
 
     p = sub.add_parser("gadget", help="sweep a lower-bound gadget family")
     p.add_argument("name", choices=_GADGET_NAMES)
-    for flag in sorted({row.size_flag for row in gadgets.FAMILY_BUILDERS.values()}):
-        p.add_argument(f"--{flag}", type=int, default=None)
+    # the family's N, p or r; the family refuses a size below its minimum
+    p.add_argument("--size", type=int, required=True)
     p.add_argument("--check", choices=("exhaustive", "sample"), default="exhaustive")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

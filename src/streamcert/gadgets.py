@@ -19,7 +19,7 @@ Both sides of a family draw their private input from one ``InputDomain``
 (half-size subsets, all subsets, bit vectors or permutations), which fixes the
 exhaustive sweep order, the seeded sampler and the rendering of inputs in
 report lines. ``FAMILY_BUILDERS`` is the registry of families: the CLI takes
-its gadget names and size flags from it.
+its gadget names from it and passes ``--size`` to the row's builder.
 """
 
 from __future__ import annotations
@@ -429,20 +429,19 @@ def perm_coloring_family(r: int) -> GadgetFamily:
 
 
 class FamilyBuilder(NamedTuple):
+    #: the family at one size (the paper's N, p or r), the CLI's ``--size``
     build: Callable[[int], GadgetFamily]
-    #: the CLI flag that sets the family's size (``--n``, ``--p`` or ``--r``)
-    size_flag: str
     #: short CLI names accepted besides the canonical one
     aliases: tuple[str, ...] = ()
 
 
 FAMILY_BUILDERS: dict[str, FamilyBuilder] = {
-    "disj_matching": FamilyBuilder(disj_matching_family, "n"),
-    "disj_degeneracy": FamilyBuilder(disj_degeneracy_family, "n"),
-    "disj_diameter8": FamilyBuilder(disj_diameter8_family, "n", ("diam8",)),
-    "holzer_diameter2": FamilyBuilder(holzer_diameter2_family, "p", ("holzer",)),
-    "bitgadget_vc": FamilyBuilder(bitgadget_vc_family, "n", ("bitvc",)),
-    "perm_coloring": FamilyBuilder(perm_coloring_family, "r", ("perm",)),
+    "disj_matching": FamilyBuilder(disj_matching_family),
+    "disj_degeneracy": FamilyBuilder(disj_degeneracy_family),
+    "disj_diameter8": FamilyBuilder(disj_diameter8_family, ("diam8",)),
+    "holzer_diameter2": FamilyBuilder(holzer_diameter2_family, ("holzer",)),
+    "bitgadget_vc": FamilyBuilder(bitgadget_vc_family, ("bitvc",)),
+    "perm_coloring": FamilyBuilder(perm_coloring_family, ("perm",)),
 }
 
 

@@ -661,16 +661,10 @@ def maximum_independent_set(g: Graph) -> list[int]:
 def maximum_clique(g: Graph) -> list[int]:
     # refused before the complement, which has ~n^2/2 edges, is built
     _refuse_beyond_np_cutoff(g)
-    complement = Graph.from_edges(
-        g.n,
-        (
-            (u, v)
-            for u in range(1, g.n + 1)
-            for v in range(u + 1, g.n + 1)
-            if (u, v) not in g.edge_set
-        ),
-    )
-    return maximum_independent_set(complement)
+    adj = g.adjacency()
+    nodes = set(adj)
+    complement = {v: nodes - {v} - set(ns) for v, ns in adj.items()}
+    return sorted(_is_branch(complement, [], []))
 
 
 # -- the parameter table -----------------------------------------------------------

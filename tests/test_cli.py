@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from streamcert import oracles
@@ -79,16 +81,16 @@ def test_threshold_echo_mismatch(star_file, tmp_path):
 
 
 def test_builtin_graphs_and_oracle(capsys):
-    assert main(["oracle", "all", "--graph", "P4", "--k", "0"]) == 0
+    assert main(["oracle", "all", "--graph", "P4"]) == 0
     out = capsys.readouterr().out
     assert "matching=2" in out and "diameter=3" in out
-    assert main(["oracle", "tutte_berge", "--graph", "S4", "--k", "0"]) == 0
+    assert main(["oracle", "tutte_berge", "--graph", "S4"]) == 0
     assert "witness=[1]" in capsys.readouterr().out
 
 
 def test_tutte_berge_oracle_answers_past_the_exhaustive_range(capsys):
     # the Gallai-Edmonds witness needs no search over node sets
-    assert main(["oracle", "tutte_berge", "--graph", "S25", "--k", "0"]) == 0
+    assert main(["oracle", "tutte_berge", "--graph", "S25"]) == 0
     assert capsys.readouterr().out == "tutte_berge=1 witness=[1]\n"
 
 
@@ -149,17 +151,45 @@ def test_refused_oracle_prints_nothing(capsys, monkeypatch):
         assert err == f"error: exact oracle limited to n <= 24, got n = {n}\n"
 
 
+def _lines_and_digest(out: str) -> tuple[int, str]:
+    return out.count("\n"), hashlib.sha256(out.encode()).hexdigest()
+
+
+# the README's three gadget examples: every report line and the summary are
+# pinned, and each family reads its N, p or r from --size
+
+
 def test_gadget_command(capsys):
-    rc = main(["gadget", "holzer", "--p", "4", "--check", "exhaustive"])
+    rc = main(["gadget", "holzer", "--size", "4", "--check", "exhaustive"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "mismatches=0" in out
+    assert out.endswith("summary gadget=holzer_diameter2[p=4] instances=4096 mismatches=0\n")
+    assert _lines_and_digest(out) == (
+        4097, "90756536c01eb65592c310e2cf10072b74c4361f197e9e66cccccfe57c03fe26"
+    )
 
 
 def test_gadget_perm_coloring_exhaustive(capsys):
-    rc = main(["gadget", "perm_coloring", "--r", "3", "--check", "exhaustive"])
+    rc = main(["gadget", "perm_coloring", "--size", "3", "--check", "exhaustive"])
     assert rc == 0
-    assert "mismatches=0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.endswith("summary gadget=perm_coloring[r=3] instances=36 mismatches=0\n")
+    assert _lines_and_digest(out) == (
+        37, "8a11a4383c051a58ee582dc37c1464fc0f3054f146b7d1148ef918237f1845a3"
+    )
+
+
+def test_gadget_disj_diameter8_sample_pinned(capsys):
+    rc = main([
+        "gadget", "disj_diameter8", "--size", "3", "--check", "sample",
+        "--count", "1000", "--seed", "7",
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.endswith("summary gadget=disj_diameter8[N=3] instances=1000 mismatches=0\n")
+    assert _lines_and_digest(out) == (
+        1001, "e402df652db13d451b648ebfb18c390e222bc6e2fb78ca079a9da850bcd5a630"
+    )
 
 
 def test_prove_is_on_edgeless_lists_all_nodes(tmp_path, capsys):
@@ -179,7 +209,7 @@ def test_prove_is_on_edgeless_lists_all_nodes(tmp_path, capsys):
 
 def test_gadget_sample_command(capsys):
     rc = main([
-        "gadget", "perm_coloring", "--r", "3", "--check", "sample",
+        "gadget", "perm_coloring", "--size", "3", "--check", "sample",
         "--count", "10", "--seed", "4",
     ])
     assert rc == 0
@@ -262,14 +292,14 @@ BAD_INPUT_ARGVS = [
     ["scale", "--scheme", "mm_atmost", "--sizes", "64,64"],
     ["verify", "--k", "abc"],
     ["frobnicate"],
-    ["gadget", "holzer", "--p", "0"],
-    ["gadget", "disj_matching", "--n", "-2"],
-    ["gadget", "disj_degeneracy", "--n", "-1"],
-    ["gadget", "disj_degeneracy", "--n", "2", "--check", "sample",
+    ["gadget", "holzer", "--size", "0"],
+    ["gadget", "disj_matching", "--size", "-2"],
+    ["gadget", "disj_degeneracy", "--size", "-1"],
+    ["gadget", "disj_degeneracy", "--size", "2", "--check", "sample",
      "--count", "-3"],
-    ["gadget", "bitgadget_vc", "--n", "3"],
-    ["gadget", "bitgadget_vc", "--n", "3", "--check", "sample"],
-    ["gadget", "disj_matching", "--n", "3"],
+    ["gadget", "bitgadget_vc", "--size", "3"],
+    ["gadget", "bitgadget_vc", "--size", "3", "--check", "sample"],
+    ["gadget", "disj_matching", "--size", "3"],
     ["prove", "--scheme", "mm_atmost", "--graph", "P4", "--k", "2",
      "--out", "UNWRITABLE"],
     ["prove", "--scheme", "nope", "--graph", "P4", "--k", "2", "--out", "CERT"],
@@ -277,25 +307,43 @@ BAD_INPUT_ARGVS = [
     ["fuzz", "--scheme", "nope", "--graph", "K4", "--k", "1"],
     ["scale", "--scheme", "nope"],
     ["gadget", "nope"],
-    ["gadget", "perm", "--r", "7", "--check", "sample", "--count", "1"],
-    ["gadget", "bitvc", "--n", "4", "--check", "sample", "--count", "1"],
+    ["gadget", "perm", "--size", "7", "--check", "sample", "--count", "1"],
+    ["gadget", "bitvc", "--size", "4", "--check", "sample", "--count", "1"],
     # input spaces whose decimal form is past Python's int-to-str limit
-    ["gadget", "diam8", "--n", "8000"],
-    ["gadget", "bitvc", "--n", "512"],
+    ["gadget", "diam8", "--size", "8000"],
+    ["gadget", "bitvc", "--size", "512"],
     # the unreachable node's label k + 1 does not fit a u32 field
     ["prove", "--scheme", "diam_atleast", "--graph", "E2", "--k", "4294967295",
      "--out", "CERT"],
     # below the family's smallest n, where its closed-form cover is the prover's
     ["scale", "--scheme", "vc_atmost", "--sizes", "2"],
+    # a graph file that is not UTF-8 text
+    ["prove", "--scheme", "mm_atmost", "--graph", "NOT_UTF8", "--out", "CERT"],
+    ["verify", "--scheme", "mm_atmost", "--graph", "NOT_UTF8", "--cert", "CERT"],
+    ["oracle", "all", "--graph", "NOT_UTF8"],
+    ["fuzz", "--scheme", "mm_atmost", "--graph", "NOT_UTF8"],
+    # gadget sizes are set by --size alone, and oracles take no threshold
+    ["gadget", "holzer", "--p", "3"],
+    ["gadget", "disj_matching", "--n", "4"],
+    ["gadget", "perm", "--r", "3"],
+    ["gadget", "holzer", "--p", "3", "--size", "3"],
+    ["oracle", "all", "--graph", "P4", "--k", "0"],
 ]
 
 
 def _bind_paths(argv, tmp_path):
-    """argv with CERT bound to an empty certificate file and UNWRITABLE to a
-    path in a missing directory."""
+    """argv with CERT bound to an empty certificate file, UNWRITABLE to a
+    path in a missing directory and NOT_UTF8 to a graph file that is not
+    UTF-8."""
     cert = tmp_path / "empty.cert"
     cert.write_bytes(b"")
-    paths = {"CERT": str(cert), "UNWRITABLE": str(tmp_path / "missing-dir" / "x.cert")}
+    not_utf8 = tmp_path / "not-utf8.graph"
+    not_utf8.write_bytes(b"\xff\xfe 3 1 0\n1 2\n")
+    paths = {
+        "CERT": str(cert),
+        "UNWRITABLE": str(tmp_path / "missing-dir" / "x.cert"),
+        "NOT_UTF8": str(not_utf8),
+    }
     return [paths.get(arg, arg) for arg in argv]
 
 
@@ -319,7 +367,7 @@ def _sweep_argvs(tmp_path):
            "--out", str(tmp_path / "c5.cert")]
     yield ["verify", "--scheme", "mm_atmost", "--graph", "K4", "--k", "1", "--cert", "CERT"]
     yield ["oracle", "chromatic", "--graph", "E25"]
-    yield ["gadget", "disj_matching", "--n", "2", "--check", "sample", "--count", "0"]
+    yield ["gadget", "disj_matching", "--size", "2", "--check", "sample", "--count", "0"]
     yield ["fuzz", "--scheme", "mm_atmost", "--graph", "K4", "--k", "2"]
     yield ["scale", "--scheme", "mm_atmost", "--sizes", "1,1"]
     graphs = []
@@ -387,16 +435,16 @@ def test_prove_at_the_largest_k_whose_labels_fit_u32(tmp_path, capsys):
 @pytest.mark.parametrize(
     "name,canonical,size",
     [
-        ("disj_matching", "disj_matching", ["--n", "4"]),
-        ("disj_degeneracy", "disj_degeneracy", ["--n", "3"]),
-        ("disj_diameter8", "disj_diameter8", ["--n", "2"]),
-        ("diam8", "disj_diameter8", ["--n", "2"]),
-        ("holzer_diameter2", "holzer_diameter2", ["--p", "3"]),
-        ("holzer", "holzer_diameter2", ["--p", "3"]),
-        ("bitgadget_vc", "bitgadget_vc", ["--n", "2"]),
-        ("bitvc", "bitgadget_vc", ["--n", "2"]),
-        ("perm_coloring", "perm_coloring", ["--r", "3"]),
-        ("perm", "perm_coloring", ["--r", "3"]),
+        ("disj_matching", "disj_matching", ["--size", "4"]),
+        ("disj_degeneracy", "disj_degeneracy", ["--size", "3"]),
+        ("disj_diameter8", "disj_diameter8", ["--size", "2"]),
+        ("diam8", "disj_diameter8", ["--size", "2"]),
+        ("holzer_diameter2", "holzer_diameter2", ["--size", "3"]),
+        ("holzer", "holzer_diameter2", ["--size", "3"]),
+        ("bitgadget_vc", "bitgadget_vc", ["--size", "2"]),
+        ("bitvc", "bitgadget_vc", ["--size", "2"]),
+        ("perm_coloring", "perm_coloring", ["--size", "3"]),
+        ("perm", "perm_coloring", ["--size", "3"]),
     ],
 )
 def test_every_gadget_name_runs(name, canonical, size, capsys):
@@ -459,14 +507,17 @@ def test_prove_verify_coloring_beyond_u32_k(tmp_path, capsys):
          "cannot read graph"),
         (["verify", "--scheme", "mm_atmost", "--graph", "P4", "--k", "1", "--cert", "MISSING"],
          "cannot read certificate"),
-        (["gadget", "holzer"], "needs --p"),
+        (["gadget", "holzer"], "the following arguments are required: --size"),
+        (["gadget", "holzer", "--size", "1"], "holzer_diameter2 needs p >= 2, got 1"),
+        (["oracle", "all", "--graph", "NOT_UTF8"], "cannot read graph"),
     ],
-    ids=["builtin-without-k", "unreadable-graph", "unreadable-certificate", "gadget-without-size"],
+    ids=[
+        "builtin-without-k", "unreadable-graph", "unreadable-certificate",
+        "gadget-without-size", "gadget-below-its-minimum", "graph-not-utf8",
+    ],
 )
 def test_input_refusals_exit_with_parse_error(argv, message, tmp_path, capsys):
-    cert = tmp_path / "empty.cert"
-    cert.write_bytes(b"")
-    paths = {"CERT": str(cert), "MISSING": str(tmp_path / "missing")}
-    assert main([paths.get(arg, arg) for arg in argv]) == 3
+    argv = [str(tmp_path / "missing") if arg == "MISSING" else arg for arg in argv]
+    assert main(_bind_paths(argv, tmp_path)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
