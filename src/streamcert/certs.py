@@ -50,10 +50,6 @@ class FieldPastU32(ValueError):
     """An encoder's field does not fit a u32 (``diam_atleast`` labels an
     unreachable node k + 1, so k >= 2^32 - 1 cannot be encoded)."""
 
-    def __init__(self, field: int):
-        self.field = field
-        super().__init__(f"field {field} past u32")
-
 
 @dataclass(frozen=True)
 class CertificateBlob:
@@ -138,7 +134,8 @@ class U32Layout:
         try:
             packed = array(_U32, fields)
         except OverflowError:
-            raise FieldPastU32(next(f for f in fields if not 0 <= f <= 0xFFFFFFFF)) from None
+            field = next(f for f in fields if not 0 <= f <= 0xFFFFFFFF)
+            raise FieldPastU32(f"field {field} past u32") from None
         if _SWAP:
             packed.byteswap()
         head = fields[0] if self.heads else 0

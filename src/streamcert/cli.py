@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import gadgets, harness, oracles
 from .certs import FieldPastU32, deserialize_certificate, serialize_certificate
-from .graph import Graph, GraphParseError, parse_graph_file
+from .graph import Graph, GraphError, parse_graph_file
 from .provers import NotCertifiable, gallai_edmonds_witness
 from .schemes import SCHEMES
 from .stream import OrderSpecError, make_stream
@@ -81,7 +81,7 @@ def _load_graph(
         raise CliError(f"cannot read graph {spec!r}: {exc}") from None
     try:
         g, k_file = parse_graph_file(text)
-    except GraphParseError as exc:
+    except GraphError as exc:
         raise CliError(f"bad graph file: {exc}") from None
     if k_flag is not None and k_flag != k_file:
         raise CliError(
@@ -149,11 +149,14 @@ _GADGET_NAMES = {
 
 
 def _cmd_gadget(args) -> int:
-    if args.check == "sample" and args.count < 1:
-        raise CliError(f"--count must be >= 1, got {args.count}")
+    if args.check != "sample" and (args.count, args.seed) != (None, None):
+        raise CliError("--count and --seed need --check sample")
+    count = 100 if args.count is None else args.count
+    if count < 1:
+        raise CliError(f"--count must be >= 1, got {count}")
     family = gadgets.FAMILY_BUILDERS[_GADGET_NAMES[args.name]].build(args.size)
     report = gadgets.check_gadget_equivalence(
-        family, args.check, count=args.count, seed=args.seed
+        family, args.check, count=count, seed=args.seed or 0
     )
     for line in report.lines():
         print(line)
@@ -245,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the family's N, p or r; the family refuses a size below its minimum
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--check", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    # read by --check sample alone, which draws 100 pairs from seed 0 by default
+    p.add_argument("--count", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(run=_cmd_gadget)
 
     p = sub.add_parser("fuzz", help="fuzz certificates against an illegal instance")

@@ -485,16 +485,20 @@ def check_gadget_equivalence(
     family: GadgetFamily, instance_space: str = "exhaustive",
     count: int = 0, seed: int = 0,
 ) -> EquivalenceReport:
-    """Sweep (x, y) inputs and assert predicate(G_{x,y}) == f(x, y) pointwise."""
+    """Sweep (x, y) inputs and assert predicate(G_{x,y}) == f(x, y) pointwise.
+
+    ``"exhaustive"`` runs every pair once; ``"sample"`` draws ``count`` pairs
+    from ``seed`` with replacement, so a count above ``input_space`` repeats
+    instances (criterion 4 draws 1,000 pairs from ``disj_diameter8[N=3]``'s
+    64)."""
     if instance_space == "exhaustive":
         space = family.input_space
         if space > EXHAUSTIVE_SWEEP_LIMIT:
             # stated by bit length: the space is unbounded in the size, and
             # past 4,300 digits Python refuses to write an int in decimal
             raise TooLarge(
-                space, EXHAUSTIVE_SWEEP_LIMIT,
                 f"{family.name}: at least 2^{space.bit_length() - 1} instances "
-                f"exceed the exhaustive gate {EXHAUSTIVE_SWEEP_LIMIT}",
+                f"exceed the exhaustive gate {EXHAUSTIVE_SWEEP_LIMIT}"
             )
         side = list(family.domain.all_inputs())
         inputs = ((x, y) for x in side for y in side)

@@ -20,6 +20,9 @@ threshold) and then m edge lines ``u v``. Exactly this is accepted:
 - the graph must pass ``validate_graph``, and an error names the first bad
   edge in file order.
 
+A graph or file that breaks any of this raises ``GraphError``, the module's
+one refusal; its message names the fault.
+
 Parsing, validation, normalization and formatting run their per-edge work
 in C builtins (``map``, ``min``/``max``, ``set``, one ``%``); the line-by-line
 walk runs only to name a bad line.
@@ -36,25 +39,8 @@ from typing import Iterable
 
 
 class GraphError(ValueError):
-    """Base class for graph invariant violations."""
-
-
-class SelfLoop(GraphError):
-    def __init__(self, u: int):
-        self.u = u
-        super().__init__(f"self-loop at node {u}")
-
-
-class DuplicateEdge(GraphError):
-    def __init__(self, u: int, v: int):
-        self.u, self.v = u, v
-        super().__init__(f"duplicate edge ({u}, {v})")
-
-
-class NodeOutOfRange(GraphError):
-    def __init__(self, u: int):
-        self.u = u
-        super().__init__(f"node {u} out of range")
+    """A graph that is not simple on 1..n, or a graph file that is not in
+    the text format; the message names the fault."""
 
 
 @dataclass(frozen=True)
@@ -93,15 +79,16 @@ class Graph:
 
 
 def validate_graph(g: Graph) -> None:
-    """Raise SelfLoop / NodeOutOfRange / DuplicateEdge unless all invariants
-    hold; an error names the first bad edge in stored order.
+    """Raise GraphError unless the graph is simple on 1..n; the message names
+    the first bad edge in stored order (a self-loop, an id out of range or a
+    repeated pair).
 
     A graph whose pairs are all normalized passes on C builtins alone; the
     edge-by-edge scan runs only when that check fails or a pair is stored
     unnormalized (as ``Graph(n, ...)`` allows), and it alone names the edge.
     """
     if g.n < 0:
-        raise NodeOutOfRange(g.n)
+        raise GraphError(f"node {g.n} out of range")
     edges = g.edges
     if edges:
         ids = list(chain.from_iterable(edges))
@@ -116,13 +103,13 @@ def validate_graph(g: Graph) -> None:
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if u == v:
-            raise SelfLoop(u)
+            raise GraphError(f"self-loop at node {u}")
         for w in (u, v):
             if not 1 <= w <= g.n:
-                raise NodeOutOfRange(w)
+                raise GraphError(f"node {w} out of range")
         e = (u, v) if u <= v else (v, u)
         if e in seen:
-            raise DuplicateEdge(*e)
+            raise GraphError(f"duplicate edge {e}")
         seen.add(e)
 
 
@@ -194,10 +181,6 @@ def bounded_degree_graph(n: int, max_deg: int, m_target: int, seed: int) -> Grap
 
 # -- text file format: "n m k" header then m lines "u v" ---------------------
 
-class GraphParseError(ValueError):
-    pass
-
-
 def parse_graph_file(text: str) -> tuple[Graph, int]:
     """Parse the text format (module docstring) and return (graph, threshold k).
 
@@ -207,20 +190,20 @@ def parse_graph_file(text: str) -> tuple[Graph, int]:
     counts = list(map(len, map(str.split, lines)))
     head = next(compress(count(), counts), None)
     if head is None:
-        raise GraphParseError("empty graph file")
+        raise GraphError("empty graph file")
     if counts[head] != 3:
-        raise GraphParseError("header must be: n m k")
+        raise GraphError("header must be: n m k")
     # every line break is whitespace, so the file's tokens are its lines' tokens
     tokens = text.split()
     try:
         n, m, k = map(int, tokens[:3])
     except ValueError as exc:
-        raise GraphParseError(f"bad header: {exc}") from None
+        raise GraphError(f"bad header: {exc}") from None
     edge_lines = len(counts) - counts.count(0) - 1
     if m != edge_lines:
-        raise GraphParseError(f"header says {m} edges, file has {edge_lines}")
+        raise GraphError(f"header says {m} edges, file has {edge_lines}")
     if k < 0:
-        raise GraphParseError("threshold k must be non-negative")
+        raise GraphError("threshold k must be non-negative")
     if counts.count(2) != edge_lines:
         raise _bad_edge_line(lines[head + 1:])
     try:
@@ -229,14 +212,11 @@ def parse_graph_file(text: str) -> tuple[Graph, int]:
         raise _bad_edge_line(lines[head + 1:]) from None
     pairs = iter(ids)
     g = Graph.from_edges(n, zip(pairs, pairs))
-    try:
-        validate_graph(g)
-    except GraphError as exc:
-        raise GraphParseError(str(exc)) from None
+    validate_graph(g)
     return g, k
 
 
-def _bad_edge_line(lines: list[str]) -> GraphParseError:
+def _bad_edge_line(lines: list[str]) -> GraphError:
     """The error naming the first of ``lines`` that is not blank and is not
     two int tokens."""
     for raw in lines:
@@ -245,7 +225,7 @@ def _bad_edge_line(lines: list[str]) -> GraphParseError:
             try:
                 _u, _v = map(int, parts)  # ValueError unless two int tokens
             except ValueError:
-                return GraphParseError(f"bad edge line: {raw.strip()!r}")
+                return GraphError(f"bad edge line: {raw.strip()!r}")
     raise AssertionError("every edge line is two int tokens")
 
 

@@ -76,7 +76,7 @@ class Corpus:
 def _attach(name: str, g: Graph) -> CorpusEntry:
     validate_graph(g)
     if g.n > NP_ORACLE_MAX_N:
-        raise TooLarge(g.n, NP_ORACLE_MAX_N, f"{name}: n={g.n} beyond exact-oracle cutoff")
+        raise TooLarge(f"{name}: n={g.n} beyond exact-oracle cutoff")
     values = {p: parameter_value(g, p) for p in PARAMETERS}
     if values["vc"] + values["is"] != g.n:
         raise AssertionError("cover/IS complementarity violated")
@@ -248,11 +248,13 @@ def _run_trials(
     certificate-major, and the (order, cert_id, certificate) of each accept.
 
     Each order's stream is built once, and none when there is no
-    certificate. Each certificate's verifier is built once. One that rejected
-    at init has read no item and never accepts (the run contract in
-    ``verifiers``), so its reason and peak are read once and make its whole
-    batch of records, one reject per order; a survivor gets a
-    ``run_verifier`` for each order."""
+    certificate. Each certificate's verifier is built once as an init probe.
+    One that rejected at init has read no item and never accepts (the run
+    contract in ``verifiers``), so its reason and peak are read once and make
+    its whole batch of records, one reject per order. A survivor's probe is
+    dropped, and it gets a ``run_verifier`` for each order, which builds
+    (and decodes) it again: 1 + len(orders) builds in all, so a traced run
+    sees every stream."""
     records: list[TrialRecord] = []
     accepts: list[tuple[str, str, CertificateBlob]] = []
     if not certs:

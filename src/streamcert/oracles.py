@@ -37,16 +37,12 @@ NP_ORACLE_MAX_N = 24
 
 
 class TooLarge(ValueError):
-    """An input beyond the size cutoff of an exact (exponential) computation;
-    ``message`` replaces the default text when the caller can name the input."""
-
-    def __init__(self, n: int, limit: int, message: str | None = None):
-        super().__init__(message or f"exact oracle limited to n <= {limit}, got n = {n}")
+    """An input beyond the size cutoff of an exact (exponential) computation."""
 
 
 def _refuse_beyond_np_cutoff(g: Graph) -> None:
     if g.n > NP_ORACLE_MAX_N:
-        raise TooLarge(g.n, NP_ORACLE_MAX_N)
+        raise TooLarge(f"exact oracle limited to n <= {NP_ORACLE_MAX_N}, got n = {g.n}")
 
 
 # -- maximum matching (augmenting paths with blossom contraction) -------------

@@ -51,7 +51,7 @@ def oracle_tutte_berge(g: Graph) -> tuple[int, frozenset[int]]:
     """
     n = g.n
     if n > TUTTE_BERGE_MAX_N:
-        raise TooLarge(n, TUTTE_BERGE_MAX_N)
+        raise TooLarge(f"exact oracle limited to n <= {TUTTE_BERGE_MAX_N}, got n = {n}")
     neighbor_masks = [0] * n
     for u, v in g.edges:
         neighbor_masks[u - 1] |= 1 << (v - 1)

@@ -328,6 +328,8 @@ BAD_INPUT_ARGVS = [
     ["gadget", "perm", "--r", "3"],
     ["gadget", "holzer", "--p", "3", "--size", "3"],
     ["oracle", "all", "--graph", "P4", "--k", "0"],
+    # an exhaustive sweep draws no sample, so it takes no --count or --seed
+    ["gadget", "holzer", "--size", "2", "--count", "5", "--seed", "9"],
 ]
 
 
@@ -510,14 +512,69 @@ def test_prove_verify_coloring_beyond_u32_k(tmp_path, capsys):
         (["gadget", "holzer"], "the following arguments are required: --size"),
         (["gadget", "holzer", "--size", "1"], "holzer_diameter2 needs p >= 2, got 1"),
         (["oracle", "all", "--graph", "NOT_UTF8"], "cannot read graph"),
+        # a message that starts with "error: " is the whole of stderr
+        (["oracle", "all", "--graph", "TEXT:3 1 0\n2 2\n"],
+         "error: bad graph file: self-loop at node 2"),
+        (["prove", "--scheme", "mm_atmost", "--graph", "TEXT:2 2 1\n1 2\n2 1\n",
+          "--out", "CERT"],
+         "error: bad graph file: duplicate edge (1, 2)"),
+        (["verify", "--scheme", "mm_atmost", "--graph", "TEXT:3 1 1\n1 4\n",
+          "--cert", "CERT"],
+         "error: bad graph file: node 4 out of range"),
+        (["fuzz", "--scheme", "mm_atmost", "--graph", "TEXT:2 1 1\n1 x\n"],
+         "error: bad graph file: bad edge line: '1 x'"),
     ],
     ids=[
         "builtin-without-k", "unreadable-graph", "unreadable-certificate",
         "gadget-without-size", "gadget-below-its-minimum", "graph-not-utf8",
+        "graph-self-loop", "graph-duplicate-edge", "graph-node-out-of-range",
+        "graph-bad-edge-line",
     ],
 )
 def test_input_refusals_exit_with_parse_error(argv, message, tmp_path, capsys):
-    argv = [str(tmp_path / "missing") if arg == "MISSING" else arg for arg in argv]
-    assert main(_bind_paths(argv, tmp_path)) == 3
+    """Each argv exits 3 with an ``error:`` line; MISSING names a missing
+    file, and TEXT:<text> a graph file holding <text>."""
+    graph = tmp_path / "text.graph"
+    bound = []
+    for arg in argv:
+        if arg.startswith("TEXT:"):
+            graph.write_text(arg.removeprefix("TEXT:"))
+            arg = str(graph)
+        bound.append(str(tmp_path / "missing") if arg == "MISSING" else arg)
+    assert main(_bind_paths(bound, tmp_path)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    if message.startswith("error: "):
+        assert err == message + "\n"
+
+
+#: every exception class in ``streamcert``: one type per refusal a caller
+#: handles, and the message, not a subclass or an attribute, names the fault
+EXCEPTION_TYPES = sorted([
+    "MalformedCertificate", "FieldPastU32", "GraphError", "OrderSpecError",
+    "TooLarge", "NotCertifiable", "BadSizes", "CliError",
+])
+
+
+def test_every_exception_type_is_listed_and_takes_only_a_message():
+    """Each ``BaseException`` subclass a ``streamcert`` module defines is one
+    of ``EXCEPTION_TYPES`` and has no ``__init__`` of its own."""
+    import ast
+    import importlib
+    from pathlib import Path
+
+    import streamcert
+
+    found = []
+    for path in sorted(Path(streamcert.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        if not classes:
+            continue  # __main__ runs the CLI when imported
+        module = importlib.import_module(f"streamcert.{path.stem}")
+        for name in classes:
+            cls = getattr(module, name)  # a class below module level fails here
+            if issubclass(cls, BaseException):
+                assert "__init__" not in vars(cls), name
+                found.append(name)
+    assert sorted(found) == EXCEPTION_TYPES

@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamcert.graph import (
-    DuplicateEdge,
     Graph,
-    GraphParseError,
-    NodeOutOfRange,
-    SelfLoop,
+    GraphError,
     format_graph_file,
     gnp_random_graph,
     parse_graph_file,
@@ -31,21 +28,21 @@ def test_validate_ok():
 
 
 def test_validate_self_loop():
-    with pytest.raises(SelfLoop) as err:
+    with pytest.raises(GraphError) as err:
         validate_graph(Graph.from_edges(2, [(1, 1)]))
-    assert err.value.u == 1
+    assert str(err.value) == "self-loop at node 1"
 
 
 def test_validate_duplicate_edge():
-    with pytest.raises(DuplicateEdge) as err:
+    with pytest.raises(GraphError) as err:
         validate_graph(Graph.from_edges(2, [(1, 2), (2, 1)]))
-    assert (err.value.u, err.value.v) == (1, 2)
+    assert str(err.value) == "duplicate edge (1, 2)"
 
 
 def test_validate_out_of_range():
-    with pytest.raises(NodeOutOfRange):
+    with pytest.raises(GraphError, match="node 3 out of range"):
         validate_graph(Graph.from_edges(2, [(1, 3)]))
-    with pytest.raises(NodeOutOfRange):
+    with pytest.raises(GraphError, match="node 0 out of range"):
         validate_graph(Graph.from_edges(2, [(0, 2)]))
 
 
@@ -78,7 +75,7 @@ def test_validate_names_the_first_bad_edge(n, edges, message):
     if message is None:
         validate_graph(Graph(n, edges))
         return
-    with pytest.raises((SelfLoop, NodeOutOfRange, DuplicateEdge)) as err:
+    with pytest.raises(GraphError) as err:
         validate_graph(Graph(n, edges))
     assert str(err.value) == message
 
@@ -265,7 +262,7 @@ GRAPH_FILE_ERRORS = [
 
 def test_graph_file_errors():
     for text, message in GRAPH_FILE_ERRORS:
-        with pytest.raises(GraphParseError) as err:
+        with pytest.raises(GraphError) as err:
             parse_graph_file(text)
         assert str(err.value) == message
 
@@ -287,6 +284,6 @@ def test_stream_refuses_non_integer_seeds(spec):
     ids=["two-field-header", "one-field-edge", "non-integer-edge", "first-bad-line"],
 )
 def test_graph_file_refusals(text, message):
-    with pytest.raises(GraphParseError) as err:
+    with pytest.raises(GraphError) as err:
         parse_graph_file(text)
     assert str(err.value) == message

@@ -19,7 +19,7 @@ from streamcert.gadgets import (
     holzer_diameter2_family,
     perm_coloring_family,
 )
-from streamcert.graph import DuplicateEdge, validate_graph
+from streamcert.graph import GraphError, validate_graph
 from streamcert.oracles import (
     TooLarge,
     minimum_vertex_cover,
@@ -141,7 +141,7 @@ def test_partition_invariant(family, inputs):
 
 def test_overlapping_edge_groups_are_refused():
     # the same pair on both sides, written in opposite orientations
-    with pytest.raises(DuplicateEdge, match=r"duplicate edge \(1, 2\)"):
+    with pytest.raises(GraphError, match=r"duplicate edge \(1, 2\)"):
         _assemble(3, [], [(1, 2)], [(2, 1), (2, 3)])
 
 

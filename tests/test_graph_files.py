@@ -9,7 +9,6 @@ import pytest
 from streamcert.graph import (
     Graph,
     GraphError,
-    GraphParseError,
     format_graph_file,
     gnp_random_graph,
     parse_graph_file,
@@ -23,45 +22,45 @@ from streamcert.harness import SIZED_FAMILIES
 
 def _reference_validate(n: int, edges: tuple[tuple[int, int], ...]) -> None:
     if n < 0:
-        raise GraphParseError(f"node {n} out of range")
+        raise GraphError(f"node {n} out of range")
     seen = set()
     for u, v in edges:
         if u == v:
-            raise GraphParseError(f"self-loop at node {u}")
+            raise GraphError(f"self-loop at node {u}")
         for w in (u, v):
             if not 1 <= w <= n:
-                raise GraphParseError(f"node {w} out of range")
+                raise GraphError(f"node {w} out of range")
         e = (u, v) if u <= v else (v, u)
         if e in seen:
-            raise GraphParseError(f"duplicate edge {e}")
+            raise GraphError(f"duplicate edge {e}")
         seen.add(e)
 
 
 def reference_parse(text: str) -> tuple[int, tuple[tuple[int, int], ...], int]:
-    """(n, normalized edges, k) of a graph file, or its GraphParseError."""
+    """(n, normalized edges, k) of a graph file, or its GraphError."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
-        raise GraphParseError("empty graph file")
+        raise GraphError("empty graph file")
     head = lines[0].split()
     if len(head) != 3:
-        raise GraphParseError("header must be: n m k")
+        raise GraphError("header must be: n m k")
     try:
         n, m, k = (int(x) for x in head)
     except ValueError as exc:
-        raise GraphParseError(f"bad header: {exc}") from None
+        raise GraphError(f"bad header: {exc}") from None
     if m != len(lines) - 1:
-        raise GraphParseError(f"header says {m} edges, file has {len(lines) - 1}")
+        raise GraphError(f"header says {m} edges, file has {len(lines) - 1}")
     if k < 0:
-        raise GraphParseError("threshold k must be non-negative")
+        raise GraphError("threshold k must be non-negative")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise GraphParseError(f"bad edge line: {ln!r}")
+            raise GraphError(f"bad edge line: {ln!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphParseError(f"bad edge line: {ln!r}") from None
+            raise GraphError(f"bad edge line: {ln!r}") from None
         edges.append((u, v) if u <= v else (v, u))
     _reference_validate(n, tuple(edges))
     return n, tuple(edges), k
@@ -144,7 +143,7 @@ def _graph_text(rng: random.Random) -> str:
 def _outcome(parse, text: str):
     try:
         result = parse(text)
-    except GraphParseError as exc:
+    except GraphError as exc:
         return "error", str(exc)
     n, edges, k = result if len(result) == 3 else (result[0].n, result[0].edges, result[1])
     # ids are plain ints, not bools or other int subclasses
@@ -182,7 +181,7 @@ def test_validation_matches_the_edge_by_edge_scan():
         try:
             _reference_validate(n, edges)
             expected = None
-        except GraphParseError as exc:
+        except GraphError as exc:
             expected = str(exc)
         try:
             validate_graph(Graph(n, edges))

@@ -14,6 +14,7 @@ from streamcert.harness import (
     _attach,
 )
 from streamcert.graph import complete_graph
+from streamcert.oracles import TooLarge
 from streamcert.schemes import BASE_SCHEMES, SCHEMES
 
 CORPUS_SPEC = ["paths:2..7", "cycles:3..7", "stars:3..6", "gnp:6..9:0.3:8", "empty:4"]
@@ -43,6 +44,13 @@ def test_corpus_spec_examples():
     assert len(gnp.entries) == 10 and all(e.graph.n == 12 for e in gnp.entries)
     empty = build_corpus(["empty:5"], seed=0)
     assert empty.entries[0].values["matching"] == 0
+
+
+def test_corpus_refuses_a_graph_past_the_exact_oracle_cutoff():
+    # admission names the entry; the searches' own refusal would not
+    with pytest.raises(TooLarge) as err:
+        build_corpus(["paths:25"], 0)
+    assert str(err.value) == "path-25: n=25 beyond exact-oracle cutoff"
 
 
 def test_completeness_all_schemes(corpus):
