@@ -489,8 +489,9 @@ def check_gadget_equivalence(
 
     ``"exhaustive"`` runs every pair once; ``"sample"`` draws ``count`` pairs
     from ``seed`` with replacement, so a count above ``input_space`` repeats
-    instances (criterion 4 draws 1,000 pairs from ``disj_diameter8[N=3]``'s
-    64)."""
+    pairs (criterion 4 draws 1,000 pairs from ``disj_diameter8[N=3]``'s 64).
+    Each distinct pair is built and judged once per call, and a repeated draw
+    repeats its record."""
     if instance_space == "exhaustive":
         space = family.input_space
         if space > EXHAUSTIVE_SWEEP_LIMIT:
@@ -510,15 +511,16 @@ def check_gadget_equivalence(
     else:
         raise ValueError(f"unknown instance space {instance_space!r}")
 
+    judged: dict[tuple[object, object], EquivalenceRecord] = {}
     records = []
     for x, y in inputs:
-        instance = family.build(x, y)
-        records.append(
-            EquivalenceRecord(
+        record = judged.get((x, y))
+        if record is None:
+            record = judged[x, y] = EquivalenceRecord(
                 family.domain.render(x),
                 family.domain.render(y),
                 family.two_party(x, y),
-                family.predicate(instance.graph),
+                family.predicate(family.build(x, y).graph),
             )
-        )
+        records.append(record)
     return EquivalenceReport(family.name, tuple(records))

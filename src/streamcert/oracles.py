@@ -91,6 +91,12 @@ def _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue, meet=Fa
     contraction relabels only the nodes of the blossoms it merges, and
     queues the ones that turn outer in id order, so a search costs what its
     forest touches.
+
+    The scan of a queued node v reads mate[v] and base[v] once, before its
+    neighbors: mate[v] changes only in a flip, after which the search
+    returns, and base[v] only in a contraction, after which it is read
+    again. Each neighbor is then skipped, in this order, when it shares v's
+    base, is v's mate, or is excluded.
     """
     for root in roots:
         outer[root] = True
@@ -136,8 +142,9 @@ def _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue, meet=Fa
 
     try:
         for v in queue:  # a list grown while it is walked: the BFS order
+            mv, bv = mate[v], base[v]  # mate[v] holds until a flip returns
             for to in adj[v]:
-                if base[v] == base[to] or mate[v] == to or to in excluded:
+                if bv == base[to] or mv == to or to in excluded:
                     continue
                 if outer[to]:
                     anchor = lca(v, to)
@@ -166,6 +173,7 @@ def _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue, meet=Fa
                     # in id order, as a scan of every node would queue them
                     newly_outer.sort()
                     queue.extend(newly_outer)
+                    bv = base[v]  # the anchor: v is in the blossom
                 elif parent[to] == 0:
                     parent[to] = v
                     if mate[to] == 0:
@@ -176,8 +184,13 @@ def _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue, meet=Fa
         return False
     finally:
         for x in queue:  # index 0, an exposed node's mate, keeps its entry state
-            for y in (x, mate[x]):
-                outer[y], parent[y], base[y] = False, 0, y
+            outer[x] = False
+            parent[x] = 0
+            base[x] = x
+            y = mate[x]
+            outer[y] = False
+            parent[y] = 0
+            base[y] = y
 
 
 def maximum_matching(g: Graph) -> dict[int, int]:
@@ -354,27 +367,42 @@ def peel_order(g: Graph) -> tuple[list[int], int]:
     """Repeated minimum-degree removal (ties: smallest id).
 
     Returns (removal order, degeneracy = max degree at removal time).
-    Heap keys are d * (n + 1) + v, so they order as the pairs (d, v) do.
+    A bucket queue (Matula & Beck, *Smallest-last ordering and clustering and
+    graph coloring algorithms*, JACM 1983) whose buckets are min-heaps of
+    node ids, one per degree, so each pop is the smallest id of the smallest
+    degree. A node is pushed into bucket d when its degree becomes d; the
+    entry goes stale when the degree drops below d, and is skipped when
+    popped. A removed node's degree is set to -1, below every bucket. The
+    pointer d never passes the minimum degree: removing a node of degree d
+    leaves no node below d - 1, so it steps down by at most one per removal.
     """
-    stride = g.n + 1
+    n = g.n
     adj = g.adjacency()
-    degree = [0] + [len(adj[v]) for v in range(1, stride)]
-    heap = [degree[v] * stride + v for v in range(1, stride)]
-    heapq.heapify(heap)
-    removed = bytearray(stride)
+    degree = [0] + [len(adj[v]) for v in range(1, n + 1)]
+    buckets: list[list[int]] = [[] for _ in range(max(degree) + 1)]
+    for v in range(1, n + 1):
+        buckets[degree[v]].append(v)  # ascending ids: already a heap
+    heappop, heappush = heapq.heappop, heapq.heappush
     order: list[int] = []
-    degeneracy = 0
-    while heap:
-        d, v = divmod(heapq.heappop(heap), stride)
-        if removed[v] or d != degree[v]:
-            continue  # stale heap entry
-        removed[v] = 1
+    degeneracy = d = 0
+    for _ in range(n):
+        while True:
+            bucket = buckets[d]
+            if not bucket:
+                d += 1
+            elif degree[v := heappop(bucket)] == d:
+                break
+        degree[v] = -1
         order.append(v)
-        degeneracy = max(degeneracy, d)
+        if d > degeneracy:
+            degeneracy = d
         for w in adj[v]:
-            if not removed[w]:
-                degree[w] -= 1
-                heapq.heappush(heap, degree[w] * stride + w)
+            dw = degree[w]
+            if dw > 0:  # w is present: its edge to v still counts
+                degree[w] = dw - 1
+                heappush(buckets[dw - 1], w)
+        if d:
+            d -= 1
     return order, degeneracy
 
 

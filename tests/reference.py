@@ -8,11 +8,19 @@ exponential time: each is a definition evaluated by brute force.
   ``prove --scheme mm_atmost`` encodes.
 - ``every_small_graph``: every labelled graph on at most ``max_n`` nodes,
   the domain of the tests that check a claim exhaustively.
+- ``sparse_gnp_graph``: a seeded G(n, c/n) in O(n + m) time, for the tests
+  that check a claim at sizes where ``graph.gnp_random_graph``'s n^2 / 2
+  coin flips cost seconds.
+- ``to_networkx``: a graph as an ``nx.Graph`` on the nodes 1..n, for the
+  tests that check the library against networkx, which shares no code with
+  it.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import networkx as nx
 
 from streamcert.graph import Graph
 from streamcert.oracles import TooLarge
@@ -78,3 +86,18 @@ def every_small_graph(max_n: int) -> dict[tuple[int, int], Graph]:
         for mask in range(1 << len(pairs)):
             graphs[n, mask] = Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
     return graphs
+
+
+def sparse_gnp_graph(n: int, c: float, seed: int) -> Graph:
+    """A seeded G(n, p) with p = c / n (p < 1), from networkx's O(n + m)
+    generator, its edges stored in lex order."""
+    edges = nx.fast_gnp_random_graph(n, c / n, seed=seed).edges
+    return Graph(n, tuple(sorted((min(e) + 1, max(e) + 1) for e in edges)))
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    """``g`` as an ``nx.Graph`` on the nodes 1..n."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(1, g.n + 1))
+    graph.add_edges_from(g.edges)
+    return graph

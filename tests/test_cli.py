@@ -578,3 +578,24 @@ def test_every_exception_type_is_listed_and_takes_only_a_message():
                 assert "__init__" not in vars(cls), name
                 found.append(name)
     assert sorted(found) == EXCEPTION_TYPES
+
+
+def test_the_package_imports_only_the_standard_library():
+    """``pyproject.toml`` declares no dependency: networkx, which the tests
+    check the oracles against, stays out of ``src/``."""
+    import ast
+    import sys
+    from pathlib import Path
+
+    import streamcert
+
+    for path in sorted(Path(streamcert.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)

@@ -3,6 +3,7 @@ and split-stream (one side fully before the other) verdict invariance."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -183,6 +184,23 @@ def test_sampled_equivalence():
         disj_diameter8_family(2), "sample", count=60, seed=9
     )
     assert report.ok and len(report.records) == 60
+
+
+def test_sampled_equivalence_builds_each_distinct_pair_once():
+    # 1,000 draws from a space of 64 pairs, as in criterion 4
+    family = disj_diameter8_family(3)
+    built = []
+
+    def build(x, y):
+        built.append((x, y))
+        return family.build(x, y)
+
+    report = check_gadget_equivalence(
+        dataclasses.replace(family, build=build), "sample", count=1000, seed=2026
+    )
+    assert len(report.records) == 1000
+    assert len(built) == len(set(built)) == family.input_space
+    assert report.ok
 
 
 def test_exhaustive_gate():

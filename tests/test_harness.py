@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from streamcert.harness import (
+    FUZZ_MODES,
     FuzzPolicy,
     build_corpus,
     fuzz_instance,
@@ -16,6 +17,7 @@ from streamcert.harness import (
 from streamcert.graph import complete_graph
 from streamcert.oracles import TooLarge
 from streamcert.schemes import BASE_SCHEMES, SCHEMES
+from streamcert.verifiers import space_bound
 
 CORPUS_SPEC = ["paths:2..7", "cycles:3..7", "stars:3..6", "gnp:6..9:0.3:8", "empty:4"]
 
@@ -75,6 +77,18 @@ def test_soundness_modes(corpus):
             )
             assert report.ok, (scheme, mode, report.failures[:2])
             assert report.records
+
+
+def test_every_fuzzed_trial_stays_within_the_space_bound(corpus):
+    # the bound holds on every trial of the campaigns, not only on honest
+    # certificates: a certificate that passes init meets the same meter
+    n_of = {entry.name: entry.graph.n for entry in corpus.entries}
+    for scheme in BASE_SCHEMES:
+        for mode in FUZZ_MODES:
+            report = run_soundness(scheme, corpus, FuzzPolicy(mode, 80, seed=7))
+            assert report.ok, (scheme, mode, report.failures[:2])
+            for r in report.records:
+                assert r.peak_bits <= space_bound(scheme, n_of[r.graph], r.k), r.line()
 
 
 def test_soundness_exhaustive_tb_vectors_on_k4():

@@ -6,12 +6,14 @@ import heapq
 import itertools
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamcert.certs import decode_blob, encode_distance_labels, serialize_certificate
 from streamcert.graph import (
     Graph,
+    bounded_degree_graph,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -57,7 +59,7 @@ from streamcert.provers import (
     prove_vc_atmost,
 )
 
-from reference import every_small_graph, oracle_tutte_berge
+from reference import every_small_graph, oracle_tutte_berge, sparse_gnp_graph, to_networkx
 
 TRIANGLE = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
 
@@ -228,8 +230,39 @@ def test_peel_order_matches_the_set_and_tuple_reference():
         gnp_random_graph(2 + seed % 40, (0.05, 0.1, 0.25, 0.5, 0.8)[seed % 5], seed)
         for seed in range(200)
     ]
-    for g in graphs:
+    # large enough that the buckets run deep (the star's centre) or wide,
+    # each built when its turn comes
+    large = (
+        build(n)
+        for n in (1 << 12, 1 << 14)
+        for build in (path_graph, star_graph, cycle_graph, lambda n: sparse_gnp_graph(n, 8, n))
+    )
+    for g in itertools.chain(graphs, every_small_graph(6).values(), large):
         assert peel_order(g) == _reference_peel_order(g), g
+
+
+def test_degeneracy_and_k_cores_agree_with_networkx():
+    graphs = [
+        sparse_gnp_graph(n, c, seed=n + int(10 * c))
+        for n in (16, 64, 256, 1024, 4096)
+        for c in (1, 3, 8)
+    ]
+    # bounded_degree_graph shuffles all n^2 / 2 pairs: 8M tuples at 4096
+    graphs += [
+        bounded_degree_graph(n, max_deg, n * max_deg // 2, seed=n)
+        for n in (16, 64, 256)
+        for max_deg in (2, 4, 7)
+    ]
+    for g in graphs:
+        nx_graph = to_networkx(g)
+        cores = nx.core_number(nx_graph)
+        degeneracy = max(cores.values(), default=0)
+        assert oracle_degeneracy(g) == degeneracy, g.n
+        # nx.k_core keeps the nodes of core number >= k; a call per k costs
+        # 0.1 s at n = 4096, so the others read the core numbers directly
+        assert k_core(g, degeneracy) == set(nx.k_core(nx_graph, core_number=cores)), g.n
+        for k in range(degeneracy + 2):
+            assert k_core(g, k) == {v for v, core in cores.items() if core >= k}, (g.n, k)
 
 
 def test_peel_tie_break_smallest_id():
