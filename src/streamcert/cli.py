@@ -209,6 +209,8 @@ def _cmd_scale(args) -> int:
     low = harness.SCALING_FAMILIES[args.scheme].min_n
     if min(sizes) < low:
         raise CliError(f"--sizes for {args.scheme} must be >= {low}, got {min(sizes)}")
+    if max(sizes) > harness.SCALING_MAX_N:
+        raise CliError(f"--sizes must be <= {harness.SCALING_MAX_N}, got {max(sizes)}")
     report = harness.run_space_scaling(args.scheme, sizes)
     for line in report.lines():
         print(line)

@@ -518,6 +518,11 @@ SCALING_FAMILIES: dict[str, ScalingFamily] = {
 }
 
 
+#: the largest n that ``streamcert scale`` accepts: every family above has
+#: O(n) edges, and a run at n = 65536 peaks at about 0.55 KB per node
+SCALING_MAX_N = 1 << 18
+
+
 def _scaling_instance(scheme: str, n: int) -> tuple[Graph, int, CertificateBlob, int]:
     """A legal instance at size n from the scheme's ``SCALING_FAMILIES`` row:
     (graph, k, certificate, expected certificate bits). The certificate is

@@ -5,6 +5,9 @@ decide instance legality, to feed provers, and to check gadget equivalences.
 The provers' searches live here as well, so that only this module knows the
 blossom forest's shared lists and the BFS sieve's source masks: the lex-min
 greedy, the Tutte-Berge witness and the diameter labels' ``far_source``.
+A matching has one format: the mate list over 0..n (0 = exposed) that
+``maximum_matching`` returns with its size, and that every matching
+function here reads.
 The exponential searches, ``k_coloring``, ``vertex_cover_at_most``,
 ``maximum_independent_set`` and ``maximum_clique``, refuse input above the
 one size cutoff, ``NP_ORACLE_MAX_N``, themselves with ``TooLarge``.
@@ -193,8 +196,9 @@ def _grow_forest(adj, mate, roots, excluded, outer, parent, base, queue, meet=Fa
             base[y] = y
 
 
-def maximum_matching(g: Graph) -> dict[int, int]:
-    """Maximum cardinality matching; returns the mate map (absent = exposed).
+def maximum_matching(g: Graph) -> tuple[list[int], int]:
+    """Maximum cardinality matching: ``(mate, nu)``, the mate list over 0..n
+    (0 = exposed) and its size nu.
 
     Greedy seed in lexicographic edge order, then one forest search from
     each node still exposed, in id order, so the output is a deterministic
@@ -206,15 +210,18 @@ def maximum_matching(g: Graph) -> dict[int, int]:
     n = g.n
     adj = g.adjacency()
     mate = [0] * (n + 1)
+    nu = 0
     for u, v in sorted(g.edges):
         if mate[u] == 0 and mate[v] == 0:
             mate[u] = v
             mate[v] = u
+            nu += 1
     outer, parent, base = [False] * (n + 1), [0] * (n + 1), list(range(n + 1))
     for v in range(1, n + 1):
-        if mate[v] == 0 and adj[v]:  # an isolated node's search finds nothing
-            _grow_forest(adj, mate, (v,), (), outer, parent, base, [])
-    return {v: mate[v] for v in range(1, n + 1) if mate[v] != 0}
+        # an isolated node's search finds nothing; each augmentation adds one
+        if mate[v] == 0 and adj[v] and _grow_forest(adj, mate, (v,), (), outer, parent, base, []):
+            nu += 1
+    return mate, nu
 
 
 def lex_min_greedy(g: Graph, mate: list[int], nu: int) -> Iterator[tuple[int, int]]:
@@ -304,7 +311,7 @@ def lex_min_greedy(g: Graph, mate: list[int], nu: int) -> Iterator[tuple[int, in
 
 
 def oracle_max_matching(g: Graph) -> int:
-    return len(maximum_matching(g)) // 2
+    return maximum_matching(g)[1]
 
 
 # -- Tutte-Berge witness (Gallai-Edmonds) ----------------------------------
@@ -775,18 +782,15 @@ def one_edge_candidates(
     if not adds:
         drops = sorted(g.edges)
         if parameter == "matching":
-            mate = maximum_matching(g)
-            return [(u, v) for u, v in drops if mate.get(u) == v]
+            mate = maximum_matching(g)[0]
+            return [(u, v) for u, v in drops if mate[u] == v]
         if parameter == "degeneracy":
             core = k_core(g, value)
             return [(u, v) for u, v in drops if u in core and v in core]
         return drops
     nodes: Sequence[int] = range(1, n + 1)
     if parameter == "matching":
-        mate = [0] * (n + 1)
-        for u, v in maximum_matching(g).items():
-            mate[u] = v
-        missed = missed_nodes(g, mate)
+        missed = missed_nodes(g, maximum_matching(g)[0])
         nodes = [v for v in nodes if missed[v]]
     elif parameter == "degeneracy":
         nodes = sorted(k_core(g, value))

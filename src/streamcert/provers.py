@@ -6,7 +6,9 @@ alone when it falls short of the claimed bound: no prover asks a second
 oracle first. The equality provers only combine the two one-sided proofs,
 since the <=k one refuses above k and the >=k one below k; ``mm_equal``
 shares one maximum matching between them, which the Tutte-Berge witness
-reads before the lex-min greedy consumes it. All tie-breaks are by smallest
+reads before the lex-min greedy consumes it. The matching provers take
+``maximum_matching``'s mate list and size as they are: the mate list is the
+one format of a matching. All tie-breaks are by smallest
 node id / lexicographic edge order so certificates are byte-reproducible
 across runs.
 """
@@ -48,25 +50,10 @@ class NotCertifiable(ValueError):
 
 # -- maximum matching ----------------------------------------------------------
 
-def _maximum_mate_list(g: Graph) -> tuple[list[int], int]:
-    """A maximum matching of g as a mate list over 1..n (0 = exposed), and
-    its size."""
-    matching = maximum_matching(g)
-    mate = [0] * (g.n + 1)
-    for v, w in matching.items():
-        mate[v] = w
-    return mate, len(matching) // 2
-
-
-def lex_min_maximum_matching(g: Graph) -> list[tuple[int, int]]:
-    """The lexicographically smallest maximum matching (as a sorted edge list)."""
-    return list(lex_min_greedy(g, *_maximum_mate_list(g)))
-
-
 def prove_mm_atleast_list(g: Graph, k: int) -> CertificateBlob:
     """The first k edges of the lex-min maximum matching: the greedy stops
     once it has kept them."""
-    mate, nu = _maximum_mate_list(g)
+    mate, nu = maximum_matching(g)
     if nu < k:
         raise NotCertifiable(f"maximum matching below {k}")
     return encode_mm_list(list(islice(lex_min_greedy(g, mate, nu), k)), g.n)
@@ -76,7 +63,7 @@ def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:
     """Vertex coloring on at most max(1, 2*max_degree - 1) colors in which the
     monochromatic edges are exactly a matching of size k: the first k edges
     (lex order) of the deterministic maximum matching."""
-    mate, nu = _maximum_mate_list(g)
+    mate, nu = maximum_matching(g)
     if nu < k:
         raise NotCertifiable(f"maximum matching below {k}")
     matched = [(v, mate[v]) for v in range(1, g.n + 1) if v < mate[v]][:k]
@@ -103,7 +90,7 @@ def prove_mm_atleast_coloring(g: Graph, k: int) -> CertificateBlob:
 def gallai_edmonds_witness(g: Graph) -> tuple[frozenset[int], int]:
     """A minimizer U of (|U| - odd(V\\U) + |V|) / 2, and the maximum matching
     size nu that it attains (see ``oracles.tutte_berge_witness``)."""
-    mate, nu = _maximum_mate_list(g)
+    mate, nu = maximum_matching(g)
     return tutte_berge_witness(g, mate, nu), nu
 
 
@@ -185,7 +172,7 @@ def prove_mm_equal(g: Graph, k: int) -> CertificateBlob:
     """Both halves from one maximum matching, with the one-sided provers'
     refusals in their order: the witness reads the matching, then the lex-min
     greedy consumes it, keeping all nu = k of its edges."""
-    mate, nu = _maximum_mate_list(g)
+    mate, nu = maximum_matching(g)
     witness = tutte_berge_witness(g, mate, nu)
     if nu > k:
         raise NotCertifiable(f"maximum matching above {k}")

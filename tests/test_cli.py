@@ -330,6 +330,9 @@ BAD_INPUT_ARGVS = [
     ["oracle", "all", "--graph", "P4", "--k", "0"],
     # an exhaustive sweep draws no sample, so it takes no --count or --seed
     ["gadget", "holzer", "--size", "2", "--count", "5", "--seed", "9"],
+    # above harness.SCALING_MAX_N = 2^18: refused before any graph is built
+    ["scale", "--scheme", "deg_atleast", "--sizes", "99999999999999999999"],
+    ["scale", "--scheme", "mm_atmost", "--sizes", "16,262145"],
 ]
 
 
@@ -349,10 +352,26 @@ def _bind_paths(argv, tmp_path):
     return [paths.get(arg, arg) for arg in argv]
 
 
+def _scaling_within_the_cap(monkeypatch):
+    """Patch ``harness.run_space_scaling`` to fail when asked for a size
+    above ``SCALING_MAX_N``: the CLI must refuse such a size before any
+    graph is built, and a test must never build one."""
+    from streamcert import harness
+
+    run = harness.run_space_scaling
+
+    def guarded(scheme, sizes):
+        assert max(sizes) <= harness.SCALING_MAX_N, sizes
+        return run(scheme, sizes)
+
+    monkeypatch.setattr(harness, "run_space_scaling", guarded)
+
+
 @pytest.mark.parametrize("argv", BAD_INPUT_ARGVS)
-def test_bad_input_exits_with_parse_error(argv, tmp_path, capsys):
+def test_bad_input_exits_with_parse_error(argv, tmp_path, capsys, monkeypatch):
     # exit 1 means "reject" and exit 2 "not certifiable"; bad input must
     # surface as neither, nor as a traceback
+    _scaling_within_the_cap(monkeypatch)
     assert main(_bind_paths(argv, tmp_path)) == 3
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -388,9 +407,10 @@ def _sweep_argvs(tmp_path):
         yield ["scale", "--scheme", scheme, "--sizes", "1"]
 
 
-def test_exit_codes_hold_their_contract_over_a_sweep(tmp_path, capsys):
+def test_exit_codes_hold_their_contract_over_a_sweep(tmp_path, capsys, monkeypatch):
     # exit 1 is a reject, which only ``verify`` reports, and no call may
     # escape ``main`` with an exception
+    _scaling_within_the_cap(monkeypatch)
     offenders = []
     calls = 0
     for argv in _sweep_argvs(tmp_path):

@@ -20,6 +20,7 @@ from streamcert.graph import (
     gnp_random_graph,
     matching_graph,
     path_graph,
+    random_tree,
     star_graph,
 )
 from streamcert.oracles import (
@@ -32,6 +33,7 @@ from streamcert.oracles import (
     far_source,
     k_core,
     k_coloring,
+    lex_min_greedy,
     maximum_clique,
     maximum_independent_set,
     maximum_matching,
@@ -122,10 +124,14 @@ def test_matching_examples():
 
 def test_matching_mate_map_is_a_matching():
     g = gnp_random_graph(10, 0.4, 3)
-    mate = maximum_matching(g)
-    for u, v in mate.items():
-        assert mate[v] == u and u != v
-        assert (min(u, v), max(u, v)) in g.edge_set
+    mate, nu = maximum_matching(g)
+    assert len(mate) == g.n + 1 and mate[0] == 0
+    for u in range(1, g.n + 1):
+        v = mate[u]
+        if v:
+            assert mate[v] == u and u != v
+            assert (min(u, v), max(u, v)) in g.edge_set
+    assert nu == sum(mate[u] > u for u in range(1, g.n + 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -535,9 +541,7 @@ def _edmonds_search_calls():
     for call in range(3000):
         n = rng.randrange(20, 60)
         g = gnp_random_graph(n, rng.choice((0.05, 0.1)), call)
-        mate = [0] * (n + 1)
-        for v, w in maximum_matching(g).items():
-            mate[v] = w
+        mate = maximum_matching(g)[0]
         matched = [v for v in range(1, n + 1) if mate[v] > v]
         if matched and rng.random() < 0.7:
             u = rng.choice(matched)
@@ -590,8 +594,6 @@ def test_forest_search_leaves_its_lists_clean(monkeypatch):
     # ``maximum_matching`` and the lex-min greedy share one set of forest
     # lists across their searches, and never reset them
     from streamcert import oracles
-    from streamcert.oracles import lex_min_greedy
-    from streamcert.provers import _maximum_mate_list
 
     def fresh(n):
         return [False] * (n + 1), [0] * (n + 1), list(range(n + 1)), []
@@ -619,7 +621,7 @@ def test_forest_search_leaves_its_lists_clean(monkeypatch):
 
     # the starting matchings first, so that only the greedy's searches are checked
     starts = [
-        (g, *_maximum_mate_list(g))
+        (g, *maximum_matching(g))
         for g in (
             gnp_random_graph(10 + seed % 70, (0.05, 0.1, 0.2)[seed % 3], seed)
             for seed in range(600)
@@ -638,9 +640,54 @@ def test_maximum_matching_is_linear_on_sparse_graphs():
 
     for g in (star_graph(16384), empty_graph(16384)):
         start = time.perf_counter()
-        mate = maximum_matching(g)
+        nu = maximum_matching(g)[1]
         assert time.perf_counter() - start < 2.0
-        assert len(mate) == (2 if g.m else 0)
+        assert nu == (1 if g.m else 0)
+
+
+def test_matching_layer_agrees_with_networkx():
+    # nu, the lex-min greedy and the Gallai-Edmonds witness, each checked
+    # against networkx's blossom algorithm and components, which share no
+    # code with ``oracles``
+    from streamcert.provers import gallai_edmonds_witness
+
+    graphs = [
+        sparse_gnp_graph(n, c, seed)
+        for n, c, seeds in ((16, 2, 40), (64, 3, 20), (256, 4, 6), (1024, 3, 2), (1024, 8, 1))
+        for seed in range(seeds)
+    ]
+    for g in graphs:
+        nx_graph = to_networkx(g)
+        nu = len(nx.max_weight_matching(nx_graph, maxcardinality=True))
+        mate, ours = maximum_matching(g)
+        assert ours == nu, g.n
+        greedy = list(lex_min_greedy(g, mate, nu))
+        ends = [x for e in greedy for x in e]
+        assert len(greedy) == nu and len(set(ends)) == len(ends), g.n
+        assert all(e in g.edge_set for e in greedy), g.n
+        witness, _ = gallai_edmonds_witness(g)
+        rest = nx_graph.subgraph(v for v in nx_graph if v not in witness)
+        odd = sum(len(c) % 2 for c in nx.connected_components(rest))
+        assert len(witness) - odd + g.n == 2 * nu, g.n
+
+
+def test_diameter_and_exact_searches_agree_with_networkx():
+    # connected graphs: a random tree with the edges of a sparse G(n, 1/n)
+    for n, seeds in ((20, 3), (60, 3), (150, 3), (300, 2)):
+        for seed in range(seeds):
+            edges = set(random_tree(n, seed).edges) | set(sparse_gnp_graph(n, 1.0, seed).edges)
+            g = Graph(n, tuple(sorted(edges)))
+            assert oracle_diameter(g) == nx.diameter(to_networkx(g)), (n, seed)
+    for n in (8, 12, 16, 20, 24):
+        for p in (0.2, 0.4, 0.6):
+            for seed in range(4):
+                g = gnp_random_graph(n, p, seed)
+                nx_graph = to_networkx(g)
+                omega = nx.max_weight_clique(nx_graph, weight=None)[1]
+                alpha = nx.max_weight_clique(nx.complement(nx_graph), weight=None)[1]
+                assert len(maximum_clique(g)) == omega, (n, p, seed)
+                assert len(maximum_independent_set(g)) == alpha, (n, p, seed)
+                assert len(minimum_vertex_cover(g)) == n - alpha, (n, p, seed)
 
 
 # -- threshold tests and one-edge moves -------------------------------------------
@@ -753,10 +800,7 @@ def test_one_edge_variant_is_the_blind_lex_search_on_every_small_graph(small_gra
 def test_missed_nodes_are_the_nodes_some_maximum_matching_misses():
     for seed in range(20):
         g = gnp_random_graph(8, 0.3, seed)
-        mate = [0] * (g.n + 1)
-        for u, v in maximum_matching(g).items():
-            mate[u] = v
-        missed = missed_nodes(g, mate)
+        missed = missed_nodes(g, maximum_matching(g)[0])
         nu = oracle_max_matching(g)
         for v in range(1, g.n + 1):
             rest = Graph.from_edges(g.n, [e for e in g.edges if v not in e])

@@ -22,14 +22,13 @@ from streamcert.oracles import (
     count_odd_components_excluding,
     k_core,
     lex_min_greedy,
+    maximum_matching,
     oracle_degeneracy,
     oracle_max_matching,
 )
 from streamcert.provers import (
     NotCertifiable,
-    _maximum_mate_list,
     gallai_edmonds_witness,
-    lex_min_maximum_matching,
     prove_clique_atleast,
     prove_coloring_atmost,
     prove_deg_atleast,
@@ -66,7 +65,7 @@ def test_mm_list_examples():
 def test_lex_min_matching_is_maximum_and_lex_minimal():
     for seed in range(12):
         g = gnp_random_graph(9, 0.35, seed)
-        matching = lex_min_maximum_matching(g)
+        matching = list(lex_min_greedy(g, *maximum_matching(g)))
         assert len(matching) == oracle_max_matching(g)
         used = [x for e in matching for x in e]
         assert len(set(used)) == len(used)
@@ -85,7 +84,7 @@ def test_mm_list_is_the_lex_min_prefix_at_every_k():
 
     for seed in range(40):
         g = gnp_random_graph(4 + seed % 30, (0.1, 0.25, 0.5)[seed % 3], seed)
-        full = lex_min_maximum_matching(g)
+        full = list(lex_min_greedy(g, *maximum_matching(g)))
         for k in range(len(full) + 1):
             assert prove_mm_atleast_list(g, k) == encode_mm_list(full[:k], g.n), (seed, k)
         with pytest.raises(NotCertifiable):
@@ -502,7 +501,7 @@ def _matching_pin_graphs():
         yield f"dense12s{seed}", gnp_random_graph(12, 0.7, seed)
 
 
-#: sha256 over the mate maps and the serialized matching certificates of
+#: sha256 over the matched pairs and the serialized matching certificates of
 #: ``_matching_pin_graphs``, recorded with the n+1-run Gallai-Edmonds search
 #: and the one-blossom-run-per-edge lex-min greedy
 PINNED_MATCHING_SHA256 = "279060dcaf6f557cc222eb1be33c7cde038d2a72862b4fcd25477c214c0959ea"
@@ -512,7 +511,6 @@ def test_matching_provers_pinned():
     import hashlib
 
     from streamcert.certs import serialize_certificate
-    from streamcert.oracles import maximum_matching
 
     digest = hashlib.sha256()
 
@@ -520,9 +518,9 @@ def test_matching_provers_pinned():
         digest.update(f"{name} {label} {serialize_certificate(blob).hex()}\n".encode())
 
     for name, g in _matching_pin_graphs():
-        mate = maximum_matching(g)
-        digest.update(f"{name} mate {sorted(mate.items())}\n".encode())
-        nu = len(mate) // 2
+        mate, nu = maximum_matching(g)
+        pairs = [(v, mate[v]) for v in range(1, g.n + 1) if mate[v]]
+        digest.update(f"{name} mate {pairs}\n".encode())
         add(name, "atmost", prove_mm_atmost(g, nu))
         add(name, "list", prove_mm_atleast_list(g, nu))
         add(name, "list-1", prove_mm_atleast_list(g, nu - 1))
@@ -575,9 +573,9 @@ def test_matching_provers_agree_with_their_definitions():
     from streamcert.oracles import edmonds_search
 
     for g in _differential_graphs():
-        assert lex_min_maximum_matching(g) == _reference_lex_min(g), g
+        assert list(lex_min_greedy(g, *maximum_matching(g))) == _reference_lex_min(g), g
         missable = _reference_missable(g)
-        mate = _maximum_mate_list(g)[0]
+        mate = maximum_matching(g)[0]
         exposed = [v for v in range(1, g.n + 1) if mate[v] == 0]
         adj = g.adjacency()
         outer = edmonds_search(adj, mate, exposed)
@@ -621,7 +619,7 @@ def test_lex_min_greedy_matches_the_two_search_greedy():
             yield gnp_random_graph(7 + seed % 53, (0.04, 0.08, 0.15, 0.3)[seed % 4], seed)
 
     for g in graphs():
-        mate, nu = _maximum_mate_list(g)
+        mate, nu = maximum_matching(g)
         expected = _two_search_greedy(g, list(mate), nu)
         assert list(lex_min_greedy(g, mate, nu)) == expected, g
 
@@ -633,7 +631,7 @@ def test_lex_min_greedy_search_count(monkeypatch):
     from streamcert import oracles
 
     g = gnp_random_graph(1000, 8 / 1000, 1000)
-    mate, nu = _maximum_mate_list(g)  # before the patch: its searches are not counted
+    mate, nu = maximum_matching(g)  # before the patch: its searches are not counted
     calls = []
     search = oracles._grow_forest
     monkeypatch.setattr(
@@ -678,7 +676,7 @@ def test_forest_search_raises_on_a_matching_that_is_not_maximum(monkeypatch):
     checked = 0
     for seed in range(40):
         g = gnp_random_graph(6 + seed % 20, 0.3, seed)
-        mate = _maximum_mate_list(g)[0]
+        mate = maximum_matching(g)[0]
         matched = [v for v in range(1, g.n + 1) if mate[v] > v]
         if not matched:
             continue
@@ -692,6 +690,6 @@ def test_forest_search_raises_on_a_matching_that_is_not_maximum(monkeypatch):
     assert checked >= 30
 
     # the witness prover refuses a starting matching that is not maximum
-    monkeypatch.setattr(provers, "maximum_matching", lambda g: {2: 3, 3: 2})
+    monkeypatch.setattr(provers, "maximum_matching", lambda g: ([0, 0, 3, 2, 0], 1))
     with pytest.raises(ValueError):
         gallai_edmonds_witness(path_graph(4))
