@@ -34,6 +34,10 @@ EXIT_NOT_CERTIFIABLE = 2
 EXIT_PARSE_ERROR = 3
 EXIT_COUNTEREXAMPLE = 4
 
+#: the most draws one ``fuzz --trials`` mode or ``gadget --count`` may ask
+#: for: every draw is kept as a record until the report is printed
+MAX_DRAWS = 1 << 16
+
 #: builtin graphs by letter, from the corpus's sized families
 _BUILTIN = {letter: build for _, letter, build in harness.SIZED_FAMILIES.values()}
 _BUILTIN_NAME = re.compile(rf"([{''.join(_BUILTIN)}])(\d+)")
@@ -66,8 +70,16 @@ def _load_graph(
         raise CliError(f"--k must be >= 0, got {k_flag}")
     m = _BUILTIN_NAME.fullmatch(spec)
     if m and not Path(spec).exists():
+        letter, digits = m.groups()
         try:
-            g = _BUILTIN[m.group(1)](int(m.group(2)))
+            n = int(digits)
+            # K_n has n(n-1)/2 edges, every other builtin at most n
+            if (max(n, n * (n - 1) // 2) if letter == "K" else n) > harness.SCALING_MAX_N:
+                raise CliError(
+                    f"builtin graph {spec!r} is past {harness.SCALING_MAX_N} "
+                    "nodes or edges"
+                )
+            g = _BUILTIN[letter](n)
         except ValueError as exc:
             raise CliError(f"bad builtin graph {spec!r}: {exc}") from None
         if k_flag is None:
@@ -144,20 +156,16 @@ def _cmd_oracle(args) -> int:
 _GADGET_NAMES = {
     name: canonical
     for canonical, row in gadgets.FAMILY_BUILDERS.items()
-    for name in (canonical, *row.aliases)
+    for name in (canonical, row.short)
 }
 
 
 def _cmd_gadget(args) -> int:
-    if args.check != "sample" and (args.count, args.seed) != (None, None):
-        raise CliError("--count and --seed need --check sample")
-    count = 100 if args.count is None else args.count
-    if count < 1:
-        raise CliError(f"--count must be >= 1, got {count}")
+    count = 100 if args.count is None and args.seed is not None else args.count
+    if count is not None and not 1 <= count <= MAX_DRAWS:
+        raise CliError(f"--count must be in 1..{MAX_DRAWS}, got {count}")
     family = gadgets.FAMILY_BUILDERS[_GADGET_NAMES[args.name]].build(args.size)
-    report = gadgets.check_gadget_equivalence(
-        family, args.check, count=count, seed=args.seed or 0
-    )
+    report = gadgets.check_gadget_equivalence(family, count, seed=args.seed or 0)
     for line in report.lines():
         print(line)
     print(
@@ -168,8 +176,8 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    if args.trials < 1:
-        raise CliError(f"--trials must be >= 1, got {args.trials}")
+    if not 1 <= args.trials <= MAX_DRAWS:
+        raise CliError(f"--trials must be in 1..{MAX_DRAWS}, got {args.trials}")
     g, k = _load_graph(args.graph, args.k)
     info = SCHEMES[args.scheme]
     value = oracles.parameter_value(g, info.parameter)
@@ -249,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=_GADGET_NAMES)
     # the family's N, p or r; the family refuses a size below its minimum
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--check", choices=("exhaustive", "sample"), default="exhaustive")
-    # read by --check sample alone, which draws 100 pairs from seed 0 by default
+    # either flag draws a sample, 100 pairs from seed 0 by default; with
+    # neither, every pair runs once
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int)
     p.set_defaults(run=_cmd_gadget)

@@ -18,8 +18,9 @@ fit the size and assembles one instance.
 Both sides of a family draw their private input from one ``InputDomain``
 (half-size subsets, all subsets, bit vectors or permutations), which fixes the
 exhaustive sweep order, the seeded sampler and the rendering of inputs in
-report lines. ``FAMILY_BUILDERS`` is the registry of families: the CLI takes
-its gadget names from it and passes ``--size`` to the row's builder.
+report lines. ``FAMILY_BUILDERS`` is the one table of families and their
+names: the CLI accepts a canonical or short name and passes ``--size`` to the
+row's builder, and the corpus names its gadget entries by the short name.
 """
 
 from __future__ import annotations
@@ -431,17 +432,17 @@ def perm_coloring_family(r: int) -> GadgetFamily:
 class FamilyBuilder(NamedTuple):
     #: the family at one size (the paper's N, p or r), the CLI's ``--size``
     build: Callable[[int], GadgetFamily]
-    #: short CLI names accepted besides the canonical one
-    aliases: tuple[str, ...] = ()
+    #: the CLI's other name for the family, and its corpus entries' prefix
+    short: str
 
 
 FAMILY_BUILDERS: dict[str, FamilyBuilder] = {
-    "disj_matching": FamilyBuilder(disj_matching_family),
-    "disj_degeneracy": FamilyBuilder(disj_degeneracy_family),
-    "disj_diameter8": FamilyBuilder(disj_diameter8_family, ("diam8",)),
-    "holzer_diameter2": FamilyBuilder(holzer_diameter2_family, ("holzer",)),
-    "bitgadget_vc": FamilyBuilder(bitgadget_vc_family, ("bitvc",)),
-    "perm_coloring": FamilyBuilder(perm_coloring_family, ("perm",)),
+    "disj_matching": FamilyBuilder(disj_matching_family, "matching"),
+    "disj_degeneracy": FamilyBuilder(disj_degeneracy_family, "degeneracy"),
+    "disj_diameter8": FamilyBuilder(disj_diameter8_family, "diam8"),
+    "holzer_diameter2": FamilyBuilder(holzer_diameter2_family, "holzer"),
+    "bitgadget_vc": FamilyBuilder(bitgadget_vc_family, "bitvc"),
+    "perm_coloring": FamilyBuilder(perm_coloring_family, "perm"),
 }
 
 
@@ -482,17 +483,16 @@ class EquivalenceReport:
 
 
 def check_gadget_equivalence(
-    family: GadgetFamily, instance_space: str = "exhaustive",
-    count: int = 0, seed: int = 0,
+    family: GadgetFamily, count: int | None = None, seed: int = 0
 ) -> EquivalenceReport:
     """Sweep (x, y) inputs and assert predicate(G_{x,y}) == f(x, y) pointwise.
 
-    ``"exhaustive"`` runs every pair once; ``"sample"`` draws ``count`` pairs
-    from ``seed`` with replacement, so a count above ``input_space`` repeats
-    pairs (criterion 4 draws 1,000 pairs from ``disj_diameter8[N=3]``'s 64).
-    Each distinct pair is built and judged once per call, and a repeated draw
-    repeats its record."""
-    if instance_space == "exhaustive":
+    With no ``count`` every pair runs once; with one, ``count`` pairs are
+    drawn from ``seed`` with replacement, so a count above ``input_space``
+    repeats pairs (criterion 4 draws 1,000 pairs from ``disj_diameter8[N=3]``'s
+    64). Each distinct pair is built and judged once per call, and a repeated
+    draw repeats its record."""
+    if count is None:
         space = family.input_space
         if space > EXHAUSTIVE_SWEEP_LIMIT:
             # stated by bit length: the space is unbounded in the size, and
@@ -503,13 +503,11 @@ def check_gadget_equivalence(
             )
         side = list(family.domain.all_inputs())
         inputs = ((x, y) for x in side for y in side)
-    elif instance_space == "sample":
+    else:
         rng = random.Random(seed)
         draw = family.domain.draw
         # x is drawn before its y: the seeded sequence fixes both
         inputs = ((draw(rng), draw(rng)) for _ in range(count))
-    else:
-        raise ValueError(f"unknown instance space {instance_space!r}")
 
     judged: dict[tuple[object, object], EquivalenceRecord] = {}
     records = []

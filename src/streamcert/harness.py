@@ -91,19 +91,20 @@ def _parse_span(token: str) -> range:
     return range(v, v + 1)
 
 
-#: (short name, family, input pairs): for each gadget family, one pair on
-#: which its two-party function holds and one on which it fails, in corpus order
+#: (canonical name, family, input pairs): for each gadget family, one pair on
+#: which its two-party function holds and one on which it fails, in corpus
+#: order; an entry is named by the family's short name in FAMILY_BUILDERS
 _GADGET_PICKS = (
-    ("matching", gadgets.disj_matching_family(4),
+    ("disj_matching", gadgets.disj_matching_family(4),
      [({1, 2}, {3, 4}), ({1, 2}, {2, 3})]),
-    ("degeneracy", gadgets.disj_degeneracy_family(4),
+    ("disj_degeneracy", gadgets.disj_degeneracy_family(4),
      [({1, 2}, {3, 4}), ({1, 3}, {3, 4})]),
-    ("holzer", gadgets.holzer_diameter2_family(3),
+    ("holzer_diameter2", gadgets.holzer_diameter2_family(3),
      [((0, 0, 0), (0, 0, 0)), ((1, 0, 0), (1, 0, 0))]),
-    ("diam8", gadgets.disj_diameter8_family(3), [({1}, {2}), ({1}, {1})]),
-    ("bitvc", gadgets.bitgadget_vc_family(2),
+    ("disj_diameter8", gadgets.disj_diameter8_family(3), [({1}, {2}), ({1}, {1})]),
+    ("bitgadget_vc", gadgets.bitgadget_vc_family(2),
      [((1, 1, 1, 1), (1, 1, 1, 1)), ((1, 1, 0, 0), (0, 0, 1, 1))]),
-    ("perm", gadgets.perm_coloring_family(3),
+    ("perm_coloring", gadgets.perm_coloring_family(3),
      [((1, 2, 3), (1, 2, 3)), ((1, 2, 3), (2, 1, 3))]),
 )
 
@@ -111,10 +112,11 @@ _GADGET_PICKS = (
 def _standard_gadget_entries() -> list[tuple[str, Graph]]:
     return [
         (
-            f"gadget-{short}-{fam.domain.render(x)}-{fam.domain.render(y)}",
+            f"gadget-{gadgets.FAMILY_BUILDERS[name].short}-"
+            f"{fam.domain.render(x)}-{fam.domain.render(y)}",
             fam.build(x, y).graph,
         )
-        for short, fam, pairs in _GADGET_PICKS
+        for name, fam, pairs in _GADGET_PICKS
         for x, y in pairs
     ]
 

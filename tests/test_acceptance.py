@@ -128,19 +128,19 @@ def test_criterion_3_tutte_berge_oracle_equality():
 def test_criterion_4_gadget_iff_equivalences():
     """Exhaustive / sampled sweeps of every gadget family against the oracles."""
     sweeps = [
-        (holzer_diameter2_family(4), "exhaustive", 0),
-        (disj_matching_family(4), "exhaustive", 0),
-        (disj_degeneracy_family(4), "exhaustive", 0),
-        (perm_coloring_family(3), "exhaustive", 0),
+        (holzer_diameter2_family(4), None),
+        (disj_matching_family(4), None),
+        (disj_degeneracy_family(4), None),
+        (perm_coloring_family(3), None),
         # note: the full (x, y) space at width 2 is 2^4 * 2^4 = 256 pairs,
         # so the exhaustive sweep covers every instance
-        (bitgadget_vc_family(2), "exhaustive", 0),
-        (disj_diameter8_family(3), "sample", 1000),
+        (bitgadget_vc_family(2), None),
+        (disj_diameter8_family(3), 1000),
     ]
     details = []
     total_mismatches = 0
-    for family, mode, count in sweeps:
-        report = check_gadget_equivalence(family, mode, count=count, seed=SEED)
+    for family, count in sweeps:
+        report = check_gadget_equivalence(family, count, seed=SEED)
         total_mismatches += len(report.mismatches)
         details.append(f"{family.name}:{len(report.records)}")
     ok = total_mismatches == 0

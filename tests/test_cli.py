@@ -160,7 +160,7 @@ def _lines_and_digest(out: str) -> tuple[int, str]:
 
 
 def test_gadget_command(capsys):
-    rc = main(["gadget", "holzer", "--size", "4", "--check", "exhaustive"])
+    rc = main(["gadget", "holzer", "--size", "4"])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.endswith("summary gadget=holzer_diameter2[p=4] instances=4096 mismatches=0\n")
@@ -170,7 +170,7 @@ def test_gadget_command(capsys):
 
 
 def test_gadget_perm_coloring_exhaustive(capsys):
-    rc = main(["gadget", "perm_coloring", "--size", "3", "--check", "exhaustive"])
+    rc = main(["gadget", "perm_coloring", "--size", "3"])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.endswith("summary gadget=perm_coloring[r=3] instances=36 mismatches=0\n")
@@ -181,8 +181,7 @@ def test_gadget_perm_coloring_exhaustive(capsys):
 
 def test_gadget_disj_diameter8_sample_pinned(capsys):
     rc = main([
-        "gadget", "disj_diameter8", "--size", "3", "--check", "sample",
-        "--count", "1000", "--seed", "7",
+        "gadget", "disj_diameter8", "--size", "3", "--count", "1000", "--seed", "7",
     ])
     assert rc == 0
     out = capsys.readouterr().out
@@ -209,8 +208,7 @@ def test_prove_is_on_edgeless_lists_all_nodes(tmp_path, capsys):
 
 def test_gadget_sample_command(capsys):
     rc = main([
-        "gadget", "perm_coloring", "--size", "3", "--check", "sample",
-        "--count", "10", "--seed", "4",
+        "gadget", "perm_coloring", "--size", "3", "--count", "10", "--seed", "4",
     ])
     assert rc == 0
 
@@ -295,10 +293,9 @@ BAD_INPUT_ARGVS = [
     ["gadget", "holzer", "--size", "0"],
     ["gadget", "disj_matching", "--size", "-2"],
     ["gadget", "disj_degeneracy", "--size", "-1"],
-    ["gadget", "disj_degeneracy", "--size", "2", "--check", "sample",
-     "--count", "-3"],
+    ["gadget", "disj_degeneracy", "--size", "2", "--count", "-3"],
     ["gadget", "bitgadget_vc", "--size", "3"],
-    ["gadget", "bitgadget_vc", "--size", "3", "--check", "sample"],
+    ["gadget", "bitgadget_vc", "--size", "3", "--seed", "1"],
     ["gadget", "disj_matching", "--size", "3"],
     ["prove", "--scheme", "mm_atmost", "--graph", "P4", "--k", "2",
      "--out", "UNWRITABLE"],
@@ -307,8 +304,8 @@ BAD_INPUT_ARGVS = [
     ["fuzz", "--scheme", "nope", "--graph", "K4", "--k", "1"],
     ["scale", "--scheme", "nope"],
     ["gadget", "nope"],
-    ["gadget", "perm", "--size", "7", "--check", "sample", "--count", "1"],
-    ["gadget", "bitvc", "--size", "4", "--check", "sample", "--count", "1"],
+    ["gadget", "perm", "--size", "7", "--count", "1"],
+    ["gadget", "bitvc", "--size", "4", "--count", "1"],
     # input spaces whose decimal form is past Python's int-to-str limit
     ["gadget", "diam8", "--size", "8000"],
     ["gadget", "bitvc", "--size", "512"],
@@ -328,11 +325,18 @@ BAD_INPUT_ARGVS = [
     ["gadget", "perm", "--r", "3"],
     ["gadget", "holzer", "--p", "3", "--size", "3"],
     ["oracle", "all", "--graph", "P4", "--k", "0"],
-    # an exhaustive sweep draws no sample, so it takes no --count or --seed
-    ["gadget", "holzer", "--size", "2", "--count", "5", "--seed", "9"],
     # above harness.SCALING_MAX_N = 2^18: refused before any graph is built
     ["scale", "--scheme", "deg_atleast", "--sizes", "99999999999999999999"],
     ["scale", "--scheme", "mm_atmost", "--sizes", "16,262145"],
+    # builtins past 2^18 nodes or edges (K725 has 262,450 edges): refused
+    # before the graph is built
+    ["oracle", "matching", "--graph", "K100000"],
+    ["fuzz", "--scheme", "mm_atmost", "--graph", "P999999999", "--k", "1"],
+    ["oracle", "matching", "--graph", "K725"],
+    # draws past cli.MAX_DRAWS = 2^16: refused before any record is kept
+    ["fuzz", "--scheme", "mm_atmost", "--graph", "K4", "--k", "1",
+     "--trials", "1000000000000"],
+    ["gadget", "diam8", "--size", "3", "--count", "1000000000000"],
 ]
 
 
@@ -352,26 +356,49 @@ def _bind_paths(argv, tmp_path):
     return [paths.get(arg, arg) for arg in argv]
 
 
-def _scaling_within_the_cap(monkeypatch):
-    """Patch ``harness.run_space_scaling`` to fail when asked for a size
-    above ``SCALING_MAX_N``: the CLI must refuse such a size before any
-    graph is built, and a test must never build one."""
-    from streamcert import harness
+def _within_the_caps(monkeypatch):
+    """Patch what the CLI calls to fail when it is asked for more than the
+    CLI's caps allow: a scaling size or a builtin graph past
+    ``SCALING_MAX_N`` nodes or edges, or more fuzz trials or gadget pairs
+    than ``MAX_DRAWS``. The CLI must refuse such a request before any graph
+    is built or any record kept, and a test must never build one."""
+    from streamcert import cli, gadgets, harness
 
-    run = harness.run_space_scaling
+    cap = harness.SCALING_MAX_N
+    run, fuzz, check = (
+        harness.run_space_scaling, harness.fuzz_instance, gadgets.check_gadget_equivalence
+    )
 
-    def guarded(scheme, sizes):
-        assert max(sizes) <= harness.SCALING_MAX_N, sizes
+    def scaling(scheme, sizes):
+        assert max(sizes) <= cap, sizes
         return run(scheme, sizes)
 
-    monkeypatch.setattr(harness, "run_space_scaling", guarded)
+    def builtin(letter, build):
+        def guarded(n):
+            assert n <= cap and (letter != "K" or n * (n - 1) // 2 <= cap), n
+            return build(n)
+        return guarded
+
+    def fuzzed(scheme, entry, k, policy, *rest):
+        assert policy.trials <= cli.MAX_DRAWS, policy
+        return fuzz(scheme, entry, k, policy, *rest)
+
+    def checked(family, count=None, seed=0):
+        assert count is None or count <= cli.MAX_DRAWS, count
+        return check(family, count, seed)
+
+    monkeypatch.setattr(harness, "run_space_scaling", scaling)
+    for letter, build in cli._BUILTIN.items():
+        monkeypatch.setitem(cli._BUILTIN, letter, builtin(letter, build))
+    monkeypatch.setattr(harness, "fuzz_instance", fuzzed)
+    monkeypatch.setattr(gadgets, "check_gadget_equivalence", checked)
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT_ARGVS)
 def test_bad_input_exits_with_parse_error(argv, tmp_path, capsys, monkeypatch):
     # exit 1 means "reject" and exit 2 "not certifiable"; bad input must
     # surface as neither, nor as a traceback
-    _scaling_within_the_cap(monkeypatch)
+    _within_the_caps(monkeypatch)
     assert main(_bind_paths(argv, tmp_path)) == 3
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -388,7 +415,7 @@ def _sweep_argvs(tmp_path):
            "--out", str(tmp_path / "c5.cert")]
     yield ["verify", "--scheme", "mm_atmost", "--graph", "K4", "--k", "1", "--cert", "CERT"]
     yield ["oracle", "chromatic", "--graph", "E25"]
-    yield ["gadget", "disj_matching", "--size", "2", "--check", "sample", "--count", "0"]
+    yield ["gadget", "disj_matching", "--size", "2", "--count", "0"]
     yield ["fuzz", "--scheme", "mm_atmost", "--graph", "K4", "--k", "2"]
     yield ["scale", "--scheme", "mm_atmost", "--sizes", "1,1"]
     graphs = []
@@ -410,7 +437,7 @@ def _sweep_argvs(tmp_path):
 def test_exit_codes_hold_their_contract_over_a_sweep(tmp_path, capsys, monkeypatch):
     # exit 1 is a reject, which only ``verify`` reports, and no call may
     # escape ``main`` with an exception
-    _scaling_within_the_cap(monkeypatch)
+    _within_the_caps(monkeypatch)
     offenders = []
     calls = 0
     for argv in _sweep_argvs(tmp_path):
@@ -428,6 +455,17 @@ def test_exit_codes_hold_their_contract_over_a_sweep(tmp_path, capsys, monkeypat
             offenders.append((argv, code))
     assert calls > 200
     assert not offenders, offenders[:5]
+
+
+def test_builtin_cap_admits_the_largest_clique(monkeypatch, capsys):
+    # K724 has 261,726 edges, within 2^18; a stub stands in for the build
+    from streamcert import cli
+    from streamcert.graph import complete_graph
+
+    built = []
+    monkeypatch.setitem(cli._BUILTIN, "K", lambda n: built.append(n) or complete_graph(3))
+    assert main(["oracle", "matching", "--graph", "K724"]) == 0
+    assert built == [724]
 
 
 @pytest.mark.parametrize(
@@ -467,10 +505,12 @@ def test_prove_at_the_largest_k_whose_labels_fit_u32(tmp_path, capsys):
         ("bitvc", "bitgadget_vc", ["--size", "2"]),
         ("perm_coloring", "perm_coloring", ["--size", "3"]),
         ("perm", "perm_coloring", ["--size", "3"]),
+        ("matching", "disj_matching", ["--size", "4"]),
+        ("degeneracy", "disj_degeneracy", ["--size", "3"]),
     ],
 )
 def test_every_gadget_name_runs(name, canonical, size, capsys):
-    rc = main(["gadget", name, *size, "--check", "sample", "--count", "3"])
+    rc = main(["gadget", name, *size, "--count", "3"])
     assert rc == 0
     out = capsys.readouterr().out
     assert f"summary gadget={canonical}[" in out and "instances=3 " in out

@@ -174,15 +174,13 @@ def test_sides_depend_only_on_own_input(family, inputs):
     ids=lambda f: f.name,
 )
 def test_exhaustive_equivalence_small(family):
-    report = check_gadget_equivalence(family, "exhaustive")
+    report = check_gadget_equivalence(family)
     assert report.ok, report.mismatches[:3]
     assert len(report.records) == family.input_space
 
 
 def test_sampled_equivalence():
-    report = check_gadget_equivalence(
-        disj_diameter8_family(2), "sample", count=60, seed=9
-    )
+    report = check_gadget_equivalence(disj_diameter8_family(2), count=60, seed=9)
     assert report.ok and len(report.records) == 60
 
 
@@ -196,7 +194,7 @@ def test_sampled_equivalence_builds_each_distinct_pair_once():
         return family.build(x, y)
 
     report = check_gadget_equivalence(
-        dataclasses.replace(family, build=build), "sample", count=1000, seed=2026
+        dataclasses.replace(family, build=build), count=1000, seed=2026
     )
     assert len(report.records) == 1000
     assert len(built) == len(set(built)) == family.input_space
@@ -205,7 +203,7 @@ def test_sampled_equivalence_builds_each_distinct_pair_once():
 
 def test_exhaustive_gate():
     with pytest.raises(TooLarge):
-        check_gadget_equivalence(holzer_diameter2_family(5), "exhaustive")
+        check_gadget_equivalence(holzer_diameter2_family(5))
 
 
 @pytest.mark.parametrize(
@@ -224,14 +222,14 @@ def test_exhaustive_gate_refuses_before_any_layout(build, size, message):
 
     start = time.perf_counter()
     with pytest.raises(TooLarge, match=re.escape(message + " instances exceed")):
-        check_gadget_equivalence(build(size), "exhaustive")
+        check_gadget_equivalence(build(size))
     assert time.perf_counter() - start < 1.0
 
 
 def test_report_lines_are_stable():
     fam = disj_matching_family(2)
-    a = check_gadget_equivalence(fam, "exhaustive").lines()
-    b = check_gadget_equivalence(fam, "exhaustive").lines()
+    a = check_gadget_equivalence(fam).lines()
+    b = check_gadget_equivalence(fam).lines()
     assert a == b and all(line.startswith("gadget=") for line in a)
 
 
@@ -247,16 +245,14 @@ def test_gadget_report_lines_pinned():
         holzer_diameter2_family(2), holzer_diameter2_family(3),
         bitgadget_vc_family(2), perm_coloring_family(3),
     ]:
-        lines += check_gadget_equivalence(family, "exhaustive").lines()
+        lines += check_gadget_equivalence(family).lines()
     for seed in (0, 1, 7):
         for family in [
             disj_matching_family(8), disj_degeneracy_family(5),
             disj_diameter8_family(3), holzer_diameter2_family(5),
             bitgadget_vc_family(2), perm_coloring_family(4),
         ]:
-            lines += check_gadget_equivalence(
-                family, "sample", count=20, seed=seed
-            ).lines()
+            lines += check_gadget_equivalence(family, count=20, seed=seed).lines()
     sizes = [
         (disj_matching_family, (2, 4, 6, 8)),
         (disj_degeneracy_family, range(1, 7)),
@@ -348,14 +344,10 @@ def test_split_stream_matches_shuffled_verdict(family, inputs):
         (lambda: disj_diameter8_family(2).build(set(), {3}), BadSizes, "outside"),
         (lambda: bitgadget_vc_family(2).build((0, 0, 0), (0, 0, 0, 0)), BadSizes, "length 4"),
         (lambda: perm_coloring_family(3).build((1, 1, 2), (1, 2, 3)), BadSizes, "permutations"),
-        (
-            lambda: check_gadget_equivalence(perm_coloring_family(3), "bogus"),
-            ValueError, "unknown instance space",
-        ),
     ],
     ids=[
         "disj_matching-outside", "disj_degeneracy-outside", "disj_diameter8-outside",
-        "bitgadget_vc-length", "perm_coloring-not-a-permutation", "unknown-instance-space",
+        "bitgadget_vc-length", "perm_coloring-not-a-permutation",
     ],
 )
 def test_gadget_input_refusals(refusal, error, message):
