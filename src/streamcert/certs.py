@@ -265,7 +265,7 @@ def encode_equality(scheme: str, le_blob: CertificateBlob, ge_blob: CertificateB
     ``unknown:<tag>`` blob) goes under tag 0, which no codec uses, so the
     pair decodes as malformed instead of failing here."""
     payload = b"".join(
-        _INNER.pack(SCHEME_TAGS.get(b.scheme, 0), b.semantic_bits, len(b.payload)) + b.payload
+        _INNER.pack(CODECS.get(b.scheme, (0,))[0], b.semantic_bits, len(b.payload)) + b.payload
         for b in (le_blob, ge_blob)
     )
     return CertificateBlob(
@@ -279,12 +279,13 @@ def decode_equality(payload: bytes, n: int, k: int):
         if len(payload) < end + _INNER.size:
             raise MalformedCertificate("truncated payload")
         tag, bits, length = _INNER.unpack_from(payload, end)
-        if tag not in TAG_SCHEMES:
+        scheme = _FILE_SCHEMES[tag]
+        if scheme not in CODECS:
             raise MalformedCertificate(f"unknown inner scheme tag {tag}")
         start, end = end + _INNER.size, end + _INNER.size + length
         if end > len(payload):
             raise MalformedCertificate("truncated payload")
-        inner.append(CertificateBlob(TAG_SCHEMES[tag], payload[start:end], bits))
+        inner.append(CertificateBlob(scheme, payload[start:end], bits))
     if end != len(payload):
         raise MalformedCertificate("trailing bytes in payload")
     return tuple(inner), inner[0].semantic_bits + inner[1].semantic_bits
@@ -305,12 +306,11 @@ CODECS: dict[str, tuple[int, Callable]] = {
     "mm_equal": (11, decode_equality),
     "deg_equal": (12, decode_equality),
 }
-SCHEME_TAGS: dict[str, int] = {name: tag for name, (tag, _) in CODECS.items()}
-TAG_SCHEMES: dict[int, str] = {tag: name for name, tag in SCHEME_TAGS.items()}
 
 #: the file format names every tag byte, so that reading and writing a
 #: certificate file round-trip any byte string
-_FILE_SCHEMES = {tag: TAG_SCHEMES.get(tag, f"unknown:{tag}") for tag in range(256)}
+_FILE_SCHEMES = {tag: f"unknown:{tag}" for tag in range(256)}
+_FILE_SCHEMES.update((tag, name) for name, (tag, _) in CODECS.items())
 _FILE_TAGS = {name: tag for tag, name in _FILE_SCHEMES.items()}
 _INVALID = "invalid"  # a file too short to hold the header
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import gadgets, harness, oracles
 from .certs import FieldPastU32, deserialize_certificate, serialize_certificate
-from .graph import Graph, GraphError, parse_graph_file
+from .graph import MAX_NODES_OR_EDGES, Graph, GraphError, parse_graph_file
 from .provers import NotCertifiable, gallai_edmonds_witness
 from .schemes import SCHEMES
 from .stream import OrderSpecError, make_stream
@@ -74,10 +74,9 @@ def _load_graph(
         try:
             n = int(digits)
             # K_n has n(n-1)/2 edges, every other builtin at most n
-            if (max(n, n * (n - 1) // 2) if letter == "K" else n) > harness.SCALING_MAX_N:
+            if (max(n, n * (n - 1) // 2) if letter == "K" else n) > MAX_NODES_OR_EDGES:
                 raise CliError(
-                    f"builtin graph {spec!r} is past {harness.SCALING_MAX_N} "
-                    "nodes or edges"
+                    f"builtin graph {spec!r} is past {MAX_NODES_OR_EDGES} nodes or edges"
                 )
             g = _BUILTIN[letter](n)
         except ValueError as exc:
@@ -217,8 +216,8 @@ def _cmd_scale(args) -> int:
     low = harness.SCALING_FAMILIES[args.scheme].min_n
     if min(sizes) < low:
         raise CliError(f"--sizes for {args.scheme} must be >= {low}, got {min(sizes)}")
-    if max(sizes) > harness.SCALING_MAX_N:
-        raise CliError(f"--sizes must be <= {harness.SCALING_MAX_N}, got {max(sizes)}")
+    if max(sizes) > MAX_NODES_OR_EDGES:
+        raise CliError(f"--sizes must be <= {MAX_NODES_OR_EDGES}, got {max(sizes)}")
     report = harness.run_space_scaling(args.scheme, sizes)
     for line in report.lines():
         print(line)

@@ -10,17 +10,18 @@ stream order "split:<split_point>" reproduces the one-side-then-the-other
 order the reductions rely on.
 
 ``<name>_family(size)`` is the only constructor of a family. It refuses a
-size below the family's minimum, lays out what depends on the size alone
-(node numbering, and the edges no input switches) once, and returns a
-``GadgetFamily`` whose ``build(x, y)`` closure refuses inputs that do not
-fit the size and assembles one instance.
+size outside the family's range, whose ceiling keeps every instance within
+``MAX_NODES_OR_EDGES`` nodes and edges, lays out what depends on the size
+alone (node numbering, and the edges no input switches) once, and returns a
+``GadgetFamily`` whose ``layout(x, y)`` closure assembles one instance.
 
 Both sides of a family draw their private input from one ``InputDomain``
 (half-size subsets, all subsets, bit vectors or permutations), which fixes the
-exhaustive sweep order, the seeded sampler and the rendering of inputs in
-report lines. ``FAMILY_BUILDERS`` is the one table of families and their
-names: the CLI accepts a canonical or short name and passes ``--size`` to the
-row's builder, and the corpus names its gadget entries by the short name.
+exhaustive sweep order, the seeded sampler, the inputs that ``build(x, y)``
+lets through to ``layout`` and the rendering of inputs in report lines.
+``FAMILY_BUILDERS`` is the one table of families and their names: the CLI
+accepts a canonical or short name and passes ``--size`` to the row's builder,
+and the corpus names its gadget entries by the short name.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ import functools
 import itertools
 import math
 import random
+import reprlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
-from .graph import Graph, validate_graph
+from .graph import MAX_NODES_OR_EDGES, Graph, validate_graph
 from .oracles import (
     TooLarge,
     k_coloring,
@@ -46,16 +48,13 @@ EXHAUSTIVE_SWEEP_LIMIT = 1 << 16
 
 
 class BadSizes(ValueError):
-    """A family size below its minimum, or inputs that do not fit the size."""
+    """A family size outside its range, or inputs that do not fit the size."""
 
 
-def _require_size(family: str, symbol: str, value: int, low: int) -> None:
-    if value < low:
-        raise BadSizes(f"{family} needs {symbol} >= {low}, got {value}")
-
-
-def _norm_edges(edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    return tuple((u, v) if u < v else (v, u) for u, v in edges)
+def _require_size(family: str, symbol: str, value: int, low: int, high: int) -> None:
+    if not low <= value <= high:
+        bound = f">= {low}" if value < low else f"<= {high}"
+        raise BadSizes(f"{family} needs {symbol} {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -71,22 +70,23 @@ class GadgetInstance:
         return len(self.fixed_edges) + len(self.alice_edges)
 
 
-def _assemble(n: int, fixed, alice, bob) -> GadgetInstance:
-    fixed, alice, bob = _norm_edges(fixed), _norm_edges(alice), _norm_edges(bob)
-    graph = Graph(n, fixed + alice + bob)
+def _assemble(n: int, fixed: list, alice: list, bob: Iterable) -> GadgetInstance:
+    graph = Graph.from_edges(n, [*fixed, *alice, *bob])
     validate_graph(graph)
-    return GadgetInstance(graph, fixed, alice, bob)
+    a, b = len(fixed), len(fixed) + len(alice)
+    return GadgetInstance(graph, graph.edges[:a], graph.edges[a:b], graph.edges[b:])
 
 
 @dataclass(frozen=True)
 class InputDomain:
     """The private inputs of one side: ``size`` of them, listed by
-    ``all_inputs()`` in sweep order, drawn one at a time by ``draw(rng)`` and
-    printed in report lines by ``render``."""
+    ``all_inputs()`` in sweep order, drawn one at a time by ``draw(rng)``,
+    recognised by ``fits(x)`` and printed in report lines by ``render``."""
 
     size: int
     all_inputs: Callable[[], Iterable[object]]
     draw: Callable[[random.Random], object]
+    fits: Callable[[object], bool]
     render: Callable[[object], str]
 
 
@@ -98,10 +98,12 @@ def half_subsets(universe: int) -> InputDomain:
     """The universe/2-element subsets of 1..universe, in lexicographic order."""
     half = universe // 2
     pool = list(range(1, universe + 1))
+    members = frozenset(pool)
     return InputDomain(
         math.comb(universe, half),
         lambda: map(frozenset, itertools.combinations(pool, half)),
         lambda rng: frozenset(rng.sample(pool, half)),
+        lambda x: len(s := frozenset(x)) == half and s <= members,
         _render_set,
     )
 
@@ -117,6 +119,7 @@ def all_subsets(universe: int) -> InputDomain:
             for c in itertools.combinations(pool, size)
         ),
         lambda rng: frozenset(v for v in pool if rng.random() < 0.5),
+        frozenset(pool).issuperset,
         _render_set,
     )
 
@@ -127,6 +130,7 @@ def bit_vectors(length: int) -> InputDomain:
         2**length,
         lambda: itertools.product((0, 1), repeat=length),
         lambda rng: tuple(rng.randrange(2) for _ in range(length)),
+        lambda x: len(x) == length,
         lambda x: "".join(map(str, x)),
     )
 
@@ -144,6 +148,7 @@ def permutations(r: int) -> InputDomain:
         math.factorial(r),
         lambda: itertools.permutations(base),
         draw,
+        lambda x: sorted(x) == base,
         lambda x: ",".join(map(str, x)),
     )
 
@@ -151,7 +156,8 @@ def permutations(r: int) -> InputDomain:
 @dataclass(frozen=True)
 class GadgetFamily:
     name: str
-    build: Callable[[object, object], GadgetInstance]
+    #: ``build`` unchecked: the instance of two inputs that fit ``domain``
+    layout: Callable[[object, object], GadgetInstance]
     two_party: Callable[[object, object], bool]
     predicate: Callable[[Graph], bool]
     #: where both Alice's and Bob's inputs come from
@@ -165,6 +171,13 @@ class GadgetFamily:
     def input_space(self) -> int:
         """Number of (x, y) pairs."""
         return self.domain.size**2
+
+    def build(self, x, y) -> GadgetInstance:
+        """G_{x,y}, or BadSizes unless both inputs fit ``domain``. Each is read
+        twice, so it is a collection, not a one-shot iterator."""
+        if not (self.domain.fits(x) and self.domain.fits(y)):
+            raise BadSizes(f"{self.name}: inputs {reprlib.repr((x, y))} are not in its domain")
+        return self.layout(x, y)
 
 
 def _sets_disjoint(x, y) -> bool:
@@ -181,18 +194,13 @@ def disj_matching_family(universe: int) -> GadgetFamily:
     """Bipartite graph on 2*universe nodes: Alice matches her elements to the
     first half of the right side, Bob his to the second half. A perfect
     matching exists iff the element sets are disjoint."""
-    _require_size("disj_matching", "N", universe, 2)
+    _require_size("disj_matching", "N", universe, 2, MAX_NODES_OR_EDGES // 2)
     if universe % 2:
         raise BadSizes(f"disj_matching needs N even, got {universe}")
     half = universe // 2
-    pool = frozenset(range(1, universe + 1))
 
-    def build(x, y) -> GadgetInstance:
+    def layout(x, y) -> GadgetInstance:
         x, y = frozenset(x), frozenset(y)
-        if len(x) != half or len(y) != half:
-            raise BadSizes(f"need |x| = |y| = {universe}/2 halves of [universe]")
-        if not (x | y) <= pool:
-            raise BadSizes("elements outside the universe")
         alice = [(xi, universe + slot) for slot, xi in enumerate(sorted(x), start=1)]
         bob = [
             (yi, universe + half + slot) for slot, yi in enumerate(sorted(y), start=1)
@@ -201,7 +209,7 @@ def disj_matching_family(universe: int) -> GadgetFamily:
 
     return GadgetFamily(
         name=f"disj_matching[N={universe}]",
-        build=build,
+        layout=layout,
         two_party=_sets_disjoint,
         predicate=lambda g: oracle_max_matching(g) == universe,
         domain=half_subsets(universe),
@@ -218,21 +226,19 @@ def disj_matching_family(universe: int) -> GadgetFamily:
 def disj_degeneracy_family(universe: int) -> GadgetFamily:
     """Alice stars {a,b} ∪ x at a; Bob paths b through y. The union is a tree
     (1-degenerate) iff the sets are disjoint, else a cycle closes through a,b."""
-    _require_size("disj_degeneracy", "N", universe, 1)
-    pool = frozenset(range(1, universe + 1))
+    # at most 2N + 1 edges
+    _require_size("disj_degeneracy", "N", universe, 1, (MAX_NODES_OR_EDGES - 1) // 2)
     a, b = universe + 1, universe + 2
 
-    def build(x, y) -> GadgetInstance:
+    def layout(x, y) -> GadgetInstance:
         x, y = frozenset(x), frozenset(y)
-        if not (x | y) <= pool:
-            raise BadSizes("elements outside the universe")
         alice = [(a, b)] + [(a, xi) for xi in sorted(x)]
         path = [b] + sorted(y)
         return _assemble(universe + 2, [], alice, zip(path, path[1:]))
 
     return GadgetFamily(
         name=f"disj_degeneracy[N={universe}]",
-        build=build,
+        layout=layout,
         two_party=_sets_disjoint,
         predicate=lambda g: oracle_degeneracy(g) <= 1,
         domain=all_subsets(universe),
@@ -247,8 +253,8 @@ def disj_diameter8_family(universe: int) -> GadgetFamily:
     shortcut rows 1-2, Bob's rows 2-3. A common element gives a u-v path of
     length 6; otherwise every u-v route is forced through both bottlenecks
     and the diameter stays at least 8."""
-    _require_size("disj_diameter8", "N", universe, 1)
-    pool = frozenset(range(1, universe + 1))
+    # at most 8N + 4 edges
+    _require_size("disj_diameter8", "N", universe, 1, (MAX_NODES_OR_EDGES - 4) // 8)
     row1 = lambda i: i
     row2 = lambda i: universe + i
     row3 = lambda i: 2 * universe + i
@@ -265,17 +271,15 @@ def disj_diameter8_family(universe: int) -> GadgetFamily:
             (t4, row3(i)),
         ]
 
-    def build(x, y) -> GadgetInstance:
+    def layout(x, y) -> GadgetInstance:
         x, y = frozenset(x), frozenset(y)
-        if not (x | y) <= pool:
-            raise BadSizes("elements outside the universe")
         alice = frame + [(row1(i), row2(i)) for i in sorted(x)]
         bob = [(row2(j), row3(j)) for j in sorted(y)]
         return _assemble(3 * universe + 8, [], alice, bob)
 
     return GadgetFamily(
         name=f"disj_diameter8[N={universe}]",
-        build=build,
+        layout=layout,
         two_party=_sets_disjoint,
         predicate=lambda g: oracle_diameter(g) >= 8,
         domain=all_subsets(universe),
@@ -289,7 +293,8 @@ def holzer_diameter2_family(p: int) -> GadgetFamily:
     """Two fans a_0..a_p and b_0..b_p joined by rungs a_i-b_i; bit vectors
     (indexed by pairs i<j) switch a-side and b-side edges OFF where the bit is
     1. Diameter stays 2 iff no pair is missing on both sides."""
-    _require_size("holzer_diameter2", "p", p, 2)
+    # at most (p + 1)^2 edges
+    _require_size("holzer_diameter2", "p", p, 2, math.isqrt(MAX_NODES_OR_EDGES) - 1)
     bits = p * (p - 1) // 2  # one per pair i < j, in lex order
     a = lambda i: 1 + i
     b = lambda i: p + 2 + i
@@ -299,9 +304,7 @@ def holzer_diameter2_family(p: int) -> GadgetFamily:
         + [(b(0), b(i)) for i in range(1, p + 1)]
     )
 
-    def build(x, y) -> GadgetInstance:
-        if len(x) != bits or len(y) != bits:
-            raise BadSizes(f"inputs must have length p(p-1)/2 = {bits}")
+    def layout(x, y) -> GadgetInstance:
         pairs = list(itertools.combinations(range(1, p + 1), 2))
         alice = [(a(i), a(j)) for (i, j), z in zip(pairs, x) if z == 0]
         bob = [(b(i), b(j)) for (i, j), z in zip(pairs, y) if z == 0]
@@ -309,7 +312,7 @@ def holzer_diameter2_family(p: int) -> GadgetFamily:
 
     return GadgetFamily(
         name=f"holzer_diameter2[p={p}]",
-        build=build,
+        layout=layout,
         two_party=_bits_disjoint,
         predicate=lambda g: oracle_diameter(g) == 2,
         domain=bit_vectors(bits),
@@ -325,7 +328,8 @@ def bitgadget_vc_family(width: int) -> GadgetFamily:
     bits of x add A-side a_i-a'_j edges, zero bits of y the mirrored B-side
     edges. The minimum vertex cover exceeds 4(width-1) + 4*log(width) exactly
     when the bit vectors are disjoint."""
-    _require_size("bitgadget_vc", "N", width, 2)
+    # at most 4N^2 - 2N + 4N log N + 8 log N edges: 269,888 at N = 256
+    _require_size("bitgadget_vc", "N", width, 2, 128)
     logw = width.bit_length() - 1
     if 1 << logw != width:
         raise BadSizes(f"bitgadget_vc needs N a power of two, got {width}")
@@ -370,9 +374,7 @@ def bitgadget_vc_family(width: int) -> GadgetFamily:
     fixed = rungs("fa", "tb") + rungs("ta", "fb")
     fixed += rungs("fap", "tbp") + rungs("tap", "fbp")
 
-    def build(x, y) -> GadgetInstance:
-        if len(x) != width * width or len(y) != width * width:
-            raise BadSizes(f"inputs must have length {width * width}")
+    def layout(x, y) -> GadgetInstance:
         alice_frame, bob_frame = frames()
         # input bit c stands for the cell (i, j) = divmod(c, width)
         alice = alice_frame + [(a(c // width), ap(c % width)) for c, z in enumerate(x) if z == 0]
@@ -381,7 +383,7 @@ def bitgadget_vc_family(width: int) -> GadgetFamily:
 
     return GadgetFamily(
         name=f"bitgadget_vc[N={width}]",
-        build=build,
+        layout=layout,
         two_party=_bits_disjoint,
         predicate=lambda g: vertex_cover_at_most(g, cover_bound) is None,
         domain=bit_vectors(width * width),
@@ -396,7 +398,8 @@ def perm_coloring_family(r: int) -> GadgetFamily:
     i-th nodes of the two columns); Alice links first columns by everything
     off her permutation, Bob mirrors on second columns. r-colorable iff the
     permutations coincide."""
-    _require_size("perm_coloring", "r", r, 3)
+    # 6r(r - 1) edges: 260,832 at r = 209, 263,340 at r = 210
+    _require_size("perm_coloring", "r", r, 3, math.isqrt(MAX_NODES_OR_EDGES // 6))
     ids = list(range(1, r + 1))
 
     def block(offset: int) -> list[tuple[int, int]]:
@@ -409,11 +412,8 @@ def perm_coloring_family(r: int) -> GadgetFamily:
 
     blocks = block(0) + block(2 * r)
 
-    def build(sigma, tau) -> GadgetInstance:
+    def layout(sigma, tau) -> GadgetInstance:
         sigma, tau = tuple(sigma), tuple(tau)
-        for perm in (sigma, tau):
-            if sorted(perm) != ids:
-                raise BadSizes("inputs must be permutations of 1..r")
         # columns: p_col1 = i, p_col2 = r + i, q_col1 = 2r + j, q_col2 = 3r + j
         e_sigma = [(i, 2 * r + j) for i in ids for j in ids if j != sigma[i - 1]]
         e_tau = [(r + i, 3 * r + j) for i in ids for j in ids if j != tau[i - 1]]
@@ -421,7 +421,7 @@ def perm_coloring_family(r: int) -> GadgetFamily:
 
     return GadgetFamily(
         name=f"perm_coloring[r={r}]",
-        build=build,
+        layout=layout,
         two_party=lambda s, t: tuple(s) == tuple(t),
         predicate=lambda g: k_coloring(g, r) is not None,
         domain=permutations(r),

@@ -38,6 +38,11 @@ from operator import lt
 from typing import Iterable
 
 
+#: the most nodes, and the most edges, of a builtin graph (K4, P6, ...), a gadget
+#: instance or a ``scale`` instance (whose run at n = 2^16 peaks at ~0.55 KB a node)
+MAX_NODES_OR_EDGES = 1 << 18
+
+
 class GraphError(ValueError):
     """A graph that is not simple on 1..n, or a graph file that is not in
     the text format; the message names the fault."""

@@ -77,10 +77,7 @@ def _attach(name: str, g: Graph) -> CorpusEntry:
     validate_graph(g)
     if g.n > NP_ORACLE_MAX_N:
         raise TooLarge(f"{name}: n={g.n} beyond exact-oracle cutoff")
-    values = {p: parameter_value(g, p) for p in PARAMETERS}
-    if values["vc"] + values["is"] != g.n:
-        raise AssertionError("cover/IS complementarity violated")
-    return CorpusEntry(name, g, values)
+    return CorpusEntry(name, g, {p: parameter_value(g, p) for p in PARAMETERS})
 
 
 def _parse_span(token: str) -> range:
@@ -518,11 +515,6 @@ SCALING_FAMILIES: dict[str, ScalingFamily] = {
     "mm_equal": ScalingFamily(2, lambda n: (star_graph(n), 1, n + 3 * id_bits(n))),
     "deg_equal": ScalingFamily(2, lambda n: (star_graph(n), 1, n * ceil_log2(n) + n)),
 }
-
-
-#: the largest n that ``streamcert scale`` accepts: every family above has
-#: O(n) edges, and a run at n = 65536 peaks at about 0.55 KB per node
-SCALING_MAX_N = 1 << 18
 
 
 def _scaling_instance(scheme: str, n: int) -> tuple[Graph, int, CertificateBlob, int]:

@@ -715,8 +715,8 @@ def chromatic_at_least(g: Graph, k: int) -> bool:
 
 def vc_at_least(g: Graph, k: int) -> bool:
     """tau >= k: no vertex cover of size k - 1. One budgeted search instead
-    of ``minimum_vertex_cover``'s independent-set search and its search at
-    budget tau; ``vertex_cover_at_most`` has none below budget 0."""
+    of the independent-set search that gives tau = n - alpha;
+    ``vertex_cover_at_most`` has none below budget 0."""
     return vertex_cover_at_most(g, k - 1) is None
 
 
@@ -734,7 +734,7 @@ PARAMETERS: dict[str, Parameter] = {
     "degeneracy": Parameter(oracle_degeneracy, True, degeneracy_at_least),
     "diameter": Parameter(oracle_diameter, False),
     "chromatic": Parameter(oracle_chromatic, True, chromatic_at_least),
-    "vc": Parameter(lambda g: len(minimum_vertex_cover(g)), True, vc_at_least),
+    "vc": Parameter(lambda g: g.n - len(maximum_independent_set(g)), True, vc_at_least),
     "is": Parameter(lambda g: len(maximum_independent_set(g)), False),
     "clique": Parameter(lambda g: len(maximum_clique(g)), True),
 }

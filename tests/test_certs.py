@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from streamcert.certs import (
+    CODECS,
     CertificateBlob,
     MalformedCertificate,
-    SCHEME_TAGS,
     decode_blob,
     deserialize_certificate,
     encode_core_subset,
@@ -138,7 +138,7 @@ def test_equality_container_roundtrip():
 def test_file_format_roundtrip():
     blob = encode_node_set("vc_atmost", [2], 5)
     raw = serialize_certificate(blob)
-    assert raw[0] == SCHEME_TAGS["vc_atmost"]
+    assert raw[0] == CODECS["vc_atmost"][0]
     assert deserialize_certificate(raw) == blob
 
 
@@ -323,8 +323,6 @@ def _pinned_payloads():
 
 def test_decoder_outcomes_pinned():
     import hashlib
-
-    from streamcert.certs import CODECS
 
     digest = hashlib.sha256()
     count = 0

@@ -6,9 +6,10 @@ import hashlib
 
 import pytest
 
-from streamcert import oracles
+from streamcert import gadgets, oracles
 from streamcert.cli import main
-from streamcert.graph import format_graph_file, path_graph, star_graph
+from streamcert.graph import MAX_NODES_OR_EDGES, format_graph_file, path_graph, star_graph
+from test_gadgets import CEILINGS
 
 
 @pytest.fixture()
@@ -308,7 +309,7 @@ BAD_INPUT_ARGVS = [
     ["gadget", "bitvc", "--size", "4", "--count", "1"],
     # input spaces whose decimal form is past Python's int-to-str limit
     ["gadget", "diam8", "--size", "8000"],
-    ["gadget", "bitvc", "--size", "512"],
+    ["gadget", "bitvc", "--size", "128"],
     # the unreachable node's label k + 1 does not fit a u32 field
     ["prove", "--scheme", "diam_atleast", "--graph", "E2", "--k", "4294967295",
      "--out", "CERT"],
@@ -325,7 +326,7 @@ BAD_INPUT_ARGVS = [
     ["gadget", "perm", "--r", "3"],
     ["gadget", "holzer", "--p", "3", "--size", "3"],
     ["oracle", "all", "--graph", "P4", "--k", "0"],
-    # above harness.SCALING_MAX_N = 2^18: refused before any graph is built
+    # above MAX_NODES_OR_EDGES = 2^18: refused before any graph is built
     ["scale", "--scheme", "deg_atleast", "--sizes", "99999999999999999999"],
     ["scale", "--scheme", "mm_atmost", "--sizes", "16,262145"],
     # builtins past 2^18 nodes or edges (K725 has 262,450 edges): refused
@@ -337,6 +338,11 @@ BAD_INPUT_ARGVS = [
     ["fuzz", "--scheme", "mm_atmost", "--graph", "K4", "--k", "1",
      "--trials", "1000000000000"],
     ["gadget", "diam8", "--size", "3", "--count", "1000000000000"],
+    # each family's first size past its ceiling: refused before any layout
+    *(
+        ["gadget", gadgets.FAMILY_BUILDERS[name].short, "--size", str(refused), "--count", "1"]
+        for name, (_, refused, _) in CEILINGS.items()
+    ),
 ]
 
 
@@ -359,12 +365,13 @@ def _bind_paths(argv, tmp_path):
 def _within_the_caps(monkeypatch):
     """Patch what the CLI calls to fail when it is asked for more than the
     CLI's caps allow: a scaling size or a builtin graph past
-    ``SCALING_MAX_N`` nodes or edges, or more fuzz trials or gadget pairs
-    than ``MAX_DRAWS``. The CLI must refuse such a request before any graph
-    is built or any record kept, and a test must never build one."""
-    from streamcert import cli, gadgets, harness
+    ``MAX_NODES_OR_EDGES`` nodes or edges, a gadget family past its ceiling,
+    or more fuzz trials or gadget pairs than ``MAX_DRAWS``. The CLI must
+    refuse such a request before any graph is built or any record kept, and
+    a test must never build one."""
+    from streamcert import cli, harness
 
-    cap = harness.SCALING_MAX_N
+    cap = MAX_NODES_OR_EDGES
     run, fuzz, check = (
         harness.run_space_scaling, harness.fuzz_instance, gadgets.check_gadget_equivalence
     )
@@ -383,6 +390,13 @@ def _within_the_caps(monkeypatch):
         assert policy.trials <= cli.MAX_DRAWS, policy
         return fuzz(scheme, entry, k, policy, *rest)
 
+    def family_builder(name, row):
+        def guarded(size):
+            family = row.build(size)  # refuses a size past the ceiling
+            assert size <= CEILINGS[name][0], (name, size)
+            return family
+        return row._replace(build=guarded)
+
     def checked(family, count=None, seed=0):
         assert count is None or count <= cli.MAX_DRAWS, count
         return check(family, count, seed)
@@ -390,6 +404,8 @@ def _within_the_caps(monkeypatch):
     monkeypatch.setattr(harness, "run_space_scaling", scaling)
     for letter, build in cli._BUILTIN.items():
         monkeypatch.setitem(cli._BUILTIN, letter, builtin(letter, build))
+    for name, row in gadgets.FAMILY_BUILDERS.items():
+        monkeypatch.setitem(gadgets.FAMILY_BUILDERS, name, family_builder(name, row))
     monkeypatch.setattr(harness, "fuzz_instance", fuzzed)
     monkeypatch.setattr(gadgets, "check_gadget_equivalence", checked)
 

@@ -6,10 +6,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import re
+import time
 
 import pytest
 
 from streamcert.gadgets import (
+    FAMILY_BUILDERS,
     BadSizes,
     _assemble,
     bitgadget_vc_family,
@@ -20,7 +23,7 @@ from streamcert.gadgets import (
     holzer_diameter2_family,
     perm_coloring_family,
 )
-from streamcert.graph import GraphError, validate_graph
+from streamcert.graph import MAX_NODES_OR_EDGES, GraphError, validate_graph
 from streamcert.oracles import (
     TooLarge,
     minimum_vertex_cover,
@@ -42,6 +45,8 @@ def test_disj_matching_examples():
     assert oracle_max_matching(disj_matching_family(2).build({1}, {2}).graph) == 2
     with pytest.raises(BadSizes):
         build({1}, {2, 3})
+    # a side is read as a set: a repeated element counts once
+    assert build([1, 2, 2], {3, 4}) == build({1, 2}, {3, 4})
 
 
 def test_disj_degeneracy_examples():
@@ -117,6 +122,33 @@ def test_family_refuses_sizes_below_its_minimum(builder, size):
         builder(size)
 
 
+#: each family's ceiling, its first refused size, and the inputs of its
+#: largest instance at a size: full sets, all-zero vectors, the identity
+CEILINGS = {
+    "disj_matching": (131072, 131074, lambda n: (range(1, n // 2 + 1),) * 2),
+    "disj_degeneracy": (131071, 131072, lambda n: (range(1, n + 1),) * 2),
+    "disj_diameter8": (32767, 32768, lambda n: (range(1, n + 1),) * 2),
+    "holzer_diameter2": (511, 512, lambda p: ((0,) * (p * (p - 1) // 2),) * 2),
+    "bitgadget_vc": (128, 256, lambda n: ((0,) * (n * n),) * 2),
+    "perm_coloring": (209, 210, lambda r: (range(1, r + 1),) * 2),
+}
+
+
+@pytest.mark.parametrize("name", CEILINGS)
+def test_family_ceiling_bounds_its_largest_instance(name):
+    """At its ceiling a family's largest instance has at most
+    MAX_NODES_OR_EDGES nodes and edges; the next size is refused before any
+    layout."""
+    ceiling, refused, largest = CEILINGS[name]
+    build = FAMILY_BUILDERS[name].build
+    graph = build(ceiling).build(*largest(ceiling)).graph
+    assert max(graph.n, graph.m) <= MAX_NODES_OR_EDGES
+    start = time.perf_counter()
+    with pytest.raises(BadSizes, match=rf"^{name} needs \w <= {ceiling}, got {refused}$"):
+        build(refused)
+    assert time.perf_counter() - start < 0.1
+
+
 # -- structural invariants --------------------------------------------------------------
 
 FAMILIES = [
@@ -189,12 +221,12 @@ def test_sampled_equivalence_builds_each_distinct_pair_once():
     family = disj_diameter8_family(3)
     built = []
 
-    def build(x, y):
+    def layout(x, y):
         built.append((x, y))
-        return family.build(x, y)
+        return family.layout(x, y)
 
     report = check_gadget_equivalence(
-        dataclasses.replace(family, build=build), count=1000, seed=2026
+        dataclasses.replace(family, layout=layout), count=1000, seed=2026
     )
     assert len(report.records) == 1000
     assert len(built) == len(set(built)) == family.input_space
@@ -209,17 +241,14 @@ def test_exhaustive_gate():
 @pytest.mark.parametrize(
     "build, size, message",
     [
-        (bitgadget_vc_family, 4096, "bitgadget_vc[N=4096]: at least 2^33554432"),
-        (holzer_diameter2_family, 6000, "holzer_diameter2[p=6000]: at least 2^35994000"),
+        (bitgadget_vc_family, 128, "bitgadget_vc[N=128]: at least 2^32768"),
+        (holzer_diameter2_family, 511, "holzer_diameter2[p=511]: at least 2^260610"),
     ],
     ids=["bitvc", "holzer"],
 )
 def test_exhaustive_gate_refuses_before_any_layout(build, size, message):
     """The quadratic layouts of bitvc and holzer wait for the first build, so
-    the gate refuses a huge family in far less than the seconds they take."""
-    import re
-    import time
-
+    the gate refuses a family at its ceiling in far less than they take."""
     start = time.perf_counter()
     with pytest.raises(TooLarge, match=re.escape(message + " instances exceed")):
         check_gadget_equivalence(build(size))
@@ -337,19 +366,26 @@ def test_split_stream_matches_shuffled_verdict(family, inputs):
 
 
 @pytest.mark.parametrize(
-    "refusal,error,message",
+    "family,x,y",
     [
-        (lambda: disj_matching_family(4).build({1, 5}, {2, 3}), BadSizes, "outside"),
-        (lambda: disj_degeneracy_family(3).build({4}, set()), BadSizes, "outside"),
-        (lambda: disj_diameter8_family(2).build(set(), {3}), BadSizes, "outside"),
-        (lambda: bitgadget_vc_family(2).build((0, 0, 0), (0, 0, 0, 0)), BadSizes, "length 4"),
-        (lambda: perm_coloring_family(3).build((1, 1, 2), (1, 2, 3)), BadSizes, "permutations"),
+        (disj_matching_family(4), {1, 5}, {2, 3}),
+        (disj_matching_family(4), {1, 2, 3}, {2, 3}),
+        (disj_matching_family(4), [1, 1], {2, 3}),
+        (disj_degeneracy_family(3), {4}, set()),
+        (disj_diameter8_family(2), set(), {3}),
+        (holzer_diameter2_family(3), (0, 0, 0), (0, 0, 0, 0)),
+        (bitgadget_vc_family(2), (0, 0, 0), (0, 0, 0, 0)),
+        (perm_coloring_family(3), (1, 1, 2), (1, 2, 3)),
+        (perm_coloring_family(3), (1, 2, 3), (1, 2, 4)),
     ],
     ids=[
-        "disj_matching-outside", "disj_degeneracy-outside", "disj_diameter8-outside",
-        "bitgadget_vc-length", "perm_coloring-not-a-permutation",
+        "disj_matching-outside", "disj_matching-not-half", "disj_matching-repeat",
+        "disj_degeneracy-outside", "disj_diameter8-outside", "holzer_diameter2-length",
+        "bitgadget_vc-length", "perm_coloring-not-a-permutation", "perm_coloring-outside",
     ],
 )
-def test_gadget_input_refusals(refusal, error, message):
-    with pytest.raises(error, match=message):
-        refusal()
+def test_gadget_input_refusals(family, x, y):
+    """One case per domain rule: a subset of 1..N (of size N/2 for
+    disj_matching), a vector of the right length, a permutation of 1..r."""
+    with pytest.raises(BadSizes, match=re.escape(f"{family.name}: inputs ")):
+        family.build(x, y)
