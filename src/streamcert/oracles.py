@@ -13,7 +13,8 @@ The exponential searches, ``k_coloring``, ``vertex_cover_at_most``,
 one size cutoff, ``NP_ORACLE_MAX_N``, themselves with ``TooLarge``.
 Everything built on them (the optimum searches, the parameter oracles, the
 provers and the gadget predicates) inherits the refusal and does not repeat
-it.
+it. They run on per-node neighbour bitmasks and an ``alive`` mask of the
+nodes still in play, so a branch copies nothing.
 
 ``PARAMETERS`` is the one table of the graph parameters a scheme can bound.
 Each name maps to its exact oracle, to whether adding an edge can only
@@ -547,8 +548,21 @@ def oracle_diameter(g: Graph) -> int | float:
 
 # -- chromatic number (branch and bound) ----------------------------------------
 
+def _neighbour_masks(g: Graph) -> list[int]:
+    """``nbr[v]``, bit w set iff vw is an edge (bit 0 unused); a search's
+    degree is then ``(nbr[v] & alive).bit_count()``."""
+    nbr = [0] * (g.n + 1)
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
+
+
 def k_coloring(g: Graph, k: int) -> dict[int, int] | None:
-    """A proper coloring with colors 1..k, or None. Deterministic backtracking."""
+    """A proper coloring with colors 1..k, or None, by backtracking in a fixed
+    order, since the provers encode the witness: nodes in (-degree, id) order
+    (the dict's order too), each tries the smallest free color first, and at
+    most one new color is opened per step."""
     _refuse_beyond_np_cutoff(g)
     if k < 0:
         return None
@@ -557,27 +571,26 @@ def k_coloring(g: Graph, k: int) -> dict[int, int] | None:
         return {}
     if k == 0:
         return None
-    adj = g.adjacency()
-    order = sorted(range(1, n + 1), key=lambda v: (-len(adj[v]), v))
-    colors: dict[int, int] = {}
+    nbr = _neighbour_masks(g)
+    order = sorted(range(1, n + 1), key=lambda v: (-nbr[v].bit_count(), v))
+    # classes[c]: the nodes colored c; a search never opens more than n colors
+    classes = [0] * (min(k, n) + 1)
+    colors = [0] * (n + 1)
 
     def assign(idx: int, used: int) -> bool:
         if idx == n:
             return True
         v = order[idx]
-        taken = {colors[w] for w in adj[v] if w in colors}
-        # symmetry break: at most one brand-new color may be opened
-        limit = min(k, used + 1)
-        for c in range(1, limit + 1):
-            if c in taken:
-                continue
-            colors[v] = c
-            if assign(idx + 1, max(used, c)):
-                return True
-            del colors[v]
+        for c in range(1, min(k, used + 1) + 1):
+            if not classes[c] & nbr[v]:
+                classes[c] |= 1 << v
+                colors[v] = c
+                if assign(idx + 1, max(used, c)):
+                    return True
+                classes[c] ^= 1 << v
         return False
 
-    return dict(colors) if assign(0, 0) else None
+    return {v: colors[v] for v in order} if assign(0, 0) else None
 
 
 def oracle_chromatic(g: Graph) -> int:
@@ -591,60 +604,54 @@ def oracle_chromatic(g: Graph) -> int:
 
 # -- vertex cover / independent set / clique ------------------------------------
 
-def _remove_vertex(adj: dict[int, set[int]], v: int) -> None:
-    for x in adj.pop(v, ()):
-        if x in adj:
-            adj[x].discard(v)
-
-
-def _vc_branch(adj: dict[int, set[int]], budget: int, chosen: list[int]) -> list[int] | None:
-    # kernel: drop isolated vertices, resolve degree-1 vertices by taking
-    # their neighbor (always at least as good)
+def _vc_branch(nbr: list[int], alive: int, budget: int, chosen: list[int]) -> list[int] | None:
+    # kernel: resolve the smallest degree-1 node by taking its neighbour
+    # (always at least as good); a scan that finds none yields the pivot
     while True:
-        deg1 = None
-        for v in sorted(adj):
-            if not adj[v]:
-                del adj[v]
-            elif len(adj[v]) == 1:
-                deg1 = v
+        pivot = top = 0
+        rest = alive
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            degree = (nbr[v] & alive).bit_count()
+            if degree == 1:
                 break
+            if degree > top:
+                pivot, top = v, degree
         else:
-            break  # scanned everything: no degree-1 vertex left
-        w = next(iter(adj[deg1]))
+            break
         if budget == 0:
             return None
         budget -= 1
+        w = (nbr[v] & alive).bit_length() - 1
         chosen.append(w)
-        _remove_vertex(adj, w)
-    if not adj:
+        alive &= ~(1 << w)
+    if not top:
         return list(chosen)
     if budget == 0:
         return None
-    v = max(adj, key=lambda x: (len(adj[x]), -x))
-    neighbors = set(adj[v])
-    # branch 1: v in the cover
-    adj1 = {x: set(ns) for x, ns in adj.items()}
-    _remove_vertex(adj1, v)
-    got = _vc_branch(adj1, budget - 1, chosen + [v])
+    # branch 1: the pivot in the cover
+    got = _vc_branch(nbr, alive & ~(1 << pivot), budget - 1, chosen + [pivot])
     if got is not None:
         return got
-    # branch 2: all neighbors of v in the cover
-    if len(neighbors) <= budget:
-        adj2 = {x: set(ns) for x, ns in adj.items()}
-        for w in neighbors:
-            _remove_vertex(adj2, w)
-        adj2.pop(v, None)
-        return _vc_branch(adj2, budget - len(neighbors), chosen + sorted(neighbors))
+    # branch 2: all neighbours of the pivot in the cover
+    if top <= budget:
+        neighbours = nbr[pivot] & alive
+        ascending = [w for w in range(neighbours.bit_length()) if neighbours >> w & 1]
+        return _vc_branch(nbr, alive & ~neighbours, budget - top, chosen + ascending)
     return None
 
 
 def vertex_cover_at_most(g: Graph, budget: int) -> list[int] | None:
-    """A vertex cover of size <= budget, or None. Decision form."""
+    """A vertex cover of size <= budget, or None, listed in the order taken,
+    which is fixed because the provers encode the witness: the smallest-id
+    node of degree exactly 1 gives its neighbour first, then the pivot
+    (maximum degree, smallest id on ties) enters in branch 1, or its
+    neighbours, ascending, in branch 2."""
     _refuse_beyond_np_cutoff(g)
     if budget < 0:
         return None
-    adj = {v: set(ns) for v, ns in g.adjacency().items() if ns}
-    return _vc_branch(adj, budget, [])
+    return _vc_branch(_neighbour_masks(g), (1 << (g.n + 1)) - 2, budget, [])
 
 
 def minimum_vertex_cover(g: Graph) -> list[int]:
@@ -652,50 +659,50 @@ def minimum_vertex_cover(g: Graph) -> list[int]:
     return sorted(vertex_cover_at_most(g, g.n - len(maximum_independent_set(g))))
 
 
-def _is_branch(adj: dict[int, set[int]], chosen: list[int], best: list[int]) -> list[int]:
+def _is_branch(nbr: list[int], alive: int, chosen: list[int], best: list[int]) -> list[int]:
+    # taking the smallest node of degree <= 1 into the IS is always optimal;
+    # a scan that finds none yields the pivot
     while True:
-        easy = None
-        for v in sorted(adj):
-            if len(adj[v]) <= 1:
-                easy = v
+        pivot, top = 0, -1
+        rest = alive
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            degree = (nbr[v] & alive).bit_count()
+            if degree <= 1:
                 break
-        if easy is None:
+            if degree > top:
+                pivot, top = v, degree
+        else:
             break
-        # taking a vertex of degree <= 1 into the IS is always optimal
-        chosen = chosen + [easy]
-        for w in list(adj[easy]):
-            _remove_vertex(adj, w)
-        adj.pop(easy, None)
-    if not adj:
+        chosen = chosen + [v]
+        alive &= ~(nbr[v] | 1 << v)
+    if not alive:
         return chosen if len(chosen) > len(best) else best
-    if len(chosen) + len(adj) <= len(best):
+    if len(chosen) + alive.bit_count() <= len(best):
         return best
-    v = max(adj, key=lambda x: (len(adj[x]), -x))
-    # branch 1: v in the IS (drop v and its neighborhood)
-    adj1 = {x: set(ns) for x, ns in adj.items()}
-    for w in list(adj1[v]):
-        _remove_vertex(adj1, w)
-    adj1.pop(v, None)
-    best = _is_branch(adj1, chosen + [v], best)
-    # branch 2: v not in the IS
-    adj2 = {x: set(ns) for x, ns in adj.items()}
-    _remove_vertex(adj2, v)
-    return _is_branch(adj2, chosen, best)
+    # branch 1: the pivot in the IS (drop it and its neighbourhood)
+    best = _is_branch(nbr, alive & ~(nbr[pivot] | 1 << pivot), chosen + [pivot], best)
+    # branch 2: the pivot not in the IS
+    return _is_branch(nbr, alive & ~(1 << pivot), chosen, best)
 
 
 def maximum_independent_set(g: Graph) -> list[int]:
+    """The first largest IS found, sorted; the order is fixed because the
+    provers encode the witness: the smallest-id node of degree <= 1 is taken
+    first, the pivot (maximum degree, smallest id on ties) is taken in branch
+    1 before it is dropped in branch 2, a branch that cannot beat the best is
+    pruned, and only a strictly larger set replaces it."""
     _refuse_beyond_np_cutoff(g)
-    adj = {v: set(ns) for v, ns in g.adjacency().items()}
-    return sorted(_is_branch(adj, [], []))
+    return sorted(_is_branch(_neighbour_masks(g), (1 << (g.n + 1)) - 2, [], []))
 
 
 def maximum_clique(g: Graph) -> list[int]:
-    # refused before the complement, which has ~n^2/2 edges, is built
+    """``maximum_independent_set``'s search, and its order, on the complement."""
     _refuse_beyond_np_cutoff(g)
-    adj = g.adjacency()
-    nodes = set(adj)
-    complement = {v: nodes - {v} - set(ns) for v, ns in adj.items()}
-    return sorted(_is_branch(complement, [], []))
+    everyone = (1 << (g.n + 1)) - 2
+    complement = [everyone & ~(ns | 1 << v) for v, ns in enumerate(_neighbour_masks(g))]
+    return sorted(_is_branch(complement, everyone, [], []))
 
 
 # -- the parameter table -----------------------------------------------------------

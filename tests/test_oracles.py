@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -23,6 +24,7 @@ from streamcert.graph import (
     random_tree,
     star_graph,
 )
+from streamcert.harness import ACCEPTANCE_CORPUS_SPEC, build_corpus
 from streamcert.oracles import (
     BFS_BLOCK,
     PARAMETERS,
@@ -61,6 +63,7 @@ from streamcert.provers import (
     prove_vc_atmost,
 )
 
+import reference
 from reference import every_small_graph, oracle_tutte_berge, sparse_gnp_graph, to_networkx
 
 TRIANGLE = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
@@ -472,6 +475,42 @@ def test_witnesses_are_valid():
         )
         vc, alpha, omega = vc_is_clique(g)
         assert (len(cover), len(ind), len(clique)) == (vc, alpha, omega)
+
+
+def _differential_graphs():
+    yield from every_small_graph(5).values()
+    for seed in range(120):
+        yield gnp_random_graph(6 + seed % 13, (0.15, 0.3, 0.5, 0.7)[seed % 4], seed)
+    yield from (entry.graph for entry in build_corpus(ACCEPTANCE_CORPUS_SPEC, seed=1).entries)
+
+
+def test_exact_searches_return_what_the_dict_of_sets_reference_returns():
+    # the provers encode these witnesses, so the bitmask searches must return
+    # the very lists and dicts, not only the sizes, of the searches they replaced
+    for g in _differential_graphs():
+        independent = reference.maximum_independent_set(g)
+        assert maximum_independent_set(g) == independent, g
+        assert maximum_clique(g) == reference.maximum_clique(g), g
+        tau = g.n - len(independent)
+        for budget in (tau - 1, tau, tau + 1):
+            assert vertex_cover_at_most(g, budget) == reference.vertex_cover_at_most(g, budget), g
+        chi = oracle_chromatic(g)
+        for k in (chi - 1, chi, chi + 1):
+            assert k_coloring(g, k) == reference.k_coloring(g, k), g
+
+
+def test_huge_colour_count_and_budget_allocate_nothing_of_their_size():
+    g = gnp_random_graph(12, 0.4, 9)
+    huge = 1 << 40
+    tracemalloc.start()
+    try:
+        coloring = k_coloring(g, huge)
+        cover = vertex_cover_at_most(g, huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coloring == k_coloring(g, g.n) and cover == vertex_cover_at_most(g, g.n)
+    assert peak < 64 << 10, peak
 
 
 def test_vc_is_clique_rejects_large():
