@@ -1,13 +1,14 @@
 """Two-party lower-bound graph families and their iff-equivalence checks.
 
 Each family builds graphs G = (V, E ∪ A_x ∪ B_y) where A_x depends only on
-the left input and B_y only on the right input, together with the predicate
-the construction encodes (e.g. "has a perfect matching"). The equivalence
-checker rebuilds every requested instance, evaluates the predicate with the
-exact oracles, evaluates the two-party function directly, and reports any
-disagreement. The stored edge order is fixed-then-Alice-then-Bob so the
-stream order "split:<split_point>" reproduces the one-side-then-the-other
-order the reductions rely on.
+the left input and B_y only on the right input, together with the claims the
+construction encodes: ``applicable`` (scheme, k, legal_when) triples, each
+legal on (G, k) exactly when the two-party function is legal_when. The
+equivalence checker rebuilds every requested instance, judges the first
+claim by one threshold test of ``oracles.PARAMETERS``, evaluates the
+two-party function directly, and reports any disagreement. The stored edge
+order is fixed-then-Alice-then-Bob so the stream order "split:<split_point>"
+reproduces the one-side-then-the-other order the reductions rely on.
 
 ``<name>_family(size)`` is the only constructor of a family. It refuses a
 size outside the family's range, whose ceiling keeps every instance within
@@ -31,18 +32,12 @@ import itertools
 import math
 import random
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .graph import MAX_NODES_OR_EDGES, Graph, validate_graph
-from .oracles import (
-    TooLarge,
-    k_coloring,
-    oracle_degeneracy,
-    oracle_diameter,
-    oracle_max_matching,
-    vertex_cover_at_most,
-)
+from .oracles import TooLarge, parameter_at_least
+from .schemes import SCHEMES
 
 EXHAUSTIVE_SWEEP_LIMIT = 1 << 16
 
@@ -159,13 +154,13 @@ class GadgetFamily:
     #: ``build`` unchecked: the instance of two inputs that fit ``domain``
     layout: Callable[[object, object], GadgetInstance]
     two_party: Callable[[object, object], bool]
-    predicate: Callable[[Graph], bool]
     #: where both Alice's and Bob's inputs come from
     domain: InputDomain
     #: (scheme, threshold, legal_when) triples: the streaming schemes whose
     #: instance (graph, threshold) is legal exactly when two_party(...) is
-    #: legal_when, used by split-order replay tests.
-    applicable: tuple[tuple[str, int, bool], ...] = field(default=())
+    #: legal_when. The first, of a "ge" or "le" scheme, is the claim the
+    #: equivalence sweep judges (``judge``); split-order replay tests read all.
+    applicable: tuple[tuple[str, int, bool], ...]
 
     @property
     def input_space(self) -> int:
@@ -178,6 +173,15 @@ class GadgetFamily:
         if not (self.domain.fits(x) and self.domain.fits(y)):
             raise BadSizes(f"{self.name}: inputs {reprlib.repr((x, y))} are not in its domain")
         return self.layout(x, y)
+
+    def judge(self, graph: Graph) -> bool:
+        """The predicate the sweep compares with two_party: whether the first
+        ``applicable`` claim's legality on (graph, k) equals its legal_when,
+        by one ``parameter_at_least`` test (at k + 1 for a "le" scheme)."""
+        scheme, k, legal_when = self.applicable[0]
+        info = SCHEMES[scheme]
+        ge = info.direction == "ge"
+        return parameter_at_least(graph, info.parameter, k if ge else k + 1) == (ge == legal_when)
 
 
 def _sets_disjoint(x, y) -> bool:
@@ -211,7 +215,6 @@ def disj_matching_family(universe: int) -> GadgetFamily:
         name=f"disj_matching[N={universe}]",
         layout=layout,
         two_party=_sets_disjoint,
-        predicate=lambda g: oracle_max_matching(g) == universe,
         domain=half_subsets(universe),
         applicable=(
             ("mm_atleast_list", universe, True),
@@ -240,7 +243,6 @@ def disj_degeneracy_family(universe: int) -> GadgetFamily:
         name=f"disj_degeneracy[N={universe}]",
         layout=layout,
         two_party=_sets_disjoint,
-        predicate=lambda g: oracle_degeneracy(g) <= 1,
         domain=all_subsets(universe),
         applicable=(("deg_atmost", 1, True), ("deg_atleast", 2, False)),
     )
@@ -281,7 +283,6 @@ def disj_diameter8_family(universe: int) -> GadgetFamily:
         name=f"disj_diameter8[N={universe}]",
         layout=layout,
         two_party=_sets_disjoint,
-        predicate=lambda g: oracle_diameter(g) >= 8,
         domain=all_subsets(universe),
         applicable=(("diam_atleast", 8, True),),
     )
@@ -314,7 +315,6 @@ def holzer_diameter2_family(p: int) -> GadgetFamily:
         name=f"holzer_diameter2[p={p}]",
         layout=layout,
         two_party=_bits_disjoint,
-        predicate=lambda g: oracle_diameter(g) == 2,
         domain=bit_vectors(bits),
         applicable=(("diam_atleast", 3, False),),
     )
@@ -385,7 +385,6 @@ def bitgadget_vc_family(width: int) -> GadgetFamily:
         name=f"bitgadget_vc[N={width}]",
         layout=layout,
         two_party=_bits_disjoint,
-        predicate=lambda g: vertex_cover_at_most(g, cover_bound) is None,
         domain=bit_vectors(width * width),
         applicable=(("vc_atmost", cover_bound, False),),
     )
@@ -423,7 +422,6 @@ def perm_coloring_family(r: int) -> GadgetFamily:
         name=f"perm_coloring[r={r}]",
         layout=layout,
         two_party=lambda s, t: tuple(s) == tuple(t),
-        predicate=lambda g: k_coloring(g, r) is not None,
         domain=permutations(r),
         applicable=(("coloring_atmost", r, True),),
     )
@@ -485,7 +483,7 @@ class EquivalenceReport:
 def check_gadget_equivalence(
     family: GadgetFamily, count: int | None = None, seed: int = 0
 ) -> EquivalenceReport:
-    """Sweep (x, y) inputs and assert predicate(G_{x,y}) == f(x, y) pointwise.
+    """Sweep (x, y) inputs and check judge(G_{x,y}) == f(x, y) pointwise.
 
     With no ``count`` every pair runs once; with one, ``count`` pairs are
     drawn from ``seed`` with replacement, so a count above ``input_space``
@@ -518,7 +516,7 @@ def check_gadget_equivalence(
                 family.domain.render(x),
                 family.domain.render(y),
                 family.two_party(x, y),
-                family.predicate(family.build(x, y).graph),
+                family.judge(family.build(x, y).graph),
             )
         records.append(record)
     return EquivalenceReport(family.name, tuple(records))

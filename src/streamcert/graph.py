@@ -167,23 +167,6 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def bounded_degree_graph(n: int, max_deg: int, m_target: int, seed: int) -> Graph:
-    """Random graph with max degree <= max_deg and up to m_target edges."""
-    rng = random.Random(seed)
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    rng.shuffle(pairs)
-    deg = {v: 0 for v in range(1, n + 1)}
-    edges = []
-    for u, v in pairs:
-        if len(edges) >= m_target:
-            break
-        if deg[u] < max_deg and deg[v] < max_deg:
-            edges.append((u, v))
-            deg[u] += 1
-            deg[v] += 1
-    return Graph.from_edges(n, edges)
-
-
 # -- text file format: "n m k" header then m lines "u v" ---------------------
 
 def parse_graph_file(text: str) -> tuple[Graph, int]:

@@ -12,7 +12,7 @@ The exponential searches, ``k_coloring``, ``vertex_cover_at_most``,
 ``maximum_independent_set`` and ``maximum_clique``, refuse input above the
 one size cutoff, ``NP_ORACLE_MAX_N``, themselves with ``TooLarge``.
 Everything built on them (the optimum searches, the parameter oracles, the
-provers and the gadget predicates) inherits the refusal and does not repeat
+provers and the gadget sweeps) inherits the refusal and does not repeat
 it. They run on per-node neighbour bitmasks and an ``alive`` mask of the
 nodes still in play, so a branch copies nothing.
 
@@ -21,9 +21,9 @@ Each name maps to its exact oracle, to whether adding an edge can only
 raise the value (removing one does the reverse), and, where one is cheaper
 than the optimum, to a threshold test "value >= k". ``parameter_value``,
 ``parameter_at_least``, the corpus values, the fuzzer's one-edge search
-(``one_edge_variant``) and the ``oracle`` subcommand all read it, in its
-order; the exponential searches come last, and the subcommand computes in
-reverse so that they refuse first.
+(``one_edge_variant``), the gadget sweeps and the ``oracle`` subcommand all
+read it, in its order; the exponential searches come last, and the
+subcommand computes in reverse so that they refuse first.
 """
 
 from __future__ import annotations
@@ -805,8 +805,8 @@ def one_edge_candidates(
         (u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:] if (u, v) not in g.edge_set
     ]
     if parameter == "clique":
-        adj = {v: set(ns) for v, ns in g.adjacency().items()}
-        pairs = [(u, v) for u, v in pairs if len(adj[u] & adj[v]) >= value - 1]
+        nbr = _neighbour_masks(g)
+        pairs = [(u, v) for u, v in pairs if (nbr[u] & nbr[v]).bit_count() >= value - 1]
     return pairs
 
 

@@ -11,6 +11,8 @@ exponential time: each is a definition evaluated by brute force.
 - ``sparse_gnp_graph``: a seeded G(n, c/n) in O(n + m) time, for the tests
   that check a claim at sizes where ``graph.gnp_random_graph``'s n^2 / 2
   coin flips cost seconds.
+- ``bounded_degree_graph``: a seeded random graph of bounded degree, by
+  shuffling all n(n - 1)/2 pairs, so keep n small.
 - ``to_networkx``: a graph as an ``nx.Graph`` on the nodes 1..n, for the
   tests that check the library against networkx, which shares no code with
   it.
@@ -20,16 +22,22 @@ exponential time: each is a definition evaluated by brute force.
   bitmasks. They make the same moves in the same order, so the library's
   searches must return exactly what these return (the provers encode those
   witnesses). They do not refuse large graphs; callers keep n small.
+- ``gadget_predicate``: the property each lower-bound family in
+  ``streamcert.gadgets`` encodes, as the family stated it before its first
+  ``applicable`` claim took that role, on the library's matching, degeneracy
+  and diameter oracles and this module's colouring and cover searches.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from typing import Callable
 
 import networkx as nx
 
 from streamcert.graph import Graph
-from streamcert.oracles import TooLarge
+from streamcert.oracles import TooLarge, oracle_degeneracy, oracle_diameter, oracle_max_matching
 
 TUTTE_BERGE_MAX_N = 20
 
@@ -99,6 +107,23 @@ def sparse_gnp_graph(n: int, c: float, seed: int) -> Graph:
     generator, its edges stored in lex order."""
     edges = nx.fast_gnp_random_graph(n, c / n, seed=seed).edges
     return Graph(n, tuple(sorted((min(e) + 1, max(e) + 1) for e in edges)))
+
+
+def bounded_degree_graph(n: int, max_deg: int, m_target: int, seed: int) -> Graph:
+    """Random graph with max degree <= max_deg and up to m_target edges."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    rng.shuffle(pairs)
+    deg = {v: 0 for v in range(1, n + 1)}
+    edges = []
+    for u, v in pairs:
+        if len(edges) >= m_target:
+            break
+        if deg[u] < max_deg and deg[v] < max_deg:
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return Graph.from_edges(n, edges)
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -241,3 +266,20 @@ def maximum_clique(g: Graph) -> list[int]:
     nodes = set(adj)
     complement = {v: nodes - {v} - set(ns) for v, ns in adj.items()}
     return sorted(_is_branch(complement, [], []))
+
+
+# -- the gadget families' reductions ----------------------------------------------
+
+def gadget_predicate(family: str, size: int) -> Callable[[Graph], bool]:
+    """The graph property that ``FAMILY_BUILDERS[family].build(size)``
+    encodes: it holds on G_{x,y} iff the family's two_party(x, y) does."""
+    universe = width = r = size
+    cover_bound = 4 * (width - 1) + 4 * (width.bit_length() - 1)
+    return {
+        "disj_matching": lambda g: oracle_max_matching(g) == universe,
+        "disj_degeneracy": lambda g: oracle_degeneracy(g) <= 1,
+        "disj_diameter8": lambda g: oracle_diameter(g) >= 8,
+        "holzer_diameter2": lambda g: oracle_diameter(g) == 2,
+        "bitgadget_vc": lambda g: vertex_cover_at_most(g, cover_bound) is None,
+        "perm_coloring": lambda g: k_coloring(g, r) is not None,
+    }[family]

@@ -23,7 +23,7 @@ from streamcert.gadgets import (
     holzer_diameter2_family,
     perm_coloring_family,
 )
-from streamcert.graph import bounded_degree_graph, gnp_random_graph
+from streamcert.graph import gnp_random_graph
 from streamcert.harness import (
     ACCEPTANCE_CORPUS_SPEC,
     FuzzPolicy,
@@ -40,7 +40,7 @@ from streamcert.schemes import BASE_SCHEMES, SCHEMES
 from streamcert.stream import ORDER_BATTERY, SOUNDNESS_ORDERS, make_stream
 from streamcert.verifiers import run_verifier
 
-from reference import oracle_tutte_berge
+from reference import bounded_degree_graph, oracle_tutte_berge
 
 SEED = 2026
 SCALING_SIZES = (2**8, 2**10, 2**12, 2**14)

@@ -30,10 +30,13 @@ from streamcert.oracles import (
     oracle_degeneracy,
     oracle_diameter,
     oracle_max_matching,
+    parameter_value,
 )
 from streamcert.schemes import SCHEMES
 from streamcert.stream import make_stream
 from streamcert.verifiers import run_verifier
+
+from reference import gadget_predicate
 
 
 # -- pinned examples ----------------------------------------------------------------
@@ -299,6 +302,49 @@ def test_gadget_report_lines_pinned():
     assert digest == (
         "904e4c3f90d9231ae59775e3c996e02a4a3979ca0e4ae4b07dfb48dc1d6f1d43"
     )
+
+
+#: the sweeps of ``test_gadget_report_lines_pinned``: each family at a size,
+#: exhaustively (no count) or by 20 pairs from each of the seeds 0, 1 and 7
+PINNED_SWEEPS = [
+    ("disj_matching", 2, None), ("disj_matching", 4, None),
+    ("disj_degeneracy", 1, None), ("disj_degeneracy", 4, None),
+    ("disj_diameter8", 1, None), ("disj_diameter8", 3, None),
+    ("holzer_diameter2", 2, None), ("holzer_diameter2", 3, None),
+    ("bitgadget_vc", 2, None), ("perm_coloring", 3, None),
+    ("disj_matching", 8, 20), ("disj_degeneracy", 5, 20), ("disj_diameter8", 3, 20),
+    ("holzer_diameter2", 5, 20), ("bitgadget_vc", 2, 20), ("perm_coloring", 4, 20),
+]
+
+
+@pytest.mark.parametrize("name,size,count", PINNED_SWEEPS, ids=str)
+def test_every_applicable_claim_agrees_with_the_judged_one(name, size, count):
+    """On every instance the pinned sweeps build, each ``applicable`` triple,
+    decided from the parameter's full value, says what ``judge`` says of the
+    first, and what the family's predicate in ``reference`` says."""
+    family = FAMILY_BUILDERS[name].build(size)
+    graphs = []
+
+    def layout(x, y):
+        instance = family.layout(x, y)
+        graphs.append(instance.graph)
+        return instance
+
+    logged = dataclasses.replace(family, layout=layout)
+    for seed in (0,) if count is None else (0, 1, 7):
+        check_gadget_equivalence(logged, count, seed)
+    stated = gadget_predicate(name, size)
+    for g in graphs:
+        judged = family.judge(g)
+        assert stated(g) == judged, (family.name, g)
+        values = {}
+        for scheme, k, legal_when in family.applicable:
+            info = SCHEMES[scheme]
+            if info.parameter not in values:
+                values[info.parameter] = parameter_value(g, info.parameter)
+            assert (info.legal(values[info.parameter], k) == legal_when) == judged, (
+                family.name, scheme, g
+            )
 
 
 def test_gadget_instances_pinned():

@@ -554,6 +554,19 @@ def test_schemes_and_harness_leave_the_one_edge_search_to_oracles():
             assert "adding_an_edge_raises" not in path.read_text(), path.name
 
 
+def test_gadgets_ask_oracles_only_the_threshold_test():
+    # a sweep judges its claim through ``PARAMETERS``, not a value oracle of
+    # its own choosing
+    from streamcert import gadgets, oracles
+
+    taken = {
+        name for name, value in vars(gadgets).items()
+        if getattr(value, "__module__", None) == oracles.__name__
+    }
+    assert taken == {"parameter_at_least", "TooLarge"}
+    assert oracles not in vars(gadgets).values()
+
+
 @pytest.mark.parametrize(
     "refusal,message",
     [

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from streamcert.certs import decode_blob, encode_distance_labels, serialize_certificate
 from streamcert.graph import (
     Graph,
-    bounded_degree_graph,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -64,7 +63,13 @@ from streamcert.provers import (
 )
 
 import reference
-from reference import every_small_graph, oracle_tutte_berge, sparse_gnp_graph, to_networkx
+from reference import (
+    bounded_degree_graph,
+    every_small_graph,
+    oracle_tutte_berge,
+    sparse_gnp_graph,
+    to_networkx,
+)
 
 TRIANGLE = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
 

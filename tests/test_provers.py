@@ -9,7 +9,6 @@ import pytest
 from streamcert.certs import FieldPastU32, decode_blob, encode_equality, serialize_certificate
 from streamcert.graph import (
     Graph,
-    bounded_degree_graph,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -46,7 +45,7 @@ from streamcert.schemes import SCHEMES
 from streamcert.stream import make_stream
 from streamcert.verifiers import run_verifier
 
-from reference import every_small_graph
+from reference import bounded_degree_graph, every_small_graph
 
 TRIANGLE = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
 
