@@ -1,10 +1,17 @@
 """Certificate container and per-scheme codecs.
 
 A certificate is a scheme-tagged read-only byte payload with a declared
-semantic bit count. Byte payloads use fixed-width fields (u8/u32/u64
-big-endian, MSB-first bit vectors) for simplicity; the declared
-``semantic_bits`` is the information-theoretic size and is what space
-accounting reports. It must match the codec's closed-form formula exactly.
+semantic bit count. ``CertificateBlob`` is a plain slots dataclass, cheap to
+build by the tens of thousands a fuzz campaign makes, and read-only by
+contract rather than by ``frozen``: its payload is ``bytes``, no code rebinds
+a field, and a changed certificate is a new blob (``dataclasses.replace``).
+The fuzzer's random blobs, like shuffled stream orders, are drawn from
+``Random.getrandbits`` alone (``harness._fuzz_certificates``), so their bytes
+do not depend on CPython's ``randrange``, ``randbytes`` or ``shuffle`` code.
+Byte payloads use fixed-width fields (u8/u32/u64 big-endian, MSB-first bit
+vectors) for simplicity; the declared ``semantic_bits`` is the
+information-theoretic size and is what space accounting reports. It must
+match the codec's closed-form formula exactly.
 
 Seven codecs are runs of u32 fields, and each is one ``U32Layout`` row: its
 head field (none, a count or a colour domain), body length, field range, bit
@@ -51,7 +58,7 @@ class FieldPastU32(ValueError):
     unreachable node k + 1, so k >= 2^32 - 1 cannot be encoded)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CertificateBlob:
     scheme: str
     payload: bytes

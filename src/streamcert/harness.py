@@ -77,7 +77,12 @@ def _attach(name: str, g: Graph) -> CorpusEntry:
     validate_graph(g)
     if g.n > NP_ORACLE_MAX_N:
         raise TooLarge(f"{name}: n={g.n} beyond exact-oracle cutoff")
-    return CorpusEntry(name, g, {p: parameter_value(g, p) for p in PARAMETERS})
+    # one independent-set search gives alpha and tau = n - alpha (Gallai's identity)
+    alpha = parameter_value(g, "is")
+    searched = {"is": alpha, "vc": g.n - alpha}
+    return CorpusEntry(name, g, {
+        p: searched[p] if p in searched else parameter_value(g, p) for p in PARAMETERS
+    })
 
 
 def _parse_span(token: str) -> range:
@@ -347,17 +352,38 @@ def _nearest_legal_cert(info: SchemeInfo, g: Graph, value: int | float) -> Certi
 def _fuzz_certificates(
     info: SchemeInfo, entry: CorpusEntry, k: int, policy: FuzzPolicy
 ) -> list[tuple[str, CertificateBlob]]:
+    """The certificates ``policy.mode`` makes for the illegal instance
+    (entry, k), from a generator seeded by (seed, entry, scheme, k).
+
+    ``random_bytes`` draws, per trial, a payload length below
+    max(2 * base length, 16), where the base is the honest certificate at
+    the graph's own value (8 bytes when there is none), then that many
+    bytes, then a declared size below 8 * length + 2 bits. Each draw comes
+    from ``rng.getrandbits``, as ``stream._shuffle``'s do: a value below
+    ``top`` is ``getrandbits(top.bit_length())``, redrawn while >= top, and
+    ``length`` bytes are ``getrandbits(8 * length)`` in little-endian order.
+    These are the values of ``rng.randrange(0, top)`` and
+    ``rng.randbytes(length)``, without their Python frames."""
     rng = random.Random((policy.seed, entry.name, info.name, k).__repr__())
     value = entry.value(info.parameter)
     base = _nearest_legal_cert(info, entry.graph, value)
     certs: list[tuple[str, CertificateBlob]] = []
     if policy.mode == "random_bytes":
+        getrandbits, scheme = rng.getrandbits, info.name
         base_len = len(base.payload) if base else 8
+        top_length = max(2 * base_len, 16)
+        length_width = top_length.bit_length()
         for i in range(policy.trials):
-            length = rng.randrange(0, max(2 * base_len, 16))
-            payload = rng.randbytes(length)
-            bits = rng.randrange(0, 8 * length + 2)
-            certs.append((f"random:{i}", CertificateBlob(info.name, payload, bits)))
+            length = getrandbits(length_width)
+            while length >= top_length:
+                length = getrandbits(length_width)
+            payload = getrandbits(8 * length).to_bytes(length, "little")
+            top_bits = 8 * length + 2
+            bits_width = top_bits.bit_length()
+            bits = getrandbits(bits_width)
+            while bits >= top_bits:
+                bits = getrandbits(bits_width)
+            certs.append((f"random:{i}", CertificateBlob(scheme, payload, bits)))
     elif policy.mode == "bit_flip":
         if base is None:
             return []

@@ -593,10 +593,28 @@ def k_coloring(g: Graph, k: int) -> dict[int, int] | None:
     return {v: colors[v] for v in order} if assign(0, 0) else None
 
 
+def _two_colourable(g: Graph) -> bool:
+    """Whether g has a proper 2-colouring, in O(n + m): when it has one, the
+    parity of BFS depth is one, so every edge joins an odd and an even depth."""
+    adj = g.adjacency()
+    depth: dict[int, int] = {}
+    for root in range(1, g.n + 1):
+        if root not in depth:
+            depth.update(bfs_distances(adj, root))
+    return all((depth[u] ^ depth[v]) & 1 for u, v in g.edges)
+
+
 def oracle_chromatic(g: Graph) -> int:
+    """chi: 0 with no node, 1 with no edge, 2 when a BFS 2-colours g, and
+    otherwise the first k >= 3 that ``k_coloring`` colours with."""
+    _refuse_beyond_np_cutoff(g)
     if g.n == 0:
         return 0
-    for k in range(1, g.n + 1):
+    if not g.edges:
+        return 1
+    if _two_colourable(g):
+        return 2
+    for k in range(3, g.n + 1):
         if k_coloring(g, k) is not None:
             return k
     raise AssertionError("n colors always suffice")

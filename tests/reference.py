@@ -22,6 +22,10 @@ exponential time: each is a definition evaluated by brute force.
   bitmasks. They make the same moves in the same order, so the library's
   searches must return exactly what these return (the provers encode those
   witnesses). They do not refuse large graphs; callers keep n small.
+- ``random_bytes_certificates``: the fuzzer's ``random_bytes`` loop as it
+  drew through ``rng.randrange`` and ``rng.randbytes``, before
+  ``harness._fuzz_certificates`` drew the same values from
+  ``rng.getrandbits`` directly.
 - ``gadget_predicate``: the property each lower-bound family in
   ``streamcert.gadgets`` encodes, as the family stated it before its first
   ``applicable`` claim took that role, on the library's matching, degeneracy
@@ -36,6 +40,7 @@ from typing import Callable
 
 import networkx as nx
 
+from streamcert.certs import CertificateBlob
 from streamcert.graph import Graph
 from streamcert.oracles import TooLarge, oracle_degeneracy, oracle_diameter, oracle_max_matching
 
@@ -266,6 +271,24 @@ def maximum_clique(g: Graph) -> list[int]:
     nodes = set(adj)
     complement = {v: nodes - {v} - set(ns) for v, ns in adj.items()}
     return sorted(_is_branch(complement, [], []))
+
+
+# -- the fuzzer's random_bytes draws ----------------------------------------------
+
+def random_bytes_certificates(
+    scheme: str, base: CertificateBlob | None, trials: int, rng: random.Random
+) -> list[tuple[str, CertificateBlob]]:
+    """``trials`` certificates of random bytes, each a length below
+    max(2 * base length, 16) (8 bytes when there is no base), that many
+    bytes, and a declared size below 8 * length + 2 bits."""
+    base_len = len(base.payload) if base else 8
+    certs = []
+    for i in range(trials):
+        length = rng.randrange(0, max(2 * base_len, 16))
+        payload = rng.randbytes(length)
+        bits = rng.randrange(0, 8 * length + 2)
+        certs.append((f"random:{i}", CertificateBlob(scheme, payload, bits)))
+    return certs
 
 
 # -- the gadget families' reductions ----------------------------------------------

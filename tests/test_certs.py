@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from streamcert.certs import (
@@ -21,6 +23,22 @@ from streamcert.certs import (
     serialize_certificate,
 )
 from streamcert.meter import ceil_log2, id_bits
+
+
+def test_blob_is_a_slots_value_that_replace_copies():
+    # a fuzz campaign builds tens of thousands of blobs: no per-instance
+    # __dict__, and read-only by contract (bytes payload, no field rebound)
+    blob = encode_tutte_berge({2}, 9)
+    assert not hasattr(blob, "__dict__")
+    assert type(blob.payload) is bytes
+    assert blob == CertificateBlob("mm_atmost", b"\x40\x00", 9)
+    assert blob != CertificateBlob("mm_atmost", b"\x40\x00", 10)
+    assert blob != CertificateBlob("deg_atleast", b"\x40\x00", 9)
+    copy = dataclasses.replace(blob)
+    assert copy == blob and copy is not blob
+    lying = dataclasses.replace(blob, semantic_bits=10)
+    assert lying == CertificateBlob("mm_atmost", b"\x40\x00", 10)
+    assert blob.semantic_bits == 9
 
 
 def test_mm_list_roundtrip():

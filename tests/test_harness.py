@@ -14,7 +14,7 @@ from streamcert.harness import (
     run_space_scaling,
     _attach,
 )
-from streamcert.graph import complete_graph
+from streamcert.graph import complete_graph, empty_graph
 from streamcert.oracles import TooLarge
 from streamcert.schemes import BASE_SCHEMES, SCHEMES
 from streamcert.verifiers import space_bound
@@ -425,6 +425,62 @@ def test_fuzz_instance_matches_a_fresh_run_per_certificate_and_order(monkeypatch
     assert survivors > 0
     assert one_half_rejected > 0  # an equality certificate with one half dead at init
     assert honest > 0
+
+
+def test_random_bytes_draws_equal_the_randrange_reference():
+    """``_fuzz_certificates`` draws ``random_bytes`` certificates from
+    ``rng.getrandbits`` directly; they are, certificate for certificate,
+    what ``rng.randrange`` and ``rng.randbytes`` gave, with or without a
+    base certificate to size them."""
+    import random
+
+    from reference import random_bytes_certificates
+    from streamcert.harness import (
+        ACCEPTANCE_CORPUS_SPEC,
+        _fuzz_certificates,
+        _nearest_legal_cert,
+    )
+    from streamcert.schemes import illegal_thresholds
+
+    # the empty graph's diam_atleast instance has no honest base certificate
+    entries = build_corpus(ACCEPTANCE_CORPUS_SPEC, seed=1).entries[::12]
+    entries += (_attach("empty-0", empty_graph(0)),)
+    instances = without_base = 0
+    for seed in (1, 7, 2026):
+        policy = FuzzPolicy("random_bytes", 60, seed)
+        for scheme in BASE_SCHEMES:
+            info = SCHEMES[scheme]
+            for entry in entries:
+                value = entry.value(info.parameter)
+                base = _nearest_legal_cert(info, entry.graph, value)
+                for k in illegal_thresholds(info, value):
+                    rng = random.Random((seed, entry.name, scheme, k).__repr__())
+                    expected = random_bytes_certificates(scheme, base, 60, rng)
+                    assert _fuzz_certificates(info, entry, k, policy) == expected, (
+                        seed, scheme, entry.name, k
+                    )
+                    instances += 1
+                    without_base += base is None
+    assert instances > 100 and without_base > 0
+
+
+def test_corpus_runs_one_independent_set_search_per_entry(monkeypatch):
+    from streamcert import oracles
+    from streamcert.harness import ACCEPTANCE_CORPUS_SPEC
+
+    searches = []
+    search = oracles.maximum_independent_set
+
+    def counted(g):
+        searches.append(g)
+        return search(g)
+
+    monkeypatch.setattr(oracles, "maximum_independent_set", counted)
+    corpus = build_corpus(ACCEPTANCE_CORPUS_SPEC, 1)
+    assert len(corpus.entries) == len(searches) == 386
+    for entry in corpus.entries:
+        assert entry.value("vc") == entry.graph.n - entry.value("is")
+        assert list(entry.values) == list(oracles.PARAMETERS)
 
 
 def test_fuzz_instance_builds_one_verifier_per_certificate(monkeypatch):

@@ -441,6 +441,20 @@ def test_k_coloring_is_proper():
     assert k_coloring(g, chi - 1) is None
 
 
+def test_chromatic_equals_the_climb_from_one_colour():
+    # the easy bounds (no node, no edge, a BFS 2-colouring) stand in for
+    # the k = 0, 1, 2 searches; past them the climb is k_coloring's
+    def climb(g):
+        return next(k for k in itertools.count() if k_coloring(g, k) is not None)
+
+    corpus = build_corpus(ACCEPTANCE_CORPUS_SPEC, seed=2026)
+    for g in every_small_graph(5).values():
+        assert oracle_chromatic(g) == climb(g), g
+    for entry in corpus.entries:
+        chi = oracle_chromatic(entry.graph)
+        assert chi == entry.value("chromatic") == climb(entry.graph), entry.name
+
+
 def test_chromatic_rejects_large():
     with pytest.raises(TooLarge):
         oracle_chromatic(empty_graph(25))
