@@ -145,8 +145,14 @@ def _cmd_oracle(args) -> int:
     params = oracles.PARAMETERS if args.parameter == "all" else (args.parameter,)
     # every value before any line, so a refused oracle leaves stdout empty,
     # and in reverse table order, so the exponential searches at its end
-    # refuse an oversized graph before any polynomial oracle runs
-    values = {p: oracles.parameter_value(g, p) for p in reversed(params)}
+    # refuse an oversized graph before any polynomial oracle runs; the one
+    # independent-set search gives alpha and tau = n - alpha (Gallai's identity)
+    values: dict[str, int | float] = {}
+    for p in reversed(params):
+        if p == "vc" and "is" in values:
+            values[p] = g.n - values["is"]
+        else:
+            values[p] = oracles.parameter_value(g, p)
     print("\n".join(f"{p}={values[p]}" for p in params))
     return EXIT_ACCEPT
 

@@ -51,8 +51,8 @@ from .oracles import (
 )
 from .provers import NotCertifiable
 from .schemes import SCHEMES, SchemeInfo, illegal_thresholds, legal_thresholds
-from .stream import ORDER_BATTERY, SOUNDNESS_ORDERS, make_stream
-from .verifiers import SCHEME_VERIFIERS, run_verifier, space_bound
+from .stream import ORDER_BATTERY, SOUNDNESS_ORDERS, EdgeStream, make_stream
+from .verifiers import SCHEME_VERIFIERS, malformed_init_verdict, run_verifier, space_bound
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -251,36 +251,36 @@ def _run_trials(
     """Run each (cert_id, certificate) under each order; returns the records,
     certificate-major, and the (order, cert_id, certificate) of each accept.
 
-    Each order's stream is built once, and none when there is no
-    certificate. Each certificate's verifier is built once as an init probe.
-    One that rejected at init has read no item and never accepts (the run
-    contract in ``verifiers``), so its reason and peak are read once and make
-    its whole batch of records, one reject per order. A survivor's probe is
-    dropped, and it gets a ``run_verifier`` for each order, which builds
-    (and decodes) it again: 1 + len(orders) builds in all, so a traced run
-    sees every stream."""
+    A certificate that rejects at init has read no item and never accepts
+    (the run contract in ``verifiers``), so one (reason, peak) makes its
+    whole batch of records, one reject per order. One that fails to decode
+    gets them from ``malformed_init_verdict``, one decode and no verifier;
+    one that decodes is built once as an init probe, and its reason and peak
+    are read off the probe when it rejects. A survivor's probe is dropped,
+    and it gets a ``run_verifier`` for each order, which builds (and
+    decodes) it again. Each order's stream is built once, when the first
+    certificate survives init, and none when none does."""
     records: list[TrialRecord] = []
     accepts: list[tuple[str, str, CertificateBlob]] = []
-    if not certs:
-        return records, accepts
     name, n = entry.name, entry.graph.n
-    streams = [(order, make_stream(entry.graph, k, order)) for order in orders]
     verifier_cls = SCHEME_VERIFIERS[scheme]
+    heads = [(scheme, name, k, order) for order in orders]
+    streams: list[tuple[str, EdgeStream]] | None = None
     new_record = tuple.__new__
     for cert_id, cert in certs:
-        verifier = verifier_cls(n, k, cert)
-        if verifier.rejected:
-            reason, peak = verifier.finalize().reason, verifier.peak_state_bits()
-            bits = cert.semantic_bits
+        init_reject = malformed_init_verdict(scheme, n, k, cert)
+        if init_reject is None:
+            verifier = verifier_cls(n, k, cert)
+            if verifier.rejected:
+                init_reject = verifier.finalize().reason, verifier.peak_state_bits()
+        if init_reject is not None:
+            tail = (cert_id, "reject", *init_reject, cert.semantic_bits)
             # built by tuple.__new__, in C: TrialRecord's own __new__ is Python
             # code, and these records are most of a fuzz campaign's
-            records += [
-                new_record(
-                    TrialRecord, (scheme, name, k, order, cert_id, "reject", reason, peak, bits)
-                )
-                for order, _ in streams
-            ]
+            records += [new_record(TrialRecord, head + tail) for head in heads]
             continue
+        if streams is None:
+            streams = [(order, make_stream(entry.graph, k, order)) for order in orders]
         for order, stream in streams:
             verdict, report = run_verifier(scheme, stream, cert)
             records.append(

@@ -14,6 +14,9 @@ verifier that rejects for that reason. Rejection is
 sticky, so the items a rejected verifier skips cannot change its verdict.
 A verifier that rejects at init has read no item, so its verdict and peak
 depend on the certificate, n and k alone, never on the stream or its order.
+A certificate that fails to decode is rejected as ``malformed-certificate``
+at the scratch peak by every class, which ``malformed_init_verdict`` gives
+without building a verifier.
 The certificate is random-access read-only memory and is never charged to
 the meter; decoded views of it held by the Python object are caches over
 that read-only memory, not verifier state.
@@ -175,6 +178,24 @@ class StreamingVerifier:
         registers of ceil(log2(n+2)) bits, which covers the scratch and any
         O(log n) counters."""
         return 64 * ceil_log2(n + 2)
+
+
+def malformed_init_verdict(
+    scheme: str, n: int, k: int, cert: CertificateBlob
+) -> tuple[str, int] | None:
+    """The init verdict, (reason, peak), that every verifier of ``scheme``
+    gives a certificate that fails to decode, or None when it decodes.
+
+    ``StreamingVerifier.__init__`` registers the scratch and then decodes, so
+    such a certificate rejects as ``R_MALFORMED`` at ``scratch_bits(n)``; this
+    reads that verdict off one decode, with no verifier or meter built. An
+    equality certificate whose container decodes gets None here, even when
+    a half is malformed: its halves are the verifier's to build."""
+    try:
+        decode_blob(cert, scheme, n, k)
+    except MalformedCertificate:
+        return R_MALFORMED, scratch_bits(n)
+    return None
 
 
 class MMListVerifier(StreamingVerifier):

@@ -26,6 +26,11 @@ exponential time: each is a definition evaluated by brute force.
   drew through ``rng.randrange`` and ``rng.randbytes``, before
   ``harness._fuzz_certificates`` drew the same values from
   ``rng.getrandbits`` directly.
+- ``run_trials``: the campaigns' trial loop as it built a verifier for
+  every certificate, including one that fails to decode, and every order's
+  stream up front, before ``harness._run_trials`` read a malformed
+  certificate's records off ``verifiers.malformed_init_verdict`` and built
+  the streams at the first survivor.
 - ``gadget_predicate``: the property each lower-bound family in
   ``streamcert.gadgets`` encodes, as the family stated it before its first
   ``applicable`` claim took that role, on the library's matching, degeneracy
@@ -36,13 +41,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable
+from typing import Callable, Sequence
 
 import networkx as nx
 
 from streamcert.certs import CertificateBlob
 from streamcert.graph import Graph
+from streamcert.harness import CorpusEntry, TrialRecord
 from streamcert.oracles import TooLarge, oracle_degeneracy, oracle_diameter, oracle_max_matching
+from streamcert.stream import make_stream
+from streamcert.verifiers import SCHEME_VERIFIERS, run_verifier
 
 TUTTE_BERGE_MAX_N = 20
 
@@ -289,6 +297,62 @@ def random_bytes_certificates(
         bits = rng.randrange(0, 8 * length + 2)
         certs.append((f"random:{i}", CertificateBlob(scheme, payload, bits)))
     return certs
+
+
+# -- the trial loop ---------------------------------------------------------------
+
+def run_trials(
+    scheme: str,
+    entry: CorpusEntry,
+    k: int,
+    certs: Sequence[tuple[str, CertificateBlob]],
+    orders: Sequence[str],
+) -> tuple[list[TrialRecord], list[tuple[str, str, CertificateBlob]]]:
+    """Run each (cert_id, certificate) under each order; returns the records,
+    certificate-major, and the (order, cert_id, certificate) of each accept.
+
+    Each order's stream is built once, and none when there is no
+    certificate. Each certificate's verifier is built once as an init probe.
+    One that rejected at init has read no item and never accepts (the run
+    contract in ``verifiers``), so its reason and peak are read once and make
+    its whole batch of records, one reject per order. A survivor's probe is
+    dropped, and it gets a ``run_verifier`` for each order, which builds
+    (and decodes) it again: 1 + len(orders) builds in all, so a traced run
+    sees every stream."""
+    records: list[TrialRecord] = []
+    accepts: list[tuple[str, str, CertificateBlob]] = []
+    if not certs:
+        return records, accepts
+    name, n = entry.name, entry.graph.n
+    streams = [(order, make_stream(entry.graph, k, order)) for order in orders]
+    verifier_cls = SCHEME_VERIFIERS[scheme]
+    new_record = tuple.__new__
+    for cert_id, cert in certs:
+        verifier = verifier_cls(n, k, cert)
+        if verifier.rejected:
+            reason, peak = verifier.finalize().reason, verifier.peak_state_bits()
+            bits = cert.semantic_bits
+            # built by tuple.__new__, in C: TrialRecord's own __new__ is Python
+            # code, and these records are most of a fuzz campaign's
+            records += [
+                new_record(
+                    TrialRecord, (scheme, name, k, order, cert_id, "reject", reason, peak, bits)
+                )
+                for order, _ in streams
+            ]
+            continue
+        for order, stream in streams:
+            verdict, report = run_verifier(scheme, stream, cert)
+            records.append(
+                TrialRecord(
+                    scheme, name, k, order, cert_id,
+                    verdict.decision, verdict.reason,
+                    report.peak_state_bits, report.certificate_bits,
+                )
+            )
+            if verdict.accepted:
+                accepts.append((order, cert_id, cert))
+    return records, accepts
 
 
 # -- the gadget families' reductions ----------------------------------------------

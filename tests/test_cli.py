@@ -89,6 +89,27 @@ def test_builtin_graphs_and_oracle(capsys):
     assert "witness=[1]" in capsys.readouterr().out
 
 
+def test_oracle_all_runs_one_independent_set_search(capsys, monkeypatch):
+    # vc is n - is (Gallai's identity), so both rows come from one search
+    searches = []
+    search = oracles.maximum_independent_set
+
+    def counted(g):
+        searches.append(g)
+        return search(g)
+
+    monkeypatch.setattr(oracles, "maximum_independent_set", counted)
+    assert main(["oracle", "all", "--graph", "C9"]) == 0
+    assert len(searches) == 1
+    assert capsys.readouterr().out == (
+        "matching=4\ndegeneracy=2\ndiameter=4\nchromatic=3\nvc=5\nis=4\nclique=2\n"
+    )
+    for parameter, value in (("vc", 5), ("is", 4)):
+        assert main(["oracle", parameter, "--graph", "C9"]) == 0
+        assert capsys.readouterr().out == f"{parameter}={value}\n"
+    assert len(searches) == 3
+
+
 def test_tutte_berge_oracle_answers_past_the_exhaustive_range(capsys):
     # the Gallai-Edmonds witness needs no search over node sets
     assert main(["oracle", "tutte_berge", "--graph", "S25"]) == 0

@@ -484,9 +484,11 @@ def test_corpus_runs_one_independent_set_search_per_entry(monkeypatch):
 
 
 def test_fuzz_instance_builds_one_verifier_per_certificate(monkeypatch):
-    """``fuzz_instance`` builds each certificate's verifier once, whatever
-    the number of orders, and writes one record per (certificate, order)."""
+    """``fuzz_instance`` builds the verifier of each certificate that decodes
+    once, whatever the number of orders, and none for one that does not,
+    and writes one record per (certificate, order)."""
     from streamcert import harness
+    from streamcert.certs import MalformedCertificate, decode_blob
     from streamcert.harness import _fuzz_certificates
     from streamcert.schemes import illegal_thresholds
     from streamcert.stream import SOUNDNESS_ORDERS
@@ -502,11 +504,18 @@ def test_fuzz_instance_builds_one_verifier_per_certificate(monkeypatch):
 
         return Counting
 
+    def decodes(cert, scheme, n, k):
+        try:
+            decode_blob(cert, scheme, n, k)
+        except MalformedCertificate:
+            return False
+        return True
+
     monkeypatch.setattr(
         harness, "SCHEME_VERIFIERS", {s: counting(c) for s, c in SCHEME_VERIFIERS.items()}
     )
     corpus = build_corpus(["paths:3..5", "cycles:4", "gnp:6..7:0.4:2"], seed=29)
-    certificates = 0
+    certificates = malformed = 0
     for scheme in ("deg_atmost", "mm_atmost", "diam_atleast", "mm_equal"):
         info = SCHEMES[scheme]
         for mode, budget in (("random_bytes", 6), ("bit_flip", 6), ("structured_wrong", 2)):
@@ -516,13 +525,121 @@ def test_fuzz_instance_builds_one_verifier_per_certificate(monkeypatch):
                     built.clear()
                     records, _ = fuzz_instance(scheme, entry, k, policy)
                     certs = _fuzz_certificates(info, entry, k, policy)
-                    assert built == [cert for _, cert in certs], (scheme, mode, entry.name, k)
+                    assert built == [
+                        cert for _, cert in certs if decodes(cert, scheme, entry.graph.n, k)
+                    ], (scheme, mode, entry.name, k)
                     assert [r.cert_id for r in records] == [
                         cert_id for cert_id, _ in certs for _ in SOUNDNESS_ORDERS
                     ]
                     assert [r.order for r in records] == list(SOUNDNESS_ORDERS) * len(certs)
                     certificates += len(certs)
-    assert certificates > 0
+                    malformed += len(certs) - len(built)
+    assert certificates > malformed > 0
+
+
+def test_trial_loop_equals_the_loop_that_built_every_verifier():
+    """``_run_trials`` gives, record for record and accept for accept, what
+    the loop that built a verifier for every certificate gave, on all 12
+    schemes, the three fuzz modes and every illegal k; and
+    ``malformed_init_verdict`` gives, for every certificate, the reason and
+    peak of the verifier built for it when that verifier rejects it as
+    malformed at init, and None otherwise. Each equality certificate whose
+    container decodes is also run with each half cut short by a byte: the
+    container still decodes, that half does not."""
+    from reference import run_trials
+    from streamcert.certs import CertificateBlob, decode_blob, encode_equality
+    from streamcert.harness import ACCEPTANCE_CORPUS_SPEC, _fuzz_certificates, _run_trials
+    from streamcert.schemes import illegal_thresholds
+    from streamcert.stream import SOUNDNESS_ORDERS
+    from streamcert.verifiers import R_MALFORMED, SCHEME_VERIFIERS, malformed_init_verdict
+
+    def cut(half):
+        return CertificateBlob(half.scheme, half.payload[:-1], half.semantic_bits)
+
+    entries = build_corpus(ACCEPTANCE_CORPUS_SPEC, seed=1).entries[::40]
+    trials = malformed = half_malformed = 0
+    for scheme, info in SCHEMES.items():
+        verifier_cls = SCHEME_VERIFIERS[scheme]
+        for mode, budget in (("random_bytes", 20), ("bit_flip", 20), ("structured_wrong", 2)):
+            policy = FuzzPolicy(mode, budget, seed=5)
+            for entry in entries:
+                n = entry.graph.n
+                for k in illegal_thresholds(info, entry.value(info.parameter)):
+                    certs = _fuzz_certificates(info, entry, k, policy)
+                    if info.direction == "eq":
+                        for cert_id, cert in list(certs):
+                            if malformed_init_verdict(scheme, n, k, cert) is None:
+                                le, ge = decode_blob(cert, scheme, n, k)
+                                certs += [
+                                    (f"{cert_id}:le-cut", encode_equality(scheme, cut(le), ge)),
+                                    (f"{cert_id}:ge-cut", encode_equality(scheme, le, cut(ge))),
+                                ]
+                    got = _run_trials(scheme, entry, k, certs, SOUNDNESS_ORDERS)
+                    assert got == run_trials(scheme, entry, k, certs, SOUNDNESS_ORDERS), (
+                        scheme, mode, entry.name, k
+                    )
+                    assert got[1] == []
+                    trials += len(got[0])
+                    for _, cert in certs:
+                        verifier = verifier_cls(n, k, cert)
+                        init = malformed_init_verdict(scheme, n, k, cert)
+                        if verifier.rejected and verifier.finalize().reason == R_MALFORMED:
+                            assert init == (R_MALFORMED, verifier.peak_state_bits())
+                            malformed += 1
+                            continue
+                        assert init is None, (scheme, entry.name, k, cert)
+                        if info.direction == "eq":
+                            halves = decode_blob(cert, scheme, n, k)
+                            half_malformed += any(
+                                malformed_init_verdict(sub.scheme, n, k, half)
+                                for sub, half in zip(verifier_cls.sub_verifiers, halves)
+                            )
+    assert trials > 0 and malformed > 0 and half_malformed > 0
+
+
+def test_trial_loop_builds_the_streams_at_the_first_survivor(monkeypatch):
+    """A batch in which no certificate survives init builds no stream; one
+    with a survivor builds each order's stream once."""
+    from streamcert import harness
+    from streamcert.harness import _fuzz_certificates, _run_trials
+    from streamcert.schemes import illegal_thresholds
+    from streamcert.stream import SOUNDNESS_ORDERS
+    from streamcert.verifiers import SCHEME_VERIFIERS
+
+    built = []
+    make_stream = harness.make_stream
+
+    def counted(g, k, order):
+        built.append(order)
+        return make_stream(g, k, order)
+
+    monkeypatch.setattr(harness, "make_stream", counted)
+    corpus = build_corpus(["paths:3..6", "cycles:4..5", "gnp:6..8:0.4:2"], seed=17)
+    batches = {False: 0, True: 0}
+    for scheme, info in SCHEMES.items():
+        for mode, budget in (("random_bytes", 8), ("bit_flip", 8), ("structured_wrong", 2)):
+            policy = FuzzPolicy(mode, budget, seed=3)
+            for entry in corpus.entries:
+                for k in illegal_thresholds(info, entry.value(info.parameter)):
+                    certs = _fuzz_certificates(info, entry, k, policy)
+                    survives = any(
+                        not SCHEME_VERIFIERS[scheme](entry.graph.n, k, cert).rejected
+                        for _, cert in certs
+                    )
+                    built.clear()
+                    _run_trials(scheme, entry, k, certs, SOUNDNESS_ORDERS)
+                    assert built == (list(SOUNDNESS_ORDERS) if survives else []), (
+                        scheme, mode, entry.name, k
+                    )
+                    batches[survives] += 1
+    # random bytes on a 3-node path: every certificate fails at init
+    path3 = corpus.entries[0]
+    assert path3.name == "path-3"
+    certs = _fuzz_certificates(SCHEMES["deg_atmost"], path3, 0, FuzzPolicy("random_bytes", 50, 1))
+    built.clear()
+    records, _ = _run_trials("deg_atmost", path3, 0, certs, SOUNDNESS_ORDERS)
+    assert built == [] and len(records) == 50 * len(SOUNDNESS_ORDERS)
+    assert batches[False] > 0 and batches[True] > 0
 
 
 def test_trial_record_is_an_immutable_tuple_with_a_fixed_line():
