@@ -52,7 +52,7 @@ from .oracles import (
 from .provers import NotCertifiable
 from .schemes import SCHEMES, SchemeInfo, illegal_thresholds, legal_thresholds
 from .stream import ORDER_BATTERY, SOUNDNESS_ORDERS, EdgeStream, make_stream
-from .verifiers import SCHEME_VERIFIERS, malformed_init_verdict, run_verifier, space_bound
+from .verifiers import init_verdict, run_verifier, space_bound
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -252,44 +252,35 @@ def _run_trials(
     certificate-major, and the (order, cert_id, certificate) of each accept.
 
     A certificate that rejects at init has read no item and never accepts
-    (the run contract in ``verifiers``), so one (reason, peak) makes its
-    whole batch of records, one reject per order. One that fails to decode
-    gets them from ``malformed_init_verdict``, one decode and no verifier;
-    one that decodes is built once as an init probe, and its reason and peak
-    are read off the probe when it rejects. A survivor's probe is dropped,
-    and it gets a ``run_verifier`` for each order, which builds (and
-    decodes) it again. Each order's stream is built once, when the first
-    certificate survives init, and none when none does."""
+    (the run contract in ``verifiers``), so the one (reason, peak) that
+    ``init_verdict`` gives makes its whole batch of records, one reject per
+    order. A survivor gets a ``run_verifier`` for each order, which builds
+    (and decodes) it again. Each order's stream is built once, when the first
+    certificate survives init, and none when none does. Every record is one
+    per-order head, (scheme, graph, k, order), plus the certificate's tail."""
     records: list[TrialRecord] = []
     accepts: list[tuple[str, str, CertificateBlob]] = []
     name, n = entry.name, entry.graph.n
-    verifier_cls = SCHEME_VERIFIERS[scheme]
     heads = [(scheme, name, k, order) for order in orders]
-    streams: list[tuple[str, EdgeStream]] | None = None
+    streams: list[EdgeStream] | None = None
+    # records are built by tuple.__new__, in C: TrialRecord's own __new__ is
+    # Python code, and these records are most of a fuzz campaign's
     new_record = tuple.__new__
     for cert_id, cert in certs:
-        init_reject = malformed_init_verdict(scheme, n, k, cert)
-        if init_reject is None:
-            verifier = verifier_cls(n, k, cert)
-            if verifier.rejected:
-                init_reject = verifier.finalize().reason, verifier.peak_state_bits()
+        init_reject = init_verdict(scheme, n, k, cert)
         if init_reject is not None:
             tail = (cert_id, "reject", *init_reject, cert.semantic_bits)
-            # built by tuple.__new__, in C: TrialRecord's own __new__ is Python
-            # code, and these records are most of a fuzz campaign's
             records += [new_record(TrialRecord, head + tail) for head in heads]
             continue
         if streams is None:
-            streams = [(order, make_stream(entry.graph, k, order)) for order in orders]
-        for order, stream in streams:
+            streams = [make_stream(entry.graph, k, order) for order in orders]
+        for order, head, stream in zip(orders, heads, streams):
             verdict, report = run_verifier(scheme, stream, cert)
-            records.append(
-                TrialRecord(
-                    scheme, name, k, order, cert_id,
-                    verdict.decision, verdict.reason,
-                    report.peak_state_bits, report.certificate_bits,
-                )
+            tail = (
+                cert_id, verdict.decision, verdict.reason,
+                report.peak_state_bits, report.certificate_bits,
             )
+            records.append(new_record(TrialRecord, head + tail))
             if verdict.accepted:
                 accepts.append((order, cert_id, cert))
     return records, accepts

@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from itertools import islice
 from typing import Callable, NamedTuple
 
@@ -804,28 +804,26 @@ def one_edge_candidates(
     n = g.n
     if parameter != "diameter" and abs(value - k) > 1:
         return []
-    if not adds:
-        drops = sorted(g.edges)
-        if parameter == "matching":
-            mate = maximum_matching(g)[0]
-            return [(u, v) for u, v in drops if mate[u] == v]
-        if parameter == "degeneracy":
-            core = k_core(g, value)
-            return [(u, v) for u, v in drops if u in core and v in core]
-        return drops
-    nodes: Sequence[int] = range(1, n + 1)
+    if adds:
+        moves = [
+            (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+            if (u, v) not in g.edge_set
+        ]
+    else:
+        moves = sorted(g.edges)
     if parameter == "matching":
-        missed = missed_nodes(g, maximum_matching(g)[0])
-        nodes = [v for v in nodes if missed[v]]
-    elif parameter == "degeneracy":
-        nodes = sorted(k_core(g, value))
-    pairs = [
-        (u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:] if (u, v) not in g.edge_set
-    ]
-    if parameter == "clique":
+        mate = maximum_matching(g)[0]
+        if adds:
+            missed = missed_nodes(g, mate)
+            return [(u, v) for u, v in moves if missed[u] and missed[v]]
+        return [(u, v) for u, v in moves if mate[u] == v]
+    if parameter == "degeneracy":
+        core = k_core(g, value)
+        return [(u, v) for u, v in moves if u in core and v in core]
+    if parameter == "clique" and adds:
         nbr = _neighbour_masks(g)
-        pairs = [(u, v) for u, v in pairs if (nbr[u] & nbr[v]).bit_count() >= value - 1]
-    return pairs
+        return [(u, v) for u, v in moves if (nbr[u] & nbr[v]).bit_count() >= value - 1]
+    return moves
 
 
 def one_edge_variant(

@@ -15,8 +15,8 @@ sticky, so the items a rejected verifier skips cannot change its verdict.
 A verifier that rejects at init has read no item, so its verdict and peak
 depend on the certificate, n and k alone, never on the stream or its order.
 A certificate that fails to decode is rejected as ``malformed-certificate``
-at the scratch peak by every class, which ``malformed_init_verdict`` gives
-without building a verifier.
+at the scratch peak by every class. ``init_verdict`` gives every init
+reject, (reason, peak), and builds no verifier for such a certificate.
 The certificate is random-access read-only memory and is never charged to
 the meter; decoded views of it held by the Python object are caches over
 that read-only memory, not verifier state.
@@ -178,24 +178,6 @@ class StreamingVerifier:
         registers of ceil(log2(n+2)) bits, which covers the scratch and any
         O(log n) counters."""
         return 64 * ceil_log2(n + 2)
-
-
-def malformed_init_verdict(
-    scheme: str, n: int, k: int, cert: CertificateBlob
-) -> tuple[str, int] | None:
-    """The init verdict, (reason, peak), that every verifier of ``scheme``
-    gives a certificate that fails to decode, or None when it decodes.
-
-    ``StreamingVerifier.__init__`` registers the scratch and then decodes, so
-    such a certificate rejects as ``R_MALFORMED`` at ``scratch_bits(n)``; this
-    reads that verdict off one decode, with no verifier or meter built. An
-    equality certificate whose container decodes gets None here, even when
-    a half is malformed: its halves are the verifier's to build."""
-    try:
-        decode_blob(cert, scheme, n, k)
-    except MalformedCertificate:
-        return R_MALFORMED, scratch_bits(n)
-    return None
 
 
 class MMListVerifier(StreamingVerifier):
@@ -593,6 +575,26 @@ SCHEME_VERIFIERS: dict[str, type[StreamingVerifier]] = {
 def space_bound(scheme: str, n: int, k: int) -> int:
     """Closed-form ceiling the scheme's measured peak never exceeds."""
     return SCHEME_VERIFIERS[scheme].space_bound(n, k)
+
+
+def init_verdict(
+    scheme: str, n: int, k: int, cert: CertificateBlob
+) -> tuple[str, int] | None:
+    """The init reject, (reason, peak), of ``scheme``'s verifier for ``cert``,
+    or None when it survives init. A certificate that fails to decode rejects
+    as ``R_MALFORMED`` at ``scratch_bits(n)`` (``__init__`` registers the
+    scratch, then decodes), which one decode gives, with no verifier or meter
+    built; any other builds its verifier once. ``decode_blob`` and
+    ``SCHEME_VERIFIERS`` are read from this module's globals, where a tracer
+    or a test wraps them."""
+    try:
+        decode_blob(cert, scheme, n, k)
+    except MalformedCertificate:
+        return R_MALFORMED, scratch_bits(n)
+    verifier = SCHEME_VERIFIERS[scheme](n, k, cert)
+    if verifier.rejected:
+        return verifier.finalize().reason, verifier.peak_state_bits()
+    return None
 
 
 def run_verifier(

@@ -28,9 +28,9 @@ exponential time: each is a definition evaluated by brute force.
   ``rng.getrandbits`` directly.
 - ``run_trials``: the campaigns' trial loop as it built a verifier for
   every certificate, including one that fails to decode, and every order's
-  stream up front, before ``harness._run_trials`` read a malformed
-  certificate's records off ``verifiers.malformed_init_verdict`` and built
-  the streams at the first survivor.
+  stream up front, before ``harness._run_trials`` read each certificate's
+  init reject off ``verifiers.init_verdict``, which builds no verifier for
+  one that fails to decode, and built the streams at the first survivor.
 - ``gadget_predicate``: the property each lower-bound family in
   ``streamcert.gadgets`` encodes, as the family stated it before its first
   ``applicable`` claim took that role, on the library's matching, degeneracy

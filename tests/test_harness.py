@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from streamcert.harness import (
@@ -484,10 +486,11 @@ def test_corpus_runs_one_independent_set_search_per_entry(monkeypatch):
 
 
 def test_fuzz_instance_builds_one_verifier_per_certificate(monkeypatch):
-    """``fuzz_instance`` builds the verifier of each certificate that decodes
-    once, whatever the number of orders, and none for one that does not,
-    and writes one record per (certificate, order)."""
-    from streamcert import harness
+    """``fuzz_instance`` builds no verifier for a certificate that fails to
+    decode, one in ``init_verdict`` for one that decodes, and one more per
+    order for each survivor of init, and writes one record per (certificate,
+    order)."""
+    from streamcert import verifiers
     from streamcert.certs import MalformedCertificate, decode_blob
     from streamcert.harness import _fuzz_certificates
     from streamcert.schemes import illegal_thresholds
@@ -504,18 +507,20 @@ def test_fuzz_instance_builds_one_verifier_per_certificate(monkeypatch):
 
         return Counting
 
-    def decodes(cert, scheme, n, k):
+    def builds(cert, scheme, n, k):
         try:
             decode_blob(cert, scheme, n, k)
         except MalformedCertificate:
-            return False
-        return True
+            return 0
+        if SCHEME_VERIFIERS[scheme](n, k, cert).rejected:
+            return 1
+        return 1 + len(SOUNDNESS_ORDERS)
 
     monkeypatch.setattr(
-        harness, "SCHEME_VERIFIERS", {s: counting(c) for s, c in SCHEME_VERIFIERS.items()}
+        verifiers, "SCHEME_VERIFIERS", {s: counting(c) for s, c in SCHEME_VERIFIERS.items()}
     )
     corpus = build_corpus(["paths:3..5", "cycles:4", "gnp:6..7:0.4:2"], seed=29)
-    certificates = malformed = 0
+    counts = Counter()
     for scheme in ("deg_atmost", "mm_atmost", "diam_atleast", "mm_equal"):
         info = SCHEMES[scheme]
         for mode, budget in (("random_bytes", 6), ("bit_flip", 6), ("structured_wrong", 2)):
@@ -525,50 +530,54 @@ def test_fuzz_instance_builds_one_verifier_per_certificate(monkeypatch):
                     built.clear()
                     records, _ = fuzz_instance(scheme, entry, k, policy)
                     certs = _fuzz_certificates(info, entry, k, policy)
-                    assert built == [
-                        cert for _, cert in certs if decodes(cert, scheme, entry.graph.n, k)
-                    ], (scheme, mode, entry.name, k)
+                    expected = []
+                    for _, cert in certs:
+                        times = builds(cert, scheme, entry.graph.n, k)
+                        expected += [cert] * times
+                        counts[times] += 1
+                    assert built == expected, (scheme, mode, entry.name, k)
                     assert [r.cert_id for r in records] == [
                         cert_id for cert_id, _ in certs for _ in SOUNDNESS_ORDERS
                     ]
                     assert [r.order for r in records] == list(SOUNDNESS_ORDERS) * len(certs)
-                    certificates += len(certs)
-                    malformed += len(certs) - len(built)
-    assert certificates > malformed > 0
+    # malformed, init rejects and survivors all occur
+    assert set(counts) == {0, 1, 1 + len(SOUNDNESS_ORDERS)}, counts
 
 
 def test_trial_loop_equals_the_loop_that_built_every_verifier():
     """``_run_trials`` gives, record for record and accept for accept, what
     the loop that built a verifier for every certificate gave, on all 12
-    schemes, the three fuzz modes and every illegal k; and
-    ``malformed_init_verdict`` gives, for every certificate, the reason and
-    peak of the verifier built for it when that verifier rejects it as
-    malformed at init, and None otherwise. Each equality certificate whose
-    container decodes is also run with each half cut short by a byte: the
-    container still decodes, that half does not."""
+    schemes, the three fuzz modes and every illegal k; and ``init_verdict``
+    gives, for every certificate, the reason and peak of the verifier built
+    for it when that verifier rejects at init, for any reason, and None when
+    it survives. Each equality certificate whose container decodes is also
+    run with each half cut short by a byte: the container still decodes,
+    that half does not."""
     from reference import run_trials
     from streamcert.certs import CertificateBlob, decode_blob, encode_equality
     from streamcert.harness import ACCEPTANCE_CORPUS_SPEC, _fuzz_certificates, _run_trials
     from streamcert.schemes import illegal_thresholds
     from streamcert.stream import SOUNDNESS_ORDERS
-    from streamcert.verifiers import R_MALFORMED, SCHEME_VERIFIERS, malformed_init_verdict
+    from streamcert.verifiers import R_MALFORMED, SCHEME_VERIFIERS, init_verdict, scratch_bits
 
     def cut(half):
         return CertificateBlob(half.scheme, half.payload[:-1], half.semantic_bits)
 
     entries = build_corpus(ACCEPTANCE_CORPUS_SPEC, seed=1).entries[::40]
-    trials = malformed = half_malformed = 0
+    trials = half_malformed = 0
+    outcomes = Counter()
     for scheme, info in SCHEMES.items():
         verifier_cls = SCHEME_VERIFIERS[scheme]
         for mode, budget in (("random_bytes", 20), ("bit_flip", 20), ("structured_wrong", 2)):
             policy = FuzzPolicy(mode, budget, seed=5)
             for entry in entries:
                 n = entry.graph.n
+                malformed = (R_MALFORMED, scratch_bits(n))
                 for k in illegal_thresholds(info, entry.value(info.parameter)):
                     certs = _fuzz_certificates(info, entry, k, policy)
                     if info.direction == "eq":
                         for cert_id, cert in list(certs):
-                            if malformed_init_verdict(scheme, n, k, cert) is None:
+                            if init_verdict(scheme, n, k, cert) is None:
                                 le, ge = decode_blob(cert, scheme, n, k)
                                 certs += [
                                     (f"{cert_id}:le-cut", encode_equality(scheme, cut(le), ge)),
@@ -582,19 +591,24 @@ def test_trial_loop_equals_the_loop_that_built_every_verifier():
                     trials += len(got[0])
                     for _, cert in certs:
                         verifier = verifier_cls(n, k, cert)
-                        init = malformed_init_verdict(scheme, n, k, cert)
-                        if verifier.rejected and verifier.finalize().reason == R_MALFORMED:
-                            assert init == (R_MALFORMED, verifier.peak_state_bits())
-                            malformed += 1
+                        init = init_verdict(scheme, n, k, cert)
+                        if verifier.rejected:
+                            reason = verifier.finalize().reason
+                            assert init == (reason, verifier.peak_state_bits()), (
+                                scheme, entry.name, k, cert
+                            )
+                            outcomes["malformed" if reason == R_MALFORMED else "init reject"] += 1
                             continue
                         assert init is None, (scheme, entry.name, k, cert)
+                        outcomes["survived"] += 1
                         if info.direction == "eq":
                             halves = decode_blob(cert, scheme, n, k)
                             half_malformed += any(
-                                malformed_init_verdict(sub.scheme, n, k, half)
+                                init_verdict(sub.scheme, n, k, half) == malformed
                                 for sub, half in zip(verifier_cls.sub_verifiers, halves)
                             )
-    assert trials > 0 and malformed > 0 and half_malformed > 0
+    # malformed, other init rejects and survivors all occur
+    assert trials > 0 and half_malformed > 0 and len(outcomes) == 3, outcomes
 
 
 def test_trial_loop_builds_the_streams_at_the_first_survivor(monkeypatch):
